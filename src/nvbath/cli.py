@@ -24,7 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, bath_model, datasets, fitkit, pulse_sim, spectra, spin_core
+from . import __version__, bath_model, datasets, fitkit, pulse_sim, spectra
+from . import spin_core, table
 
 
 class UsageError(Exception):
@@ -226,14 +227,6 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
     return out
 
 
-def _write_csv(path: str, provenance: str, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# {provenance}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -257,7 +250,8 @@ def _cmd_polarization(args) -> int:
             (t, point.polarization, bath_model.flip_flop_factor(float(t), t_zeeman))
         )
     path = _resolve(args, args.output)
-    _write_csv(path, _provenance(config), "temperature_K,polarization,flip_flop_factor", rows)
+    header = ("temperature_K", "polarization", "flip_flop_factor")
+    table.write(path, [_provenance(config)], header, rows)
     print(f"wrote {path}")
     return 0
 
@@ -452,23 +446,20 @@ def _cmd_fit(args) -> int:
     for name in args.free:
         fixed.pop(name, None)
 
-    if model.name in ("echo_decay", "inversion_recovery"):
-        try:
+    # Either reader raises ValueError for a malformed data file.
+    try:
+        if model.name in ("echo_decay", "inversion_recovery"):
             trace = pulse_sim.read_trace_csv(args.data)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        x = trace.delays
-        y = trace.amplitude
-        err = trace.std_error
-    else:
-        try:
+            x, y, err = trace.delays, trace.amplitude, trace.std_error
+        else:
             dataset = datasets.load_csv(args.data)
-        except datasets.DatasetFormatError as exc:
-            raise UsageError(str(exc))
-        per_us = model.name == "t2_model"
-        x, y, err = (
-            np.array(v) for v in datasets.as_rate_data(dataset, per_microsecond=per_us)
-        )
+            per_us = model.name == "t2_model"
+            x, y, err = (
+                np.array(v)
+                for v in datasets.as_rate_data(dataset, per_microsecond=per_us)
+            )
+    except ValueError as exc:
+        raise UsageError(str(exc))
     sigma = None
     if not args.unweighted and np.all(np.asarray(err) > 0):
         sigma = err
@@ -489,13 +480,12 @@ def _cmd_fit(args) -> int:
     provenance = _provenance(config)
     csv_path = _resolve(args, args.output_prefix + ".csv")
     txt_path = _resolve(args, args.output_prefix + ".txt")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(f"# {provenance}\n")
-        fh.write("parameter,value,stderr,fixed\n")
-        for name, value, stderr, is_fixed in zip(
-            result.param_names, result.params, result.stderr, result.fixed
-        ):
-            fh.write(f"{name},{value:.17g},{stderr:.17g},{int(is_fixed)}\n")
+    table.write(
+        csv_path,
+        [provenance],
+        ("parameter", "value", "stderr", "fixed"),
+        zip(result.param_names, result.params, result.stderr, result.fixed),
+    )
     with open(txt_path, "w", newline="\n") as fh:
         fh.write(f"# {provenance}\n")
         fh.write(_format_report(model, result))
@@ -528,31 +518,24 @@ def _format_report(model: fitkit.ModelSpec, result: fitkit.FitResult) -> str:
 def _cmd_model_eval(args) -> int:
     temps = _parse_temps(args.temps)
     params = _parse_assignments(args.params.split(",") if args.params else [], "--params")
+    # Each defaults dict lists its constructor's fields in order.
     if args.model == "t1_model":
-        defaults = {
-            "A": bath_model.DEFAULT_T1_PARAMS.a_per_s_k,
-            "B": bath_model.DEFAULT_T1_PARAMS.b_per_s_k5,
-        }
-        unknown = set(params) - set(defaults)
-        if unknown:
-            raise UsageError(f"t1_model has no parameter(s) {sorted(unknown)}")
-        merged = {**defaults, **params}
-        model_params = bath_model.T1ModelParams(merged["A"], merged["B"])
-        rates = [bath_model.t1_rate(float(t), model_params) for t in temps]
+        p = bath_model.DEFAULT_T1_PARAMS
+        defaults = {"A": p.a_per_s_k, "B": p.b_per_s_k5}
+        build, rate = bath_model.T1ModelParams, bath_model.t1_rate
     else:
-        defaults = {
-            "C": bath_model.DEFAULT_T2_PARAMS.c_per_us,
-            "T_Ze": bath_model.DEFAULT_T2_PARAMS.t_zeeman_k,
-            "Gamma_res": bath_model.DEFAULT_T2_PARAMS.gamma_res_per_us,
-        }
-        unknown = set(params) - set(defaults)
-        if unknown:
-            raise UsageError(f"t2_model has no parameter(s) {sorted(unknown)}")
-        merged = {**defaults, **params}
-        model_params = bath_model.T2ModelParams(
-            merged["C"], merged["T_Ze"], merged["Gamma_res"]
-        )
-        rates = [bath_model.t2_rate(float(t), model_params) for t in temps]
+        p = bath_model.DEFAULT_T2_PARAMS
+        defaults = {"C": p.c_per_us, "T_Ze": p.t_zeeman_k, "Gamma_res": p.gamma_res_per_us}
+        build, rate = bath_model.T2ModelParams, bath_model.t2_rate
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise UsageError(f"{args.model} has no parameter(s) {sorted(unknown)}")
+    merged = {**defaults, **params}
+    try:
+        model_params = build(*(merged[name] for name in defaults))
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    rates = [rate(float(t), model_params) for t in temps]
     # value_time is always seconds; the rate keeps the model's native unit.
     seconds_per_unit = 1e-6 if args.model == "t2_model" else 1.0
     rows = [
@@ -565,7 +548,9 @@ def _cmd_model_eval(args) -> int:
         "temps": args.temps,
     }
     path = _resolve(args, args.output)
-    _write_csv(path, _provenance(config), "temperature_K,rate,value_time", rows)
+    table.write(
+        path, [_provenance(config)], ("temperature_K", "rate", "value_time"), rows
+    )
     print(f"wrote {path}")
     return 0
 

@@ -9,16 +9,15 @@ with ``#`` comment lines preserved as dataset metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+from . import table
 
 CENTERS = ("NV", "N")
 QUANTITIES = ("T1", "T2")
 
-_HEADER = "temperature_K,value_s,error_s"
+_COLUMNS = ("temperature_K", "value_s", "error_s")
 
-
-class DatasetFormatError(ValueError):
-    """A dataset file violates the expected schema."""
+DatasetFormatError = table.TableFormatError
 
 
 @dataclass(frozen=True)
@@ -107,14 +106,12 @@ def bundled(center: str, quantity: str) -> RelaxationDataset:
 
 def save_csv(dataset: RelaxationDataset, path) -> None:
     """Write the schema header, preserved comments, and one row per point."""
-    with open(path, "w", newline="\n") as fh:
-        for comment in dataset.comments:
-            fh.write(f"# {comment}\n")
-        fh.write(_HEADER + "\n")
-        for row in dataset.rows:
-            fh.write(
-                f"{row.temperature_k:.17g},{row.value_s:.17g},{row.error_s:.17g}\n"
-            )
+    table.write(
+        path,
+        dataset.comments,
+        _COLUMNS,
+        ((r.temperature_k, r.value_s, r.error_s) for r in dataset.rows),
+    )
 
 
 def load_csv(path, center: str = "NV", quantity: str = "T2") -> RelaxationDataset:
@@ -123,56 +120,8 @@ def load_csv(path, center: str = "NV", quantity: str = "T2") -> RelaxationDatase
     The error column may be omitted (treated as 0). Comment lines are kept.
     Malformed content raises :class:`DatasetFormatError` naming the line.
     """
-    comments: list[str] = []
-    rows: list[RelaxationRow] = []
-    header_seen = False
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in line.split(",")]
-                if cols not in (
-                    ["temperature_K", "value_s", "error_s"],
-                    ["temperature_K", "value_s"],
-                ):
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: expected header {_HEADER!r} "
-                        f"(error column optional), got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) not in (2, 3):
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected 2 or 3 columns, "
-                    f"got {len(parts)}"
-                )
-            try:
-                temperature = float(parts[0])
-                value = float(parts[1])
-                error = float(parts[2]) if len(parts) == 3 else 0.0
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: non-numeric value in {line!r}"
-                ) from None
-            try:
-                rows.append(RelaxationRow(temperature, value, error))
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: {exc}"
-                ) from None
-    if not header_seen:
-        raise DatasetFormatError(f"{path}: missing header line {_HEADER!r}")
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
-    return RelaxationDataset(
-        center=center, quantity=quantity, rows=tuple(rows), comments=tuple(comments)
-    )
+    comments, _, rows = table.read(path, (_COLUMNS, _COLUMNS[:2]), RelaxationRow)
+    return RelaxationDataset(center, quantity, tuple(rows), tuple(comments))
 
 
 def as_rate_data(

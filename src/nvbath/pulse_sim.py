@@ -29,10 +29,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bath_model import flip_flop_factor
-from . import fitkit
+from . import fitkit, table
 
 SEQUENCE_HAHN = "hahn_echo"
 SEQUENCE_INVERSION = "inversion_recovery"
+
+_TRACE_COLUMNS = ("delay_s", "amplitude", "std_error")
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -57,7 +59,6 @@ class BathNoiseConfig:
     t_zeeman: float = 11.518
     seed: int = 1
     fixed_couplings: Optional[tuple[float, ...]] = None
-    resample_couplings: bool = True
 
     def __post_init__(self) -> None:
         if self.n_sources < 1:
@@ -163,7 +164,7 @@ def simulate_hahn_echo(
         raise ValueError("threads must be >= 1")
     rate = effective_rate(cfg)
     shared = None
-    if cfg.fixed_couplings is not None or not cfg.resample_couplings:
+    if cfg.fixed_couplings is not None:
         shared = sample_couplings(cfg, realization=0)
     echoes = np.empty((n_realizations, tau.size))
 
@@ -317,57 +318,33 @@ def effective_t2_scan(
 
 def write_trace_csv(trace: DecayTrace, path, header_lines: Sequence[str] = ()) -> None:
     """Write a trace as ``delay_s,amplitude,std_error`` rows plus metadata."""
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(
-            f"# sequence={trace.sequence} "
-            f"n_realizations={trace.n_realizations} seed={trace.seed}\n"
-        )
-        fh.write("delay_s,amplitude,std_error\n")
-        for d, a, s in zip(trace.delays, trace.amplitude, trace.std_error):
-            fh.write(f"{d:.17g},{a:.17g},{s:.17g}\n")
+    meta = (
+        f"sequence={trace.sequence} "
+        f"n_realizations={trace.n_realizations} seed={trace.seed}"
+    )
+    table.write(
+        path,
+        [*header_lines, meta],
+        _TRACE_COLUMNS,
+        zip(trace.delays, trace.amplitude, trace.std_error),
+    )
 
 
 def read_trace_csv(path) -> DecayTrace:
     """Inverse of :func:`write_trace_csv`; metadata comes from the comments."""
-    meta: dict[str, str] = {}
-    rows: list[tuple[float, float, float]] = []
-    with open(path, "r") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, _, value = token.partition("=")
-                        meta[key] = value
-                continue
-            if not header_seen:
-                if line != "delay_s,amplitude,std_error":
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header "
-                        f"'delay_s,amplitude,std_error', got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 columns")
-            try:
-                rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.array(rows)
+    comments, _, rows = table.read(path, (_TRACE_COLUMNS,))
+    meta = dict(
+        token.partition("=")[::2]
+        for comment in comments
+        for token in comment.split()
+        if "=" in token
+    )
+    columns = np.array(rows)
     return DecayTrace(
         sequence=meta.get("sequence", SEQUENCE_HAHN),
-        delays=data[:, 0],
-        amplitude=data[:, 1],
-        std_error=data[:, 2],
+        delays=columns[:, 0],
+        amplitude=columns[:, 1],
+        std_error=columns[:, 2],
         n_realizations=int(meta.get("n_realizations", "1")),
         seed=int(meta.get("seed", "0")),
     )

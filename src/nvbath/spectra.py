@@ -21,15 +21,14 @@ import numpy as np
 from .spin_core import (
     CONSTANTS,
     CenterParams,
-    Orientation,
     TransitionSpec,
     effective_g,
     observed_transitions,
     resonance_field,
     tetrahedral_orientations,
-    zfs_first_order_shift,
     DEFAULT_TILT_AZIMUTH_DEG,
 )
+from . import table
 
 # Default scan window and step around the 240 GHz resonances.
 DEFAULT_FIELD_START = 8.40
@@ -192,10 +191,6 @@ def _population_difference(
     s = params.spin
     g = effective_g(params.g_parallel, params.g_perp, orient.cos_theta)
     angular = 0.5 * (3.0 * orient.cos_theta**2 - 1.0)
-    if orient.axis_label == "o111":
-        a_eff = params.hyperfine_111
-    else:
-        a_eff = params.hyperfine_other
     n_levels = int(round(2 * s)) + 1
     m_values = [-s + k for k in range(n_levels)]
     energies = []
@@ -207,7 +202,7 @@ def _population_difference(
             * angular
             * (m * m - s * (s + 1) / 3.0)
         )
-        hyperfine = CONSTANTS.planck_h * a_eff * m * spec.m_i
+        hyperfine = CONSTANTS.planck_h * spec.hyperfine * m * spec.m_i
         energies.append(zeeman + zfs + hyperfine)
     beta = 1.0 / (CONSTANTS.boltzmann_k * temperature)
     e_min = min(energies)
@@ -285,14 +280,14 @@ def analyze_peaks(
         return PeakReport(())
     threshold = min_relative_amplitude * scale
     diffs = np.diff(a)
-    extrema: list[tuple[int, str]] = []
-    for i in range(1, a.size - 1):
-        if abs(a[i]) < threshold:
-            continue
-        if diffs[i - 1] > 0 and diffs[i] <= 0:
-            extrema.append((i, "max"))
-        elif diffs[i - 1] < 0 and diffs[i] >= 0:
-            extrema.append((i, "min"))
+    before, after = diffs[:-1], diffs[1:]
+    large = np.abs(a[1:-1]) >= threshold
+    is_max = large & (before > 0) & (after <= 0)
+    is_min = large & (before < 0) & (after >= 0)
+    extrema = [
+        (i + 1, "max" if is_max[i] else "min")
+        for i in np.flatnonzero(is_max | is_min).tolist()
+    ]
     peaks: list[Peak] = []
     k = 0
     while k < len(extrema) - 1:
@@ -325,26 +320,23 @@ def _refine_extremum(field: np.ndarray, a: np.ndarray, i: int) -> float:
 
 def write_spectrum_csv(spectrum: Spectrum, path, header_lines: Sequence[str] = ()) -> None:
     """Write ``field_T,amplitude`` rows at full double precision, LF endings."""
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# frequency_hz={spectrum.frequency_hz:.17g} ")
-        fh.write(f"temperature_K={spectrum.temperature_k:.17g}")
-        for label, population in spectrum.populations:
-            fh.write(f" population_{label}={population:.17g}")
-        fh.write("\n")
-        fh.write("field_T,amplitude\n")
-        for b, amp in zip(spectrum.field_t, spectrum.amplitude):
-            fh.write(f"{b:.17g},{amp:.17g}\n")
+    meta = f"frequency_hz={table.cell(spectrum.frequency_hz)} "
+    meta += f"temperature_K={table.cell(spectrum.temperature_k)}"
+    for label, population in spectrum.populations:
+        meta += f" population_{label}={table.cell(population)}"
+    table.write(
+        path,
+        [*header_lines, meta],
+        ("field_T", "amplitude"),
+        zip(spectrum.field_t, spectrum.amplitude),
+    )
 
 
 def write_peaks_csv(report: PeakReport, path, header_lines: Sequence[str] = ()) -> None:
     """Write one row per located peak."""
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("center_field_T,pp_width_T,pp_amplitude\n")
-        for p in report.peaks:
-            fh.write(
-                f"{p.center_field_t:.17g},{p.pp_width_t:.17g},{p.pp_amplitude:.17g}\n"
-            )
+    table.write(
+        path,
+        header_lines,
+        ("center_field_T", "pp_width_T", "pp_amplitude"),
+        ((p.center_field_t, p.pp_width_t, p.pp_amplitude) for p in report.peaks),
+    )

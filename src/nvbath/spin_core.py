@@ -166,6 +166,13 @@ class TransitionSpec:
         if abs(self.m_i) > i or (self.m_i - i) % 1:
             raise ValueError(f"bad nuclear projection {self.m_i} for I = {i}")
 
+    @property
+    def hyperfine(self) -> float:
+        """``hyperfine_111`` on the parallel axis, else ``hyperfine_other``."""
+        if self.orientation.axis_label == "o111":
+            return self.center.hyperfine_111
+        return self.center.hyperfine_other
+
 
 def zeeman_temperature(frequency: float) -> float:
     """Electron Zeeman energy of a resonant spin expressed in kelvin.
@@ -240,10 +247,7 @@ def resonance_field(transition: TransitionSpec, frequency: float) -> float:
     center = transition.center
     orient = transition.orientation
     g = effective_g(center.g_parallel, center.g_perp, orient.cos_theta)
-    if orient.axis_label == "o111":
-        a_eff = center.hyperfine_111
-    else:
-        a_eff = center.hyperfine_other
+    a_eff = transition.hyperfine
     shift = zfs_first_order_shift(
         center.zero_field_d, orient.cos_theta, transition.m_s_low, transition.m_s_high
     )

@@ -162,7 +162,6 @@ def test_criterion_07_simulator_against_oracle():
     cfg = pulse_sim.BathNoiseConfig(
         n_sources=1,
         fixed_couplings=(1e5,),
-        resample_couplings=False,
         base_rate=1e5,
         temperature=1e12,
         t_zeeman=11.518,

@@ -297,6 +297,25 @@ class TestFit:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            ("t2_model", "temperature_K,value_s,error_s\n300,6.7e-6,0\n20,nan,0\n"),
+            ("echo_decay", "delay_s,amplitude,std_error\n0,1,0.01\n1e-6,inf,0.01\n"),
+        ],
+        ids=["nan_dataset", "inf_trace"],
+    )
+    def test_non_finite_data_exits_2(self, tmp_path, capsys, model, text):
+        data = tmp_path / "nonfinite.csv"
+        data.write_text(text)
+        rc = cli.main(
+            ["--outdir", str(tmp_path), "fit", "--model", model, "--data", str(data)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3" in err
+        assert err.count("\n") == 1
+
     def test_missing_data_exits_4(self, tmp_path):
         rc = cli.main(
             [
@@ -371,6 +390,23 @@ class TestModelEval:
             ]
         )
         assert rc == 2
+
+
+    def test_out_of_domain_param_exits_2(self, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "--outdir",
+                str(tmp_path),
+                "model-eval",
+                "--model",
+                "t2_model",
+                "--params",
+                "C=-1",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "model_eval.csv").exists()
 
 
 class TestOutputRouting:

@@ -54,7 +54,7 @@ class TestCouplings:
 
     def test_fixed_couplings_passthrough(self):
         cfg = ps.BathNoiseConfig(
-            n_sources=2, fixed_couplings=(1e4, -3e4), resample_couplings=False
+            n_sources=2, fixed_couplings=(1e4, -3e4)
         )
         np.testing.assert_array_equal(ps.sample_couplings(cfg), [1e4, -3e4])
 
@@ -118,7 +118,7 @@ class TestHahnEcho:
         # cos is even in the accumulated phase
         tau = np.linspace(0.0, 20e-6, 9)
         kw = dict(
-            n_sources=3, resample_couplings=False, base_rate=5e4, seed=7
+            n_sources=3, base_rate=5e4, seed=7
         )
         a = ps.simulate_hahn_echo(
             ps.BathNoiseConfig(fixed_couplings=(3e4, -5e4, 1.2e5), **kw), tau, 50
@@ -156,7 +156,6 @@ class TestHahnEcho:
         cfg = ps.BathNoiseConfig(
             n_sources=1,
             fixed_couplings=(1e5,),
-            resample_couplings=False,
             base_rate=1e5,
             temperature=1e12,
             t_zeeman=11.518,
