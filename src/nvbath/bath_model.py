@@ -12,13 +12,16 @@ forms capture the temperature dependence:
 * spin-lattice rate ``1/T1 = A*T + B*T**5`` (per second), a direct phonon
   term plus a two-phonon Raman term.
 
-Scalar inputs, scalar outputs; temperature grids are handled by callers.
+Each function takes a temperature or an array of them and returns the same
+shape (a float for a scalar); fits, CLI tables and the simulator call them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .spin_core import zeeman_temperature
 
@@ -48,12 +51,12 @@ class T2ModelParams:
     gamma_res_per_us: float
 
     def __post_init__(self) -> None:
-        if self.c_per_us < 0:
-            raise ValueError("flip-flop prefactor must be non-negative")
-        if self.t_zeeman_k <= 0:
-            raise ValueError("Zeeman temperature must be positive")
-        if self.gamma_res_per_us < 0:
-            raise ValueError("residual rate must be non-negative")
+        if not 0 <= self.c_per_us < math.inf:
+            raise ValueError("flip-flop prefactor must be non-negative and finite")
+        if not 0 < self.t_zeeman_k < math.inf:
+            raise ValueError("Zeeman temperature must be positive and finite")
+        if not 0 <= self.gamma_res_per_us < math.inf:
+            raise ValueError("residual rate must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ class T1ModelParams:
     b_per_s_k5: float
 
     def __post_init__(self) -> None:
-        if self.a_per_s_k < 0 or self.b_per_s_k5 < 0:
-            raise ValueError("phonon coefficients must be non-negative")
+        if not (0 <= self.a_per_s_k < math.inf and 0 <= self.b_per_s_k5 < math.inf):
+            raise ValueError("phonon coefficients must be non-negative and finite")
 
     @property
     def crossover_temperature_k(self) -> float:
@@ -95,54 +98,47 @@ DEFAULT_PARAMS = BathModelParams(t2=DEFAULT_T2_PARAMS, t1=DEFAULT_T1_PARAMS)
 
 @dataclass(frozen=True)
 class PolarizationPoint:
-    """Thermal state of the two-level bath at one temperature."""
+    """Thermal state of the two-level bath at one temperature or an array of them."""
 
-    temperature_k: float
+    temperature_k: float | np.ndarray
     t_zeeman_k: float
-    polarization: float
-    p_lower: float
-    p_upper: float
+    polarization: float | np.ndarray
+    p_lower: float | np.ndarray
+    p_upper: float | np.ndarray
 
 
-def polarization(temperature: float, t_zeeman: float) -> PolarizationPoint:
+def polarization(temperature, t_zeeman: float) -> PolarizationPoint:
     """Boltzmann polarization of the bath, ``tanh(T_Ze / 2T)``.
 
-    Parameters
-    ----------
-    temperature:
-        Lattice temperature in kelvin, > 0.
-    t_zeeman:
-        Zeeman splitting in kelvin, > 0.
+    ``temperature`` (lattice, K) and ``t_zeeman`` (Zeeman splitting, K) are > 0.
     """
-    _check_temperatures(temperature, t_zeeman)
-    x = t_zeeman / temperature
+    t = _positive(temperature, "temperature")
+    x = _positive(t_zeeman, "Zeeman temperature") / t
     # exp(-x) keeps both level populations finite for arbitrarily cold baths.
-    e = math.exp(-x)
-    p_lower = 1.0 / (1.0 + e)
-    p_upper = e / (1.0 + e)
+    e = np.exp(-x)
     return PolarizationPoint(
-        temperature_k=temperature,
+        temperature_k=_out(t),
         t_zeeman_k=t_zeeman,
-        polarization=math.tanh(0.5 * x),
-        p_lower=p_lower,
-        p_upper=p_upper,
+        polarization=_out(np.tanh(0.5 * x)),
+        p_lower=_out(1.0 / (1.0 + e)),
+        p_upper=_out(e / (1.0 + e)),
     )
 
 
-def flip_flop_factor(temperature: float, t_zeeman: float) -> float:
+def flip_flop_factor(temperature, t_zeeman: float):
     """Pair flip-flop probability factor ``P_down * P_up = 1/(2 + 2 cosh(T_Ze/T))``.
 
     Equals ``(1 - p**2)/4`` for polarization p: 1/4 in the hot limit, and
     exponentially small once the bath freezes out.
     """
-    _check_temperatures(temperature, t_zeeman)
-    x = t_zeeman / temperature
+    t = _positive(temperature, "temperature")
+    x = _positive(t_zeeman, "Zeeman temperature") / t
     # e^-x form is overflow-safe for any positive x.
-    e = math.exp(-x)
-    return e / ((1.0 + e) * (1.0 + e))
+    e = np.exp(-x)
+    return _out(e / ((1.0 + e) * (1.0 + e)))
 
 
-def t2_rate(temperature: float, params: T2ModelParams = DEFAULT_T2_PARAMS) -> float:
+def t2_rate(temperature, params: T2ModelParams = DEFAULT_T2_PARAMS):
     """Decoherence rate 1/T2 in 1/us: ``C * flip_flop + Gamma_res``."""
     return (
         params.c_per_us * flip_flop_factor(temperature, params.t_zeeman_k)
@@ -150,29 +146,37 @@ def t2_rate(temperature: float, params: T2ModelParams = DEFAULT_T2_PARAMS) -> fl
     )
 
 
-def t2_time(temperature: float, params: T2ModelParams = DEFAULT_T2_PARAMS) -> float:
+def t2_time(temperature, params: T2ModelParams = DEFAULT_T2_PARAMS):
     """Coherence time T2 in seconds."""
     return 1e-6 / t2_rate(temperature, params)
 
 
-def t1_rate(temperature: float, params: T1ModelParams = DEFAULT_T1_PARAMS) -> float:
+def t1_rate(temperature, params: T1ModelParams = DEFAULT_T1_PARAMS):
     """Spin-lattice rate 1/T1 in 1/s: ``A*T + B*T**5``."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    t = temperature
-    return params.a_per_s_k * t + params.b_per_s_k5 * t**5
+    t = _positive(temperature, "temperature")
+    return _out(params.a_per_s_k * t + params.b_per_s_k5 * t**5)
 
 
-def t1_time(temperature: float, params: T1ModelParams = DEFAULT_T1_PARAMS) -> float:
+def t1_time(temperature, params: T1ModelParams = DEFAULT_T1_PARAMS):
     """Spin-lattice time T1 in seconds."""
-    rate = t1_rate(temperature, params)
-    if rate == 0:
+    if params.a_per_s_k == 0 and params.b_per_s_k5 == 0:
         raise ValueError("T1 undefined for zero total rate")
-    return 1.0 / rate
+    return 1.0 / t1_rate(temperature, params)
 
 
-def _check_temperatures(temperature: float, t_zeeman: float) -> None:
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if t_zeeman <= 0:
-        raise ValueError(f"Zeeman temperature must be positive, got {t_zeeman}")
+def _positive(value, what: str) -> np.ndarray:
+    """``value`` as a float array; raises unless every entry is finite and > 0."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim:  # min and max propagate NaN, so they cover every entry
+        lo, hi = arr.min(initial=math.inf), arr.max(initial=-math.inf)
+    else:  # a float comparison skips two numpy reductions
+        lo = hi = float(arr)
+    if not (lo > 0 and hi < math.inf):
+        bad = arr[~((arr > 0) & (arr < math.inf))].flat[0]
+        raise ValueError(f"{what} must be positive and finite, got {bad}")
+    return arr
+
+
+def _out(value):
+    # The formulas run on (0-d) arrays, so a scalar's float has an element's bits.
+    return float(value) if np.ndim(value) == 0 else value

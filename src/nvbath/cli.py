@@ -18,9 +18,10 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple
 
 import numpy as np
 
@@ -30,6 +31,12 @@ from . import spin_core, table
 
 class UsageError(Exception):
     """Bad argument or config content; maps to exit code 2."""
+
+
+# Default delay span per sequence: the Hahn-echo scan's 25 us, or enough T1
+# for an inversion-recovery fit to see the recovered plateau.
+_HAHN_TAU_MAX_S = 25e-6
+_INVERSION_TAU_MAX_T1 = 5.0
 
 
 def main(argv=None) -> int:
@@ -82,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peaks-output", default="peaks.csv")
     p.set_defaults(handler=_cmd_spectrum)
 
+    bath = pulse_sim.BathNoiseConfig()
     p = sub.add_parser("simulate", help="stochastic pulse-sequence traces")
     p.add_argument(
         "--sequence",
@@ -89,16 +97,22 @@ def _build_parser() -> argparse.ArgumentParser:
         default=pulse_sim.SEQUENCE_HAHN,
         help=f"'{pulse_sim.SEQUENCE_HAHN}' (or 'hahn') | '{pulse_sim.SEQUENCE_INVERSION}'",
     )
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=bath.seed)
     p.add_argument("--output", default="trace.csv")
-    p.add_argument("--temperature-k", "--temp", type=float, default=300.0)
-    p.add_argument("--t-zeeman-k", type=float, default=11.518)
-    p.add_argument("--tau-max-s", type=float, default=25e-6)
+    p.add_argument("--temperature-k", "--temp", type=float, default=bath.temperature)
+    p.add_argument("--t-zeeman-k", type=float, default=bath.t_zeeman)
+    p.add_argument(
+        "--tau-max-s",
+        type=float,
+        default=None,
+        help=f"longest delay (default: {_HAHN_TAU_MAX_S:g} for a Hahn echo, "
+        f"{_INVERSION_TAU_MAX_T1:g} x --t1-s for inversion recovery)",
+    )
     p.add_argument("--tau-points", type=int, default=41)
     p.add_argument("--realizations", type=int, default=2000)
-    p.add_argument("--sources", type=int, default=None)
-    p.add_argument("--coupling-scale", type=float, default=None)
-    p.add_argument("--base-rate", type=float, default=None)
+    p.add_argument("--sources", type=int, default=bath.n_sources)
+    p.add_argument("--coupling-scale", type=float, default=bath.coupling_scale)
+    p.add_argument("--base-rate", type=float, default=bath.base_rate)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--t1-s", type=float, default=1.2e-3, help="inversion recovery T1")
     p.add_argument("--noise", type=float, default=0.0)
@@ -243,14 +257,14 @@ def _cmd_polarization(args) -> int:
         "t_zeeman_k": t_zeeman,
         "temps": args.temps,
     }
-    rows = []
-    for t in temps:
-        point = bath_model.polarization(float(t), t_zeeman)
-        rows.append(
-            (t, point.polarization, bath_model.flip_flop_factor(float(t), t_zeeman))
-        )
+    try:
+        point = bath_model.polarization(temps, t_zeeman)
+        flip_flop = bath_model.flip_flop_factor(temps, t_zeeman)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     path = _resolve(args, args.output)
     header = ("temperature_K", "polarization", "flip_flop_factor")
+    rows = zip(temps, point.polarization, flip_flop)
     table.write(path, [_provenance(config)], header, rows)
     print(f"wrote {path}")
     return 0
@@ -364,61 +378,63 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    inversion = args.sequence == pulse_sim.SEQUENCE_INVERSION
+    if inversion and not 0 < args.t1_s < math.inf:
+        raise UsageError("T1 must be positive and finite")
+    tau_max = args.tau_max_s
+    if tau_max is None:
+        tau_max = _INVERSION_TAU_MAX_T1 * args.t1_s if inversion else _HAHN_TAU_MAX_S
     if args.tau_points < 2:
         raise UsageError("need at least two delay points")
-    if args.tau_max_s <= 0:
-        raise UsageError("delay maximum must be positive")
+    if not 0 < tau_max < math.inf:
+        raise UsageError("delay maximum must be positive and finite")
     if args.realizations < 1:
         raise UsageError("realizations must be >= 1")
     if args.threads < 1:
         raise UsageError("threads must be >= 1")
-    delays = np.linspace(0.0, args.tau_max_s, args.tau_points)
-    if args.sequence == pulse_sim.SEQUENCE_INVERSION:
-        if args.t1_s <= 0:
-            raise UsageError("T1 must be positive")
-        trace = pulse_sim.simulate_inversion_recovery(
-            args.t1_s, delays, noise_amplitude=args.noise, seed=args.seed
-        )
-        config = {
-            "command": "simulate",
-            "sequence": args.sequence,
-            "t1_s": args.t1_s,
-            "tau_max_s": args.tau_max_s,
-            "tau_points": args.tau_points,
-            "noise": args.noise,
-            "seed": args.seed,
-        }
-    else:
-        base = pulse_sim.BathNoiseConfig()
-        cfg = replace(
-            base,
-            temperature=args.temperature_k,
-            t_zeeman=args.t_zeeman_k,
-            seed=args.seed,
-            n_sources=args.sources if args.sources is not None else base.n_sources,
-            coupling_scale=(
-                args.coupling_scale
-                if args.coupling_scale is not None
-                else base.coupling_scale
-            ),
-            base_rate=args.base_rate if args.base_rate is not None else base.base_rate,
-        )
-        trace = pulse_sim.simulate_hahn_echo(
-            cfg, delays, args.realizations, threads=args.threads
-        )
-        config = {
-            "command": "simulate",
-            "sequence": args.sequence,
-            "temperature_k": cfg.temperature,
-            "t_zeeman_k": cfg.t_zeeman,
-            "tau_max_s": args.tau_max_s,
-            "tau_points": args.tau_points,
-            "realizations": args.realizations,
-            "n_sources": cfg.n_sources,
-            "coupling_scale": cfg.coupling_scale,
-            "base_rate": cfg.base_rate,
-            "seed": args.seed,
-        }
+    delays = np.linspace(0.0, tau_max, args.tau_points)
+    # The config and both simulators raise ValueError for out-of-domain input.
+    try:
+        if inversion:
+            trace = pulse_sim.simulate_inversion_recovery(
+                args.t1_s, delays, noise_amplitude=args.noise, seed=args.seed
+            )
+            config = {
+                "command": "simulate",
+                "sequence": args.sequence,
+                "t1_s": args.t1_s,
+                "tau_max_s": tau_max,
+                "tau_points": args.tau_points,
+                "noise": args.noise,
+                "seed": args.seed,
+            }
+        else:
+            cfg = pulse_sim.BathNoiseConfig(
+                n_sources=args.sources,
+                coupling_scale=args.coupling_scale,
+                base_rate=args.base_rate,
+                temperature=args.temperature_k,
+                t_zeeman=args.t_zeeman_k,
+                seed=args.seed,
+            )
+            trace = pulse_sim.simulate_hahn_echo(
+                cfg, delays, args.realizations, threads=args.threads
+            )
+            config = {
+                "command": "simulate",
+                "sequence": args.sequence,
+                "temperature_k": cfg.temperature,
+                "t_zeeman_k": cfg.t_zeeman,
+                "tau_max_s": tau_max,
+                "tau_points": args.tau_points,
+                "realizations": args.realizations,
+                "n_sources": cfg.n_sources,
+                "coupling_scale": cfg.coupling_scale,
+                "base_rate": cfg.base_rate,
+                "seed": args.seed,
+            }
+    except ValueError as exc:
+        raise UsageError(str(exc))
     path = _resolve(args, args.output)
     pulse_sim.write_trace_csv(
         trace, path, header_lines=[_provenance(config, seed=args.seed)]
@@ -465,9 +481,13 @@ def _cmd_fit(args) -> int:
         sigma = err
 
     options = fitkit.FitOptions(max_iterations=args.max_iterations)
-    result = fitkit.fit(
-        model, x, y, sigma=sigma, init=init or None, fixed=fixed, options=options
-    )
+    # fit raises ValueError for pinned or starting values outside the model.
+    try:
+        result = fitkit.fit(
+            model, x, y, sigma=sigma, init=init or None, fixed=fixed, options=options
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     config = {
         "command": "fit",
@@ -518,29 +538,23 @@ def _format_report(model: fitkit.ModelSpec, result: fitkit.FitResult) -> str:
 def _cmd_model_eval(args) -> int:
     temps = _parse_temps(args.temps)
     params = _parse_assignments(args.params.split(",") if args.params else [], "--params")
-    # Each defaults dict lists its constructor's fields in order.
-    if args.model == "t1_model":
-        p = bath_model.DEFAULT_T1_PARAMS
-        defaults = {"A": p.a_per_s_k, "B": p.b_per_s_k5}
-        build, rate = bath_model.T1ModelParams, bath_model.t1_rate
-    else:
-        p = bath_model.DEFAULT_T2_PARAMS
-        defaults = {"C": p.c_per_us, "T_Ze": p.t_zeeman_k, "Gamma_res": p.gamma_res_per_us}
-        build, rate = bath_model.T2ModelParams, bath_model.t2_rate
+    model = fitkit.get_model(args.model)
+    # DEFAULT_PARAMS.t1 and .t2 list their fields in the registry's order.
+    sample = getattr(bath_model.DEFAULT_PARAMS, args.model.removesuffix("_model"))
+    defaults = dict(zip(model.param_names, astuple(sample)))
     unknown = set(params) - set(defaults)
     if unknown:
         raise UsageError(f"{args.model} has no parameter(s) {sorted(unknown)}")
     merged = {**defaults, **params}
     try:
-        model_params = build(*(merged[name] for name in defaults))
+        rates = model.evaluate(np.array(list(merged.values())), temps)
     except ValueError as exc:
         raise UsageError(str(exc))
-    rates = [rate(float(t), model_params) for t in temps]
+    if not np.all(rates > 0):
+        raise UsageError(f"{args.model} rate is 0 on this grid; its time is undefined")
     # value_time is always seconds; the rate keeps the model's native unit.
     seconds_per_unit = 1e-6 if args.model == "t2_model" else 1.0
-    rows = [
-        (t, rate, seconds_per_unit / rate) for t, rate in zip(temps, rates)
-    ]
+    rows = zip(temps, rates, seconds_per_unit / rates)
     config = {
         "command": "model-eval",
         "model": args.model,

@@ -23,7 +23,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bath_model import flip_flop_factor
+from .bath_model import DEFAULT_T2_PARAMS, T1ModelParams, T2ModelParams
+from .bath_model import flip_flop_factor, polarization, t1_rate, t2_rate
 from .spin_core import zeeman_temperature
 
 DEFAULT_MAX_ITERATIONS = 500
@@ -276,10 +277,14 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, options):
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(jtj + lam * np.diag(diag), -grad, rcond=None)
             z_trial = z + step
-            # Overflow to inf is the reject signal for wild trial steps.
+            # Overflow to inf, or a step out of the model's domain (a
+            # ValueError, e.g. T_Ze underflowing to 0), rejects a wild step.
             with np.errstate(over="ignore", invalid="ignore"):
                 theta_trial = to_theta(z_trial, theta)
-                r_trial = residuals(theta_trial)
+                try:
+                    r_trial = residuals(theta_trial)
+                except ValueError:
+                    r_trial = np.full_like(r, math.inf)
                 cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial <= cost:
                 accepted = True
@@ -384,8 +389,7 @@ def _recovery_guess(x, y):
 
 
 def _t1_evaluate(p, x):
-    a, b = p
-    return a * x + b * x**5
+    return t1_rate(x, T1ModelParams(*p))
 
 
 def _t1_jacobian(p, x):
@@ -403,26 +407,19 @@ def _t1_guess(x, y):
 
 
 def _t2_evaluate(p, x):
-    c, t_ze, gamma = p
-    ff = np.array([flip_flop_factor(t, t_ze) for t in np.atleast_1d(x)])
-    return c * ff + gamma
+    return t2_rate(x, T2ModelParams(*p))
 
 
 def _t2_jacobian(p, x):
-    c, t_ze, gamma = p
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ff = np.empty_like(x)
-    dff = np.empty_like(x)
-    for i, t in enumerate(x):
-        e = math.exp(-t_ze / t)
-        ff[i] = e / (1.0 + e) ** 2
-        # d ff / d T_Ze = -sinh(x)/(2 (1+cosh x)^2) / T, overflow-safe form.
-        dff[i] = -(e * (1.0 - e)) / (1.0 + e) ** 3 / t
-    return np.column_stack([ff, c * dff, np.ones_like(x)])
+    c, t_ze, _ = p
+    ff = flip_flop_factor(x, t_ze)
+    # d ff / d T_Ze = -p * ff / T, with p = tanh(T_Ze / 2T) the polarization.
+    d_ff = -polarization(x, t_ze).polarization * ff / x
+    return np.column_stack([ff, c * d_ff, np.ones_like(ff)])
 
 
 def _t2_guess(x, y):
-    gamma0 = 0.004
+    gamma0 = DEFAULT_T2_PARAMS.gamma_res_per_us
     i_hi = int(np.argmax(x))
     c0 = max(4.0 * (y[i_hi] - gamma0), 1e-6)
     return np.array([c0, zeeman_temperature(_DEFAULT_FREQUENCY_HZ), gamma0])
@@ -477,7 +474,7 @@ def registry() -> dict[str, ModelSpec]:
             evaluate=_t2_evaluate,
             jacobian=_t2_jacobian,
             initial_guess=_t2_guess,
-            default_fixed={"Gamma_res": 0.004},
+            default_fixed={"Gamma_res": DEFAULT_T2_PARAMS.gamma_res_per_us},
         ),
     }
 

@@ -41,6 +41,11 @@ _UINT64_MASK = (1 << 64) - 1
 # Events with expected count below this are treated as none at all.
 _NEGLIGIBLE_EVENTS = 1e-12
 
+# Largest switching-time buffer (sources x draws per source) one realization
+# may allocate; the default 300 K run needs 2.7e3, the 8-byte times and the
+# event-count broadcast over 2 x 41 delays then stay under about 0.4 GB.
+_MAX_EVENT_BUFFER = 4_000_000
+
 
 @dataclass(frozen=True)
 class BathNoiseConfig:
@@ -63,14 +68,16 @@ class BathNoiseConfig:
     def __post_init__(self) -> None:
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
-        if self.coupling_scale < 0:
-            raise ValueError("coupling_scale must be non-negative")
-        if self.base_rate < 0:
-            raise ValueError("base_rate must be non-negative")
-        if self.temperature <= 0 or self.t_zeeman <= 0:
-            raise ValueError("temperatures must be positive")
-        if self.fixed_couplings is not None and not self.fixed_couplings:
-            raise ValueError("fixed_couplings must be non-empty when given")
+        if not 0 <= self.coupling_scale < math.inf:
+            raise ValueError("coupling_scale must be non-negative and finite")
+        if not 0 <= self.base_rate < math.inf:
+            raise ValueError("base_rate must be non-negative and finite")
+        if not (0 < self.temperature < math.inf and 0 < self.t_zeeman < math.inf):
+            raise ValueError("temperatures must be positive and finite")
+        if self.fixed_couplings is not None and not (
+            self.fixed_couplings and np.all(np.isfinite(self.fixed_couplings))
+        ):
+            raise ValueError("fixed_couplings must be non-empty and finite when given")
 
 
 @dataclass(frozen=True)
@@ -156,8 +163,8 @@ def simulate_hahn_echo(
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValueError("tau grid must be a non-empty 1-d sequence")
-    if tau[0] < 0 or np.any(np.diff(tau) <= 0):
-        raise ValueError("tau grid must be non-negative and strictly increasing")
+    if not np.all(np.isfinite(tau)) or tau[0] < 0 or np.any(np.diff(tau) <= 0):
+        raise ValueError("tau grid must be finite, >= 0 and strictly increasing")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     if threads < 1:
@@ -166,6 +173,15 @@ def simulate_hahn_echo(
     shared = None
     if cfg.fixed_couplings is not None:
         shared = sample_couplings(cfg, realization=0)
+    n_sources = cfg.n_sources if shared is None else shared.size
+    # Checked in floating point, before any allocation or int conversion.
+    buffer = n_sources * _draws_per_source(rate * 2.0 * tau[-1])
+    if buffer > _MAX_EVENT_BUFFER:
+        raise ValueError(
+            f"one realization would buffer {buffer:.3g} switching times "
+            f"({n_sources} sources), over the limit of {_MAX_EVENT_BUFFER:.3g}; "
+            "shorten the delays or lower the switching rate"
+        )
     echoes = np.empty((n_realizations, tau.size))
 
     def run_block(lo: int, hi: int) -> None:
@@ -217,8 +233,7 @@ def _one_realization(
     if rate * t_end < _NEGLIGIBLE_EVENTS or t_end == 0.0:
         # Static noise refocuses exactly.
         return np.ones_like(tau)
-    mean_events = rate * t_end
-    m_cap = int(mean_events + 10.0 * math.sqrt(mean_events) + 20.0)
+    m_cap = int(_draws_per_source(rate * t_end))
     times = rng.exponential(1.0 / rate, (n, m_cap)).cumsum(axis=1)
     while float(times[:, -1].min()) < t_end:
         extra = rng.exponential(1.0 / rate, (n, m_cap)).cumsum(axis=1)
@@ -243,6 +258,11 @@ def _one_realization(
     return np.cos(phase)
 
 
+def _draws_per_source(mean_events: float) -> float:
+    """First batch of switching times per source: the mean plus ten sigma."""
+    return mean_events + 10.0 * math.sqrt(mean_events) + 20.0
+
+
 def simulate_inversion_recovery(
     t1: float,
     delays: Sequence[float],
@@ -254,15 +274,15 @@ def simulate_inversion_recovery(
     Gaussian noise of the given amplitude is added per point from the
     (seed, 0) stream; the trace's std_error column reports that amplitude.
     """
-    if t1 <= 0:
-        raise ValueError(f"t1 must be positive, got {t1}")
-    if noise_amplitude < 0:
-        raise ValueError("noise amplitude must be non-negative")
+    if not 0 < t1 < math.inf:
+        raise ValueError(f"t1 must be positive and finite, got {t1}")
+    if not 0 <= noise_amplitude < math.inf:
+        raise ValueError("noise amplitude must be non-negative and finite")
     t = np.asarray(delays, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("delay grid must be a non-empty 1-d sequence")
-    if t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValueError("delays must be non-negative and strictly increasing")
+    if not np.all(np.isfinite(t)) or t[0] < 0 or np.any(np.diff(t) <= 0):
+        raise ValueError("delays must be finite, >= 0 and strictly increasing")
     amplitude = 1.0 - 2.0 * np.exp(-t / t1)
     if noise_amplitude > 0:
         amplitude = amplitude + noise_amplitude * _rng(seed, 0).standard_normal(

@@ -5,9 +5,12 @@ and the rate polynomials, frozen as literals.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvbath import bath_model as bm
 from nvbath.spin_core import zeeman_temperature
@@ -174,3 +177,103 @@ def test_param_validation():
 def test_zeeman_temperature_consistency():
     # the polarization reference point uses the 240 GHz Zeeman temperature
     assert zeeman_temperature(240e9) == pytest.approx(T_ZE_240, rel=1e-14)
+
+
+def test_matches_scalar_math_reference_within_4_ulp():
+    # The closed forms as scalar math-library loops. numpy's SIMD exp, tanh
+    # and power may round differently in the last bits, never by more than
+    # a few ulp.
+    def ulps(a, b):
+        return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+    temps = np.concatenate(
+        [np.geomspace(1.3, 300.0, 121), np.geomspace(0.5, 400.0, 301)]
+    )
+    for t_ze in (T_ZE_240, 14.7):
+        t2 = bm.T2ModelParams(0.58136, t_ze, 0.004)
+        e = [math.exp(-t_ze / t) for t in temps]
+        flip_flop = [v / ((1.0 + v) * (1.0 + v)) for v in e]
+        tanh = [math.tanh(0.5 * t_ze / t) for t in temps]
+        t2_rate = [0.58136 * f + 0.004 for f in flip_flop]
+        assert ulps(bm.polarization(temps, t_ze).polarization, tanh).max() <= 4
+        assert ulps(bm.flip_flop_factor(temps, t_ze), flip_flop).max() <= 4
+        assert ulps(bm.t2_rate(temps, t2), t2_rate).max() <= 4
+    t1 = bm.DEFAULT_T1_PARAMS
+    reference = [t1.a_per_s_k * t + t1.b_per_s_k5 * t**5 for t in temps.tolist()]
+    assert ulps(bm.t1_rate(temps), reference).max() <= 4
+
+
+# --- array API ----------------------------------------------------------------
+
+temperature = st.floats(min_value=1e-3, max_value=1e6)
+zeeman = st.floats(min_value=1e-2, max_value=1e3)
+grid = st.tuples(
+    st.lists(temperature, min_size=1, max_size=50),
+    st.sampled_from([(-1,), (1, -1), (-1, 1)]),
+).map(lambda lv: np.array(lv[0]).reshape(lv[1]))
+not_positive_or_finite = st.one_of(
+    st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])
+)
+
+
+def _evaluate_all(t, t_ze):
+    """Every array-valued output of the six public formulas."""
+    t2 = bm.T2ModelParams(0.58136, t_ze, 0.004)
+    point = bm.polarization(t, t_ze)
+    return {
+        "polarization": point.polarization,
+        "p_lower": point.p_lower,
+        "p_upper": point.p_upper,
+        "flip_flop_factor": bm.flip_flop_factor(t, t_ze),
+        "t1_rate": bm.t1_rate(t),
+        "t1_time": bm.t1_time(t),
+        "t2_rate": bm.t2_rate(t, t2),
+        "t2_time": bm.t2_time(t, t2),
+    }
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=grid, t_ze=zeeman)
+def test_array_call_matches_scalar_calls_bit_for_bit(t, t_ze):
+    arrays = _evaluate_all(t, t_ze)
+    for name, values in arrays.items():
+        assert values.shape == t.shape, name
+    for i, value in enumerate(t.flat):
+        scalars = _evaluate_all(float(value), t_ze)
+        for name, scalar in scalars.items():
+            assert type(scalar) is float, name
+            assert _bits(scalar) == _bits(arrays[name].flat[i]), (name, value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=grid, t_ze=zeeman, position=st.integers(0, 49), bad=not_positive_or_finite)
+def test_one_bad_entry_raises(t, t_ze, position, bad):
+    t = t.copy()
+    t.flat[position % t.size] = bad
+    t2 = bm.T2ModelParams(0.58136, t_ze, 0.004)
+    calls = (
+        lambda: bm.polarization(t, t_ze),
+        lambda: bm.flip_flop_factor(t, t_ze),
+        lambda: bm.t1_rate(t),
+        lambda: bm.t1_time(t),
+        lambda: bm.t2_rate(t, t2),
+        lambda: bm.t2_time(t, t2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=grid, bad=not_positive_or_finite)
+def test_bad_zeeman_temperature_raises(t, bad):
+    with pytest.raises(ValueError):
+        bm.polarization(t, bad)
+    with pytest.raises(ValueError):
+        bm.flip_flop_factor(t, bad)
+    with pytest.raises(ValueError):
+        bm.T2ModelParams(0.58136, bad, 0.004)

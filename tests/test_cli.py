@@ -70,6 +70,10 @@ class TestPolarization:
         assert cli.main(base + ["1:10"]) == 2
         assert cli.main(base + ["0,-3"]) == 2
         assert cli.main(base + ["warm"]) == 2
+        assert cli.main(base + ["nan"]) == 2
+        zeeman = ["--outdir", str(tmp_path), "polarization", "--t-zeeman-k"]
+        assert cli.main(zeeman + ["nan"]) == 2
+        assert cli.main(zeeman + ["-1"]) == 2
 
 
 class TestSpectrum:
@@ -193,6 +197,27 @@ class TestSimulate:
         assert cli.main(base + ["--tau-points", "1"]) == 2
         assert cli.main(base + ["--realizations", "0"]) == 2
         assert cli.main(base + ["--threads", "0"]) == 2
+        assert cli.main(base + ["--sources", "0"]) == 2
+        assert cli.main(base + ["--base-rate", "-1"]) == 2
+        assert cli.main(base + ["--temp", "-5"]) == 2
+        assert cli.main(base + ["--temp", "nan"]) == 2
+        assert cli.main(base + ["--coupling-scale", "nan"]) == 2
+        assert cli.main(base + ["--tau-max-s", "nan"]) == 2
+        assert cli.main(base + ["--tau-max-s", "inf"]) == 2
+        # Refused before the event buffer is allocated.
+        assert cli.main(base + ["--tau-max-s", "1e300"]) == 2
+        inversion = base + ["--sequence", "inversion"]
+        assert cli.main(inversion + ["--t1-s", "nan"]) == 2
+        assert cli.main(inversion + ["--noise", "nan"]) == 2
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_inversion_default_delays_fit(self, tmp_path):
+        out = ["--outdir", str(tmp_path)]
+        rc = cli.main(out + ["simulate", "--sequence", "inversion", "--noise", "0.01"])
+        assert rc == 0
+        data = str(tmp_path / "trace.csv")
+        rc = cli.main(out + ["fit", "--model", "inversion_recovery", "--data", data])
+        assert rc == 0
 
 
 class TestFit:
@@ -280,6 +305,7 @@ class TestFit:
         assert cli.main(base + ["--model", "lorentzian"]) == 2
         assert cli.main(base + ["--model", "t2_model", "--fix", "Gamma=1"]) == 2
         assert cli.main(base + ["--model", "t2_model", "--init", "T_Ze"]) == 2
+        assert cli.main(base + ["--model", "t2_model", "--fix", "T_Ze=-1"]) == 2
         malformed = tmp_path / "bad.csv"
         malformed.write_text("a,b\n1,2\n")
         assert (
@@ -393,20 +419,17 @@ class TestModelEval:
 
 
     def test_out_of_domain_param_exits_2(self, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "--outdir",
-                str(tmp_path),
-                "model-eval",
-                "--model",
-                "t2_model",
-                "--params",
-                "C=-1",
-            ]
-        )
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "model_eval.csv").exists()
+        base = ["--outdir", str(tmp_path), "model-eval", "--model", "t2_model"]
+        for extra in (
+            ["--params", "C=-1"],
+            ["--params", "T_Ze=nan"],
+            ["--temps", "nan"],
+            ["--params", "C=0,Gamma_res=0"],
+        ):
+            rc = cli.main(base + extra)
+            assert rc == 2, extra
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not (tmp_path / "model_eval.csv").exists()
 
 
 class TestOutputRouting:

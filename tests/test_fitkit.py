@@ -248,6 +248,28 @@ class TestEngineContracts:
         assert result.n_iterations == 1
         assert "iteration" in result.message
 
+    def test_step_out_of_domain_is_rejected(self):
+        # A trial step the model refuses (ValueError, like T_Ze reaching 0 in
+        # the rate models) is rejected like an overflow, not raised.
+        def evaluate(p, x):
+            if p[0] > 1.5:
+                raise ValueError("slope outside the model's domain")
+            return p[0] * x
+
+        bounded = fitkit.ModelSpec(
+            name="bounded_line",
+            param_names=("k",),
+            param_units=("",),
+            positive=(True,),
+            evaluate=evaluate,
+            jacobian=lambda p, x: np.asarray(x, dtype=float)[:, None],
+            initial_guess=lambda x, y: np.array([1.0]),
+        )
+        x = np.linspace(1.0, 5.0, 5)
+        result = fitkit.fit(bounded, x, 2.0 * x)
+        assert 1.0 < result.params[0] <= 1.5
+        assert np.isfinite(result.cost)
+
     def test_all_fixed_raises(self):
         model = fitkit.get_model("t1_model")
         with pytest.raises(ValueError):

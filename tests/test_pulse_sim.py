@@ -148,6 +148,13 @@ class TestHahnEcho:
             ps.simulate_hahn_echo(cfg, [0.0, 1e-6], 0)
         with pytest.raises(ValueError):
             ps.simulate_hahn_echo(cfg, [0.0, 1e-6], 10, threads=0)
+        with pytest.raises(ValueError):
+            ps.simulate_hahn_echo(cfg, [0.0, math.nan], 10)
+        with pytest.raises(ValueError):
+            ps.simulate_hahn_echo(cfg, [0.0, math.inf], 10)
+        # Refused before the switching-time buffer is allocated.
+        with pytest.raises(ValueError, match="buffer"):
+            ps.simulate_hahn_echo(cfg, [0.0, 1e300], 10)
 
     def test_matches_fixed_step_oracle(self):
         # Single telegraph source against the 1 ns fixed-step integrator,
@@ -198,6 +205,12 @@ class TestInversionRecovery:
             ps.simulate_inversion_recovery(1e-3, [0.0, 1e-3], noise_amplitude=-0.1)
         with pytest.raises(ValueError):
             ps.simulate_inversion_recovery(1e-3, [1e-3, 1e-3])
+        with pytest.raises(ValueError, match="t1"):
+            ps.simulate_inversion_recovery(math.nan, [0.0, 1e-3])
+        with pytest.raises(ValueError):
+            ps.simulate_inversion_recovery(1e-3, [0.0, 1e-3], noise_amplitude=math.nan)
+        with pytest.raises(ValueError):
+            ps.simulate_inversion_recovery(1e-3, [0.0, math.inf])
 
 
 class TestTemperatureScan:
@@ -232,6 +245,12 @@ class TestConfigValidation:
             ps.BathNoiseConfig(t_zeeman=-2.0)
         with pytest.raises(ValueError):
             ps.BathNoiseConfig(fixed_couplings=())
+        for field in ("coupling_scale", "base_rate", "temperature", "t_zeeman"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    ps.BathNoiseConfig(**{field: value})
+        with pytest.raises(ValueError):
+            ps.BathNoiseConfig(fixed_couplings=(1e4, math.nan))
 
     def test_trace_validation(self):
         good = dict(
