@@ -6,6 +6,9 @@ pulse sequences), ``fit`` (nonlinear model fits), and ``model-eval``
 (closed-form rate models on a temperature grid).
 
 Exit codes: 0 success, 2 usage error, 3 fit non-convergence, 4 I/O error.
+Every out-of-domain flag, INI value or data cell raises ``ValueError`` in
+the code that checks it, and only :func:`main` turns that into exit code 2
+with one ``error:`` line.
 Every output file starts with a provenance comment carrying the tool
 version, a hash of the physics-relevant configuration, and the seed where
 one applies. Execution knobs (worker count, output paths) are excluded from
@@ -29,10 +32,6 @@ from . import __version__, bath_model, datasets, fitkit, pulse_sim, spectra
 from . import spin_core, table
 
 
-class UsageError(Exception):
-    """Bad argument or config content; maps to exit code 2."""
-
-
 # Default delay span per sequence: the Hahn-echo scan's 25 us, or enough T1
 # for an inversion-recovery fit to see the recovered plateau.
 _HAHN_TAU_MAX_S = 25e-6
@@ -47,7 +46,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -119,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a registry model to a data file")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=sorted(fitkit.registry()))
     p.add_argument("--data", required=True)
     p.add_argument(
         "--fix",
@@ -203,28 +202,28 @@ def _parse_temps(text: str) -> np.ndarray:
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (3, 4):
-            raise UsageError(
+            raise ValueError(
                 f"bad temperature range {text!r} (want lo:hi:log[:n] or lo:hi:lin[:n])"
             )
         try:
             lo, hi = float(parts[0]), float(parts[1])
             n = int(parts[3]) if len(parts) == 4 else 101
         except ValueError:
-            raise UsageError(f"non-numeric bound in temperature range {text!r}")
+            raise ValueError(f"non-numeric bound in temperature range {text!r}")
         mode = parts[2]
         if mode not in ("log", "lin"):
-            raise UsageError(f"range mode must be 'log' or 'lin', got {mode!r}")
+            raise ValueError(f"range mode must be 'log' or 'lin', got {mode!r}")
         if lo <= 0 or hi <= lo or n < 2:
-            raise UsageError(f"bad temperature range {text!r}")
+            raise ValueError(f"bad temperature range {text!r}")
         if mode == "log":
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
     try:
         values = np.array([float(v) for v in text.split(",") if v.strip()])
     except ValueError:
-        raise UsageError(f"non-numeric temperature in {text!r}")
+        raise ValueError(f"non-numeric temperature in {text!r}")
     if values.size == 0 or np.any(values <= 0):
-        raise UsageError(f"temperatures must be positive, got {text!r}")
+        raise ValueError(f"temperatures must be positive, got {text!r}")
     return values
 
 
@@ -233,11 +232,11 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
-            raise UsageError(f"bad {what} {pair!r} (want NAME=VALUE)")
+            raise ValueError(f"bad {what} {pair!r} (want NAME=VALUE)")
         try:
             out[name.strip()] = float(value)
         except ValueError:
-            raise UsageError(f"non-numeric value in {what} {pair!r}")
+            raise ValueError(f"non-numeric value in {what} {pair!r}")
     return out
 
 
@@ -245,8 +244,8 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
 
 
 def _cmd_polarization(args) -> int:
-    if args.frequency_hz <= 0:
-        raise UsageError("frequency must be positive")
+    if not 0 < args.frequency_hz < math.inf:
+        raise ValueError("frequency must be positive and finite")
     t_zeeman = args.t_zeeman_k
     if t_zeeman is None:
         t_zeeman = spin_core.zeeman_temperature(args.frequency_hz)
@@ -257,11 +256,8 @@ def _cmd_polarization(args) -> int:
         "t_zeeman_k": t_zeeman,
         "temps": args.temps,
     }
-    try:
-        point = bath_model.polarization(temps, t_zeeman)
-        flip_flop = bath_model.flip_flop_factor(temps, t_zeeman)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    point = bath_model.polarization(temps, t_zeeman)
+    flip_flop = bath_model.flip_flop_factor(temps, t_zeeman)
     path = _resolve(args, args.output)
     header = ("temperature_K", "polarization", "flip_flop_factor")
     rows = zip(temps, point.polarization, flip_flop)
@@ -302,41 +298,44 @@ def _load_spectrum_config(path):
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
-        raise UsageError(f"{path}: {exc}")
+    except configparser.Error as exc:  # its messages span several lines
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}")
     for section in parser.sections():
         if section == "spectrum":
             for key, raw in parser.items(section):
                 if key not in settings:
-                    raise UsageError(f"{path}: unknown [spectrum] key {key!r}")
+                    raise ValueError(f"{path}: unknown [spectrum] key {key!r}")
                 settings[key] = _config_float(path, section, key, raw)
         elif section == "populations":
             for key, raw in parser.items(section):
                 if key not in populations:
-                    raise UsageError(
+                    raise ValueError(
                         f"{path}: unknown center {key!r} in [populations]"
                     )
                 populations[key] = _config_float(path, section, key, raw)
         elif section.startswith("center."):
             label = section.split(".", 1)[1]
             if label not in center_params:
-                raise UsageError(f"{path}: unknown center section [{section}]")
+                raise ValueError(f"{path}: unknown center section [{section}]")
             overrides = {}
             for key, raw in parser.items(section):
                 if key not in _CENTER_FIELDS:
-                    raise UsageError(f"{path}: unknown [{section}] key {key!r}")
+                    raise ValueError(f"{path}: unknown [{section}] key {key!r}")
                 overrides[key] = _config_float(path, section, key, raw)
             center_params[label] = center_params[label].replace(**overrides)
         else:
-            raise UsageError(f"{path}: unknown section [{section}]")
+            raise ValueError(f"{path}: unknown section [{section}]")
     return settings, populations, center_params
 
 
 def _config_float(path, section, key, raw) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise UsageError(f"{path}: [{section}] {key} = {raw!r} is not a number")
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: [{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _cmd_spectrum(args) -> int:
@@ -345,23 +344,20 @@ def _cmd_spectrum(args) -> int:
         (center_params[label], pop) for label, pop in populations.items() if pop > 0
     ]
     if not centers:
-        raise UsageError("no center has a positive population")
-    try:
-        sticks = spectra.build_sticks(
-            centers,
-            frequency=settings["frequency_hz"],
-            temperature=settings["temperature_k"],
-            tilt_deg=settings["tilt_deg"],
-            tilt_azimuth_deg=settings["tilt_azimuth_deg"],
-        )
-        spectrum = spectra.convolve(
-            sticks,
-            field_start=settings["field_start_t"],
-            field_stop=settings["field_stop_t"],
-            field_step=settings["field_step_t"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("no center has a positive population")
+    sticks = spectra.build_sticks(
+        centers,
+        frequency=settings["frequency_hz"],
+        temperature=settings["temperature_k"],
+        tilt_deg=settings["tilt_deg"],
+        tilt_azimuth_deg=settings["tilt_azimuth_deg"],
+    )
+    spectrum = spectra.convolve(
+        sticks,
+        field_start=settings["field_start_t"],
+        field_stop=settings["field_stop_t"],
+        field_step=settings["field_step_t"],
+    )
     report = spectra.analyze_peaks(spectrum)
     config = {
         "command": "spectrum",
@@ -380,61 +376,53 @@ def _cmd_spectrum(args) -> int:
 def _cmd_simulate(args) -> int:
     inversion = args.sequence == pulse_sim.SEQUENCE_INVERSION
     if inversion and not 0 < args.t1_s < math.inf:
-        raise UsageError("T1 must be positive and finite")
+        raise ValueError("T1 must be positive and finite")
     tau_max = args.tau_max_s
     if tau_max is None:
         tau_max = _INVERSION_TAU_MAX_T1 * args.t1_s if inversion else _HAHN_TAU_MAX_S
     if args.tau_points < 2:
-        raise UsageError("need at least two delay points")
+        raise ValueError("need at least two delay points")
     if not 0 < tau_max < math.inf:
-        raise UsageError("delay maximum must be positive and finite")
-    if args.realizations < 1:
-        raise UsageError("realizations must be >= 1")
-    if args.threads < 1:
-        raise UsageError("threads must be >= 1")
+        raise ValueError("delay maximum must be positive and finite")
     delays = np.linspace(0.0, tau_max, args.tau_points)
-    # The config and both simulators raise ValueError for out-of-domain input.
-    try:
-        if inversion:
-            trace = pulse_sim.simulate_inversion_recovery(
-                args.t1_s, delays, noise_amplitude=args.noise, seed=args.seed
-            )
-            config = {
-                "command": "simulate",
-                "sequence": args.sequence,
-                "t1_s": args.t1_s,
-                "tau_max_s": tau_max,
-                "tau_points": args.tau_points,
-                "noise": args.noise,
-                "seed": args.seed,
-            }
-        else:
-            cfg = pulse_sim.BathNoiseConfig(
-                n_sources=args.sources,
-                coupling_scale=args.coupling_scale,
-                base_rate=args.base_rate,
-                temperature=args.temperature_k,
-                t_zeeman=args.t_zeeman_k,
-                seed=args.seed,
-            )
-            trace = pulse_sim.simulate_hahn_echo(
-                cfg, delays, args.realizations, threads=args.threads
-            )
-            config = {
-                "command": "simulate",
-                "sequence": args.sequence,
-                "temperature_k": cfg.temperature,
-                "t_zeeman_k": cfg.t_zeeman,
-                "tau_max_s": tau_max,
-                "tau_points": args.tau_points,
-                "realizations": args.realizations,
-                "n_sources": cfg.n_sources,
-                "coupling_scale": cfg.coupling_scale,
-                "base_rate": cfg.base_rate,
-                "seed": args.seed,
-            }
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if inversion:
+        trace = pulse_sim.simulate_inversion_recovery(
+            args.t1_s, delays, noise_amplitude=args.noise, seed=args.seed
+        )
+        config = {
+            "command": "simulate",
+            "sequence": args.sequence,
+            "t1_s": args.t1_s,
+            "tau_max_s": tau_max,
+            "tau_points": args.tau_points,
+            "noise": args.noise,
+            "seed": args.seed,
+        }
+    else:
+        cfg = pulse_sim.BathNoiseConfig(
+            n_sources=args.sources,
+            coupling_scale=args.coupling_scale,
+            base_rate=args.base_rate,
+            temperature=args.temperature_k,
+            t_zeeman=args.t_zeeman_k,
+            seed=args.seed,
+        )
+        trace = pulse_sim.simulate_hahn_echo(
+            cfg, delays, args.realizations, threads=args.threads
+        )
+        config = {
+            "command": "simulate",
+            "sequence": args.sequence,
+            "temperature_k": cfg.temperature,
+            "t_zeeman_k": cfg.t_zeeman,
+            "tau_max_s": tau_max,
+            "tau_points": args.tau_points,
+            "realizations": args.realizations,
+            "n_sources": cfg.n_sources,
+            "coupling_scale": cfg.coupling_scale,
+            "base_rate": cfg.base_rate,
+            "seed": args.seed,
+        }
     path = _resolve(args, args.output)
     pulse_sim.write_trace_csv(
         trace, path, header_lines=[_provenance(config, seed=args.seed)]
@@ -444,16 +432,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        model = fitkit.get_model(args.model)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0]))
+    model = fitkit.get_model(args.model)
     fix = _parse_assignments(args.fix, "--fix")
     init = _parse_assignments(args.init, "--init")
     known = set(model.param_names)
     for name in list(fix) + list(init) + list(args.free):
         if name not in known:
-            raise UsageError(
+            raise ValueError(
                 f"model {model.name} has no parameter {name!r}; "
                 f"parameters: {', '.join(model.param_names)}"
             )
@@ -462,32 +447,27 @@ def _cmd_fit(args) -> int:
     for name in args.free:
         fixed.pop(name, None)
 
-    # Either reader raises ValueError for a malformed data file.
-    try:
-        if model.name in ("echo_decay", "inversion_recovery"):
-            trace = pulse_sim.read_trace_csv(args.data)
-            x, y, err = trace.delays, trace.amplitude, trace.std_error
-        else:
-            dataset = datasets.load_csv(args.data)
-            per_us = model.name == "t2_model"
-            x, y, err = (
-                np.array(v)
-                for v in datasets.as_rate_data(dataset, per_microsecond=per_us)
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if model.name in ("echo_decay", "inversion_recovery"):
+        trace = pulse_sim.read_trace_csv(args.data)
+        x, y, err = trace.delays, trace.amplitude, trace.std_error
+    else:
+        dataset = datasets.load_csv(args.data)
+        per_us = model.name == "t2_model"
+        x, y, err = (
+            np.array(v) for v in datasets.as_rate_data(dataset, per_microsecond=per_us)
+        )
     sigma = None
     if not args.unweighted and np.all(np.asarray(err) > 0):
         sigma = err
 
     options = fitkit.FitOptions(max_iterations=args.max_iterations)
-    # fit raises ValueError for pinned or starting values outside the model.
-    try:
-        result = fitkit.fit(
-            model, x, y, sigma=sigma, init=init or None, fixed=fixed, options=options
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    result = fitkit.fit(
+        model, x, y, sigma=sigma, init=init or None, fixed=fixed, options=options
+    )
+    # A fit that did not converge is exit 3 and still writes its report.
+    undetermined = np.array(model.param_names)[~np.isfinite(result.stderr)]
+    if result.converged and undetermined.size:
+        raise ValueError(f"the data do not determine {', '.join(undetermined)}")
 
     config = {
         "command": "fit",
@@ -544,17 +524,17 @@ def _cmd_model_eval(args) -> int:
     defaults = dict(zip(model.param_names, astuple(sample)))
     unknown = set(params) - set(defaults)
     if unknown:
-        raise UsageError(f"{args.model} has no parameter(s) {sorted(unknown)}")
+        raise ValueError(f"{args.model} has no parameter(s) {sorted(unknown)}")
     merged = {**defaults, **params}
-    try:
-        rates = model.evaluate(np.array(list(merged.values())), temps)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if not np.all(rates > 0):
-        raise UsageError(f"{args.model} rate is 0 on this grid; its time is undefined")
+    rates = model.evaluate(np.array(list(merged.values())), temps)
     # value_time is always seconds; the rate keeps the model's native unit.
     seconds_per_unit = 1e-6 if args.model == "t2_model" else 1.0
-    rows = zip(temps, rates, seconds_per_unit / rates)
+    with np.errstate(divide="ignore", over="ignore"):
+        times = seconds_per_unit / rates
+    # Rates are >= 0, so this also refuses a zero rate (an infinite time).
+    if not np.all(np.isfinite(rates) & np.isfinite(times)):
+        raise ValueError(f"{args.model} rate or time is 0 or overflows on this grid")
+    rows = zip(temps, rates, times)
     config = {
         "command": "model-eval",
         "model": args.model,

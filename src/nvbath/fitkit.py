@@ -297,8 +297,6 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, options):
         change = cost - cost_trial
         z, theta, r = z_trial, theta_trial, r_trial
         prev_cost, cost = cost, cost_trial
-        # Accepted steps never increase the cost.
-        assert cost <= prev_cost
         cost_history.append(cost)
         lam = max(lam / 3.0, 1e-12)
         if cost == 0.0 or change < options.cost_tolerance * max(prev_cost, 1e-300):

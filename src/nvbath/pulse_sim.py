@@ -75,9 +75,10 @@ class BathNoiseConfig:
         if not (0 < self.temperature < math.inf and 0 < self.t_zeeman < math.inf):
             raise ValueError("temperatures must be positive and finite")
         if self.fixed_couplings is not None and not (
-            self.fixed_couplings and np.all(np.isfinite(self.fixed_couplings))
+            len(self.fixed_couplings) == self.n_sources
+            and np.all(np.isfinite(self.fixed_couplings))
         ):
-            raise ValueError("fixed_couplings must be non-empty and finite when given")
+            raise ValueError("fixed_couplings must hold n_sources finite values")
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,10 @@ class DecayTrace:
             raise ValueError("delays must be strictly increasing")
         if self.delays[0] < 0:
             raise ValueError("delays must be non-negative")
-        if np.any(self.std_error < 0):
-            raise ValueError("standard errors must be non-negative")
+        if not np.all(np.isfinite(self.amplitude)):
+            raise ValueError("amplitudes must be finite")
+        if not np.all((self.std_error >= 0) & (self.std_error < math.inf)):
+            raise ValueError("standard errors must be non-negative and finite")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
 
@@ -170,16 +173,13 @@ def simulate_hahn_echo(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     rate = effective_rate(cfg)
-    shared = None
-    if cfg.fixed_couplings is not None:
-        shared = sample_couplings(cfg, realization=0)
-    n_sources = cfg.n_sources if shared is None else shared.size
+    shared = None if cfg.fixed_couplings is None else sample_couplings(cfg)
     # Checked in floating point, before any allocation or int conversion.
-    buffer = n_sources * _draws_per_source(rate * 2.0 * tau[-1])
+    buffer = cfg.n_sources * _draws_per_source(rate * 2.0 * tau[-1])
     if buffer > _MAX_EVENT_BUFFER:
         raise ValueError(
             f"one realization would buffer {buffer:.3g} switching times "
-            f"({n_sources} sources), over the limit of {_MAX_EVENT_BUFFER:.3g}; "
+            f"({cfg.n_sources} sources), over the limit of {_MAX_EVENT_BUFFER:.3g}; "
             "shorten the delays or lower the switching rate"
         )
     echoes = np.empty((n_realizations, tau.size))

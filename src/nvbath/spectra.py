@@ -12,6 +12,7 @@ scales as weight / linewidth**2.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +35,9 @@ from . import table
 DEFAULT_FIELD_START = 8.40
 DEFAULT_FIELD_STOP = 8.75
 DEFAULT_FIELD_STEP = 2e-6
+
+# Longest grid convolve allocates; the default window has 175 001 points.
+MAX_GRID_POINTS = 10_000_000
 
 # Sticks closer than this are treated as one line (exact degeneracies only;
 # well below any physical splitting).
@@ -62,7 +66,7 @@ class StickSpectrum:
         fields = [s.field_t for s in self.sticks]
         if any(b < a for a, b in zip(fields, fields[1:])):
             raise ValueError("sticks must be sorted by field")
-        if any(s.weight <= 0 for s in self.sticks):
+        if not all(s.weight > 0 for s in self.sticks):
             raise ValueError("stick weights must be positive")
 
     @property
@@ -140,8 +144,9 @@ def build_sticks(
     """
     if not centers:
         raise ValueError("at least one center is required")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    # k_B T must not underflow to 0 either: it divides the level energies.
+    if not 0 < CONSTANTS.boltzmann_k * temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     for params, population in centers:
         if population <= 0:
             raise ValueError(f"population for {params.label} must be positive")
@@ -225,18 +230,27 @@ def convolve(
     ``field +- linewidth_pp/2`` and its peak-to-peak amplitude is
     proportional to ``weight / linewidth_pp**2``. Emits a warning and a
     truncated spectrum if the grid does not cover every stick by at least
-    five linewidths.
+    five linewidths. Refuses a grid of more than ``MAX_GRID_POINTS`` points.
     """
+    if not all(map(math.isfinite, (field_start, field_stop, field_step))):
+        raise ValueError("field grid start, stop and step must be finite")
     if field_step <= 0:
         raise ValueError(f"field step must be positive, got {field_step}")
     if field_stop <= field_start:
         raise ValueError("field_stop must exceed field_start")
-    n = int(math.floor((field_stop - field_start) / field_step)) + 1
+    # Checked in floating point, before any allocation or int conversion.
+    span = (field_stop - field_start) / field_step
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"field grid of {span + 1:.3g} points is over the limit of "
+            f"{MAX_GRID_POINTS:.0e}; raise the step or narrow the window"
+        )
+    n = int(math.floor(span)) + 1
     grid = field_start + field_step * np.arange(n)
     amplitude = np.zeros(n)
     for stick in sticks.sticks:
         width = stick.label.center.linewidth_pp
-        sigma = 0.5 * width
+        sigma = np.float64(0.5 * width)  # so sigma**2 overflows to inf, not raises
         if (
             stick.field_t - 5 * width < grid[0]
             or stick.field_t + 5 * width > grid[-1]
@@ -278,6 +292,8 @@ def analyze_peaks(
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale == 0.0:
         return PeakReport(())
+    if not scale < 0.5 * sys.float_info.max:  # so a max - min difference is finite
+        raise ValueError(f"amplitude {scale:.3g} overflows; lower the populations")
     threshold = min_relative_amplitude * scale
     diffs = np.diff(a)
     before, after = diffs[:-1], diffs[1:]

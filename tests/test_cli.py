@@ -4,14 +4,23 @@ Exit-code contract: 0 success, 2 usage error, 3 fit non-convergence,
 4 I/O error. Every run goes to a temp directory; nothing touches the cwd.
 """
 
+import contextlib
+import io
+import math
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nvbath import bath_model, cli, datasets
+from nvbath import bath_model, cli, datasets, fitkit, spectra
 
 PROVENANCE = re.compile(r"^# nvbath \S+ config_sha256=[0-9a-f]{12}( seed=-?\d+)?$")
 
@@ -74,6 +83,9 @@ class TestPolarization:
         zeeman = ["--outdir", str(tmp_path), "polarization", "--t-zeeman-k"]
         assert cli.main(zeeman + ["nan"]) == 2
         assert cli.main(zeeman + ["-1"]) == 2
+        # Recorded in the provenance hash even when T_Ze is given.
+        assert cli.main(zeeman + ["14.7", "--frequency-hz", "nan"]) == 2
+        assert not (tmp_path / "polarization.csv").exists()
 
 
 class TestSpectrum:
@@ -100,7 +112,7 @@ class TestSpectrum:
         )
         assert len(rows) == 2
 
-    def test_bad_configs_exit_2(self, tmp_path):
+    def test_bad_configs_exit_2(self, tmp_path, capsys):
         empty_pop = tmp_path / "a.ini"
         empty_pop.write_text("[populations]\nn = 0\nnv = 0\n")
         unknown_key = tmp_path / "b.ini"
@@ -111,11 +123,35 @@ class TestSpectrum:
         bad_syntax.write_text("temperature_k = 300\n")  # key before any section
         unknown_section = tmp_path / "e.ini"
         unknown_section.write_text("[sample]\nx = 1\n")
-        for config in (empty_pop, unknown_key, bad_value, bad_syntax, unknown_section):
+        configs = [empty_pop, unknown_key, bad_value, bad_syntax, unknown_section]
+        # Out-of-domain values. Before the domain checks each exited 0 with a
+        # peak-free or non-finite output, with a traceback, or with an
+        # allocation error.
+        for i, text in enumerate(
+            [
+                "[spectrum]\ntemperature_k = nan\n",
+                "[spectrum]\nfrequency_hz = nan\n",
+                "[spectrum]\nfrequency_hz = inf\n",
+                "[spectrum]\nfield_stop_t = inf\n",
+                "[spectrum]\nfield_step_t = 1e-12\n",  # refused, never allocated
+                "[center.n]\ng_parallel = nan\n",
+                "[center.n]\nlinewidth_pp = nan\n",
+                "[center.n]\nlinewidth_pp = -1\n",
+                "[populations]\nn = inf\n",
+                "[populations]\nn = 1.315863936605693e302\n",  # pp amplitude inf
+                "[spectrum]\ntemperature_k = 2.2250738585e-313\n",  # k_B T is 0
+            ]
+        ):
+            configs.append(tmp_path / f"domain_{i}.ini")
+            configs[-1].write_text(text)
+        for config in configs:
             rc = cli.main(
                 ["--outdir", str(tmp_path), "spectrum", "--config", str(config)]
             )
             assert rc == 2, config.name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "spectrum.csv").exists()
 
 
 class TestSimulate:
@@ -209,6 +245,8 @@ class TestSimulate:
         inversion = base + ["--sequence", "inversion"]
         assert cli.main(inversion + ["--t1-s", "nan"]) == 2
         assert cli.main(inversion + ["--noise", "nan"]) == 2
+        # Finite noise whose draws overflow the amplitudes to inf.
+        assert cli.main(inversion + ["--noise", "1.7976931348623157e308"]) == 2
         assert not (tmp_path / "trace.csv").exists()
 
     def test_inversion_default_delays_fit(self, tmp_path):
@@ -306,6 +344,9 @@ class TestFit:
         assert cli.main(base + ["--model", "t2_model", "--fix", "Gamma=1"]) == 2
         assert cli.main(base + ["--model", "t2_model", "--init", "T_Ze"]) == 2
         assert cli.main(base + ["--model", "t2_model", "--fix", "T_Ze=-1"]) == 2
+        # C = 0 leaves T_Ze undetermined: no stderr, so no output files.
+        assert cli.main(base + ["--model", "t2_model", "--fix", "C=0"]) == 2
+        assert not (tmp_path / "fit.csv").exists()
         malformed = tmp_path / "bad.csv"
         malformed.write_text("a,b\n1,2\n")
         assert (
@@ -419,12 +460,13 @@ class TestModelEval:
 
 
     def test_out_of_domain_param_exits_2(self, tmp_path, capsys):
-        base = ["--outdir", str(tmp_path), "model-eval", "--model", "t2_model"]
+        base = ["--outdir", str(tmp_path), "model-eval", "--model"]
         for extra in (
-            ["--params", "C=-1"],
-            ["--params", "T_Ze=nan"],
-            ["--temps", "nan"],
-            ["--params", "C=0,Gamma_res=0"],
+            ["t2_model", "--params", "C=-1"],
+            ["t2_model", "--params", "T_Ze=nan"],
+            ["t2_model", "--temps", "nan"],
+            ["t2_model", "--params", "C=0,Gamma_res=0"],
+            ["t1_model", "--params", "B=1e300"],  # B T**5 overflows to inf
         ):
             rc = cli.main(base + extra)
             assert rc == 2, extra
@@ -481,3 +523,132 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "polarization.csv").exists()
+
+
+# --- exit-code contract under fuzzed input ----------------------------------
+
+# Finite floats, 0, negatives, nan, +-inf and 1e300, as command-line text.
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(repr)
+
+FUZZ = settings(max_examples=50, deadline=None)
+
+
+def _assert_exit_contract(argv, outdir):
+    """Exit code in {0, 2, 3, 4}; exit 2 prints one ``error:`` line; exit 0
+    writes no ``nan`` or ``inf`` data cell."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # coverage warnings are not errors
+            rc = cli.main(["--outdir", str(outdir)] + argv)
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    if rc == 2:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
+    if rc == 0:
+        for path in Path(outdir).glob("*.csv"):
+            lines = [l for l in path.read_text().splitlines() if l and l[0] != "#"]
+            cells = [c for line in lines[1:] for c in line.split(",")]
+            bad = [c for c in cells if c.lstrip("+-") in ("nan", "inf")]
+            assert not bad, (argv, path.name, bad[:3])
+
+
+def _flags(names):
+    """One to three of the named flags, each with a fuzzed number."""
+    return st.dictionaries(st.sampled_from(names), NUMBERS, min_size=1, max_size=3)
+
+
+class TestExitCodeContract:
+    @FUZZ
+    @given(flags=_flags(["--frequency-hz", "--t-zeeman-k", "--temps"]))
+    def test_polarization(self, flags):
+        argv = ["polarization"] + [f"{k}={v}" for k, v in flags.items()]
+        with tempfile.TemporaryDirectory() as out:
+            _assert_exit_contract(argv, out)
+
+    @FUZZ
+    @given(
+        model=st.sampled_from(["t1_model", "t2_model"]),
+        params=st.dictionaries(
+            st.sampled_from(["A", "B", "C", "T_Ze", "Gamma_res"]), NUMBERS, max_size=2
+        ),
+        temp=st.none() | NUMBERS,
+    )
+    @example(model="t1_model", params={"B": "1e300"}, temp=None)
+    @example(model="t1_model", params={}, temp="1.4118779511821709e-307")
+    def test_model_eval(self, model, params, temp):
+        names = fitkit.get_model(model).param_names
+        assignments = [f"{k}={v}" for k, v in params.items() if k in names]
+        argv = ["model-eval", "--model", model]
+        if assignments:
+            argv.append("--params=" + ",".join(assignments))
+        if temp is not None:
+            argv.append(f"--temps={temp}")
+        with tempfile.TemporaryDirectory() as out:
+            _assert_exit_contract(argv, out)
+
+    HAHN = ["--temp", "--t-zeeman-k", "--tau-max-s", "--coupling-scale", "--base-rate"]
+
+    @FUZZ
+    @given(
+        sequence=st.sampled_from(["hahn", "inversion"]),
+        flags=_flags(HAHN + ["--t1-s", "--noise"]),
+    )
+    @example(sequence="inversion", flags={"--noise": "1.7976931348623157e+308"})
+    def test_simulate(self, sequence, flags):
+        sizes = "--realizations 2 --tau-points 3 --sources 2 --threads 1".split()
+        argv = ["simulate", "--sequence", sequence] + sizes
+        argv += [f"{k}={v}" for k, v in flags.items()]
+        with tempfile.TemporaryDirectory() as out:
+            _assert_exit_contract(argv, out)
+
+    @FUZZ
+    @given(
+        model=st.sampled_from(["t1_model", "t2_model"]),
+        kind=st.sampled_from(["--fix", "--init"]),
+        index=st.integers(0, 2),
+        value=NUMBERS,
+    )
+    @example(model="t2_model", kind="--fix", index=0, value="0.0")
+    def test_fit(self, model, kind, index, value):
+        names = fitkit.get_model(model).param_names
+        name = names[index % len(names)]
+        with tempfile.TemporaryDirectory() as out:
+            data = Path(out) / "data.csv"
+            datasets.save_csv(datasets.bundled("NV", model[:2].upper()), data)
+            argv = ["fit", "--model", model, "--data", str(data)]
+            _assert_exit_contract(argv + [f"{kind}={name}={value}"], out)
+
+    SPECTRUM_KEYS = (
+        [("spectrum", key) for key in cli._SPECTRUM_DEFAULTS]
+        + [(f"center.{c}", key) for c in ("n", "nv") for key in cli._CENTER_FIELDS]
+        + [("populations", "n"), ("populations", "nv")]
+    )
+
+    @FUZZ
+    @given(key=st.sampled_from(SPECTRUM_KEYS), value=NUMBERS)
+    @example(key=("spectrum", "temperature_k"), value="nan")
+    @example(key=("center.n", "linewidth_pp"), value="-1")
+    @example(key=("populations", "n"), value="inf")
+    @example(key=("spectrum", "field_stop_t"), value="inf")
+    @example(key=("center.n", "linewidth_pp"), value="2.6815615859885194e+154")
+    @example(key=("populations", "n"), value="1.315863936605693e+302")
+    @example(key=("spectrum", "temperature_k"), value="2.2250738585e-313")
+    def test_spectrum_config(self, key, value):
+        section, name = key
+        # A coarse grid (7001 points) keeps each run small; a fuzzed grid key
+        # meets a lowered point limit, so no example writes a huge spectrum.
+        sections = {"spectrum": {"field_step_t": "5e-5"}, section: {}}
+        sections[section][name] = value
+        text = "".join(
+            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for sec, items in sections.items()
+        )
+        with tempfile.TemporaryDirectory() as out:
+            config = Path(out) / "fuzz.ini"
+            config.write_text(text)
+            with mock.patch.object(spectra, "MAX_GRID_POINTS", 10_000):
+                _assert_exit_contract(["spectrum", "--config", str(config)], out)

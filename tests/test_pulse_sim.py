@@ -251,6 +251,9 @@ class TestConfigValidation:
                     ps.BathNoiseConfig(**{field: value})
         with pytest.raises(ValueError):
             ps.BathNoiseConfig(fixed_couplings=(1e4, math.nan))
+        # Three pinned couplings with the default 100 sources.
+        with pytest.raises(ValueError, match="n_sources"):
+            ps.BathNoiseConfig(fixed_couplings=(3e4, -5e4, 1.2e5))
 
     def test_trace_validation(self):
         good = dict(
@@ -272,6 +275,10 @@ class TestConfigValidation:
             ps.DecayTrace(**{**good, "delays": np.array([-1e-6, 1e-6])})
         with pytest.raises(ValueError):
             ps.DecayTrace(**{**good, "std_error": np.array([0.0, -0.01])})
+        with pytest.raises(ValueError):
+            ps.DecayTrace(**{**good, "std_error": np.array([0.0, math.nan])})
+        with pytest.raises(ValueError, match="finite"):
+            ps.DecayTrace(**{**good, "amplitude": np.array([1.0, math.inf])})
         with pytest.raises(ValueError):
             ps.DecayTrace(**{**good, "n_realizations": 0})
 

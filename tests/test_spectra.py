@@ -94,6 +94,9 @@ class TestBuildSticks:
             spectra.build_sticks([(N_DEFAULT, 0.0)], 240e9, 300.0)
         with pytest.raises(ValueError):
             spectra.build_sticks([(N_DEFAULT, 1.0)], 240e9, -4.0)
+        for temperature in (math.nan, math.inf, 2.2e-313):  # k_B T underflows
+            with pytest.raises(ValueError, match="temperature"):
+                spectra.build_sticks([(N_DEFAULT, 1.0)], 240e9, temperature)
 
     def test_sticks_sorted_and_deterministic(self):
         a = spectra.build_sticks([(N_DEFAULT, 20.0), (NV_DEFAULT, 1.0)], 240e9, 300.0)
@@ -157,6 +160,22 @@ class TestConvolve:
         with pytest.raises(ValueError):
             spectra.Spectrum(field, np.zeros(3), 240e9, 300.0, ())
 
+    def test_grid_bounds_and_size_checked_before_allocating(self):
+        st = _single_stick(8.55)
+        for bounds in (
+            dict(field_stop=math.inf),
+            dict(field_start=math.nan),
+            dict(field_step=math.nan),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                spectra.convolve(st, **bounds)
+        # 3.5e11 points (2.8 TB per array) on the default window.
+        with pytest.raises(ValueError, match="limit"):
+            spectra.convolve(st, field_step=1e-12)
+        # Finite bounds whose span overflows to inf.
+        with pytest.raises(ValueError, match="limit"):
+            spectra.convolve(st, field_start=-1e308, field_stop=1e308)
+
     def test_deterministic(self):
         st = spectra.build_sticks([(N_DEFAULT, 1.0)], 240e9, 300.0)
         a = spectra.convolve(st).amplitude
@@ -185,6 +204,14 @@ class TestAnalyzePeaks:
             center_params.linewidth_pp, abs=2.01e-6
         )
         assert peak.pp_amplitude > 0
+
+    def test_overflowing_amplitude_rejected(self):
+        # Finite extrema whose peak-to-peak difference overflows.
+        field = 8.5 + 1e-6 * np.arange(5)
+        amplitude = np.array([0.0, 1.5e308, 0.0, -1.5e308, 0.0])
+        spectrum = spectra.Spectrum(field, amplitude, 240e9, 300.0, ())
+        with pytest.raises(ValueError, match="overflows"):
+            spectra.analyze_peaks(spectrum)
 
     def test_flat_spectrum_empty_report(self):
         field = 8.4 + 2e-6 * np.arange(1000)
