@@ -26,7 +26,6 @@ import numpy as np
 from .spin_core import zeeman_temperature
 
 __all__ = [
-    "BathModelParams",
     "DEFAULT_T1_PARAMS",
     "DEFAULT_T2_PARAMS",
     "PolarizationPoint",
@@ -78,14 +77,6 @@ class T1ModelParams:
         return (self.a_per_s_k / self.b_per_s_k5) ** 0.25
 
 
-@dataclass(frozen=True)
-class BathModelParams:
-    """Bundle of both relaxation models for one sample."""
-
-    t2: T2ModelParams
-    t1: T1ModelParams
-
-
 # Reference constants for the type-Ib sample the models were calibrated on.
 # C reproduces T2 = 6.7 us at 300 K after subtracting the 13C residual rate
 # of 0.004 /us (250 us saturation value).
@@ -93,7 +84,6 @@ DEFAULT_T2_PARAMS = T2ModelParams(
     c_per_us=0.58136, t_zeeman_k=14.7, gamma_res_per_us=0.004
 )
 DEFAULT_T1_PARAMS = T1ModelParams(a_per_s_k=8.0e-3, b_per_s_k5=3.5e-10)
-DEFAULT_PARAMS = BathModelParams(t2=DEFAULT_T2_PARAMS, t1=DEFAULT_T1_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -112,8 +102,7 @@ def polarization(temperature, t_zeeman: float) -> PolarizationPoint:
 
     ``temperature`` (lattice, K) and ``t_zeeman`` (Zeeman splitting, K) are > 0.
     """
-    t = _positive(temperature, "temperature")
-    x = _positive(t_zeeman, "Zeeman temperature") / t
+    t, x = _zeeman_ratio(temperature, t_zeeman)
     # exp(-x) keeps both level populations finite for arbitrarily cold baths.
     e = np.exp(-x)
     return PolarizationPoint(
@@ -131,8 +120,7 @@ def flip_flop_factor(temperature, t_zeeman: float):
     Equals ``(1 - p**2)/4`` for polarization p: 1/4 in the hot limit, and
     exponentially small once the bath freezes out.
     """
-    t = _positive(temperature, "temperature")
-    x = _positive(t_zeeman, "Zeeman temperature") / t
+    _, x = _zeeman_ratio(temperature, t_zeeman)
     # e^-x form is overflow-safe for any positive x.
     e = np.exp(-x)
     return _out(e / ((1.0 + e) * (1.0 + e)))
@@ -175,6 +163,13 @@ def _positive(value, what: str) -> np.ndarray:
         bad = arr[~((arr > 0) & (arr < math.inf))].flat[0]
         raise ValueError(f"{what} must be positive and finite, got {bad}")
     return arr
+
+
+def _zeeman_ratio(temperature, t_zeeman):
+    # T_Ze / T past the largest float is inf, every formula's frozen limit.
+    t = _positive(temperature, "temperature")
+    with np.errstate(over="ignore"):
+        return t, _positive(t_zeeman, "Zeeman temperature") / t
 
 
 def _out(value):

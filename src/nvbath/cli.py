@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
 
 import numpy as np
 
@@ -117,8 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.set_defaults(handler=_cmd_simulate)
 
+    models = fitkit.registry()
     p = sub.add_parser("fit", help="fit a registry model to a data file")
-    p.add_argument("--model", required=True, choices=sorted(fitkit.registry()))
+    p.add_argument("--model", required=True, choices=sorted(models))
     p.add_argument("--data", required=True)
     p.add_argument(
         "--fix",
@@ -147,7 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("model-eval", help="evaluate a rate model on a grid")
-    p.add_argument("--model", required=True, choices=("t1_model", "t2_model"))
+    rate_laws = sorted(name for name, m in models.items() if m.time_unit_s)
+    p.add_argument("--model", required=True, choices=rate_laws)
     p.add_argument(
         "--params",
         default=None,
@@ -215,6 +216,9 @@ def _parse_temps(text: str) -> np.ndarray:
             raise ValueError(f"range mode must be 'log' or 'lin', got {mode!r}")
         if lo <= 0 or hi <= lo or n < 2:
             raise ValueError(f"bad temperature range {text!r}")
+        if n > spectra.MAX_GRID_POINTS:  # refused before allocating the grid
+            limit = spectra.MAX_GRID_POINTS
+            raise ValueError(f"temperature range {text!r} has more than {limit} points")
         if mode == "log":
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
@@ -447,23 +451,19 @@ def _cmd_fit(args) -> int:
     for name in args.free:
         fixed.pop(name, None)
 
-    if model.name in ("echo_decay", "inversion_recovery"):
+    if model.time_unit_s is None:
         trace = pulse_sim.read_trace_csv(args.data)
         x, y, err = trace.delays, trace.amplitude, trace.std_error
     else:
         dataset = datasets.load_csv(args.data)
-        per_us = model.name == "t2_model"
         x, y, err = (
-            np.array(v) for v in datasets.as_rate_data(dataset, per_microsecond=per_us)
+            np.array(v) for v in datasets.as_rate_data(dataset, model.time_unit_s)
         )
     sigma = None
     if not args.unweighted and np.all(np.asarray(err) > 0):
         sigma = err
 
-    options = fitkit.FitOptions(max_iterations=args.max_iterations)
-    result = fitkit.fit(
-        model, x, y, sigma=sigma, init=init or None, fixed=fixed, options=options
-    )
+    result = fitkit.fit(model, x, y, sigma, init, fixed, args.max_iterations)
     # A fit that did not converge is exit 3 and still writes its report.
     undetermined = np.array(model.param_names)[~np.isfinite(result.stderr)]
     if result.converged and undetermined.size:
@@ -519,18 +519,15 @@ def _cmd_model_eval(args) -> int:
     temps = _parse_temps(args.temps)
     params = _parse_assignments(args.params.split(",") if args.params else [], "--params")
     model = fitkit.get_model(args.model)
-    # DEFAULT_PARAMS.t1 and .t2 list their fields in the registry's order.
-    sample = getattr(bath_model.DEFAULT_PARAMS, args.model.removesuffix("_model"))
-    defaults = dict(zip(model.param_names, astuple(sample)))
+    defaults = dict(zip(model.param_names, model.reference))
     unknown = set(params) - set(defaults)
     if unknown:
         raise ValueError(f"{args.model} has no parameter(s) {sorted(unknown)}")
     merged = {**defaults, **params}
-    rates = model.evaluate(np.array(list(merged.values())), temps)
     # value_time is always seconds; the rate keeps the model's native unit.
-    seconds_per_unit = 1e-6 if args.model == "t2_model" else 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        times = seconds_per_unit / rates
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rates = model.evaluate(np.array(list(merged.values())), temps)
+        times = model.time_unit_s / rates
     # Rates are >= 0, so this also refuses a zero rate (an infinite time).
     if not np.all(np.isfinite(rates) & np.isfinite(times)):
         raise ValueError(f"{args.model} rate or time is 0 or overflows on this grid")

@@ -125,15 +125,14 @@ def load_csv(path, center: str = "NV", quantity: str = "T2") -> RelaxationDatase
 
 
 def as_rate_data(
-    dataset: RelaxationDataset, per_microsecond: bool = False
+    dataset: RelaxationDataset, time_unit_s: float = 1.0
 ) -> tuple[list[float], list[float], list[float]]:
     """(temperatures, rates, rate errors) for fitting the rate models.
 
-    Rates are 1/value with first-order error propagation; ``per_microsecond``
-    selects the 1/us unit of the T2 model instead of 1/s.
+    Rates are ``time_unit_s``/value (1.0: 1/s; 1e-6: the 1/us of the T2
+    model) with first-order error propagation.
     """
-    unit = 1e-6 if per_microsecond else 1.0
-    temps = dataset.temperatures()
-    rates = [unit / v for v in dataset.values()]
-    errors = [unit * e / (v * v) for v, e in zip(dataset.values(), dataset.errors())]
-    return temps, rates, errors
+    values = dataset.values()
+    rates = [time_unit_s / v for v in values]
+    errors = [time_unit_s * e / (v * v) for v, e in zip(values, dataset.errors())]
+    return dataset.temperatures(), rates, errors

@@ -18,18 +18,18 @@ The registry maps stable names to :class:`ModelSpec` instances:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bath_model import DEFAULT_T2_PARAMS, T1ModelParams, T2ModelParams
-from .bath_model import flip_flop_factor, polarization, t1_rate, t2_rate
+from .bath_model import DEFAULT_T1_PARAMS, DEFAULT_T2_PARAMS, T1ModelParams
+from .bath_model import T2ModelParams, flip_flop_factor, polarization, t1_rate, t2_rate
 from .spin_core import zeeman_temperature
 
 DEFAULT_MAX_ITERATIONS = 500
-DEFAULT_COST_TOLERANCE = 1e-10
-DEFAULT_GRADIENT_TOLERANCE = 1e-12
+COST_TOLERANCE = 1e-10
+GRADIENT_TOLERANCE = 1e-12
 
 # Spectrometer frequency assumed by the default T_Ze starting value.
 _DEFAULT_FREQUENCY_HZ = 240e9
@@ -47,17 +47,14 @@ class ModelSpec:
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     initial_guess: Callable[[np.ndarray, np.ndarray], np.ndarray]
     default_fixed: Mapping[str, float] = field(default_factory=dict)
+    # Rate laws only (None for decay traces): seconds per time unit of the
+    # rate, and the reference sample's constants in param_names order.
+    time_unit_s: Optional[float] = None
+    reference: Optional[tuple[float, ...]] = None
 
     @property
     def n_params(self) -> int:
         return len(self.param_names)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    cost_tolerance: float = DEFAULT_COST_TOLERANCE
-    gradient_tolerance: float = DEFAULT_GRADIENT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -91,9 +88,9 @@ def fit(
     x: Sequence[float],
     y: Sequence[float],
     sigma: Optional[Sequence[float]] = None,
-    init: Optional[Mapping[str, float] | Sequence[float]] = None,
+    init: Optional[Mapping[str, float]] = None,
     fixed: Optional[Mapping[str, float]] = None,
-    options: FitOptions = FitOptions(),
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> FitResult:
     """Weighted least squares: minimize sum(((y - f(x)) / sigma)**2).
 
@@ -106,13 +103,14 @@ def fit(
     sigma:
         Per-point uncertainties; omitted means unweighted (all ones).
     init:
-        Starting values, either a full vector or a name -> value mapping
-        merged over the model's data-driven guess.
+        Name -> starting value mapping merged over the model's data-driven
+        guess.
     fixed:
         Name -> value mapping of parameters to pin. ``None`` applies the
         model's ``default_fixed``; pass ``{}`` to free everything.
-    options:
-        Iteration and convergence controls.
+    max_iterations:
+        Iteration limit; the search also stops on a relative cost change
+        below ``COST_TOLERANCE`` or a gradient below ``GRADIENT_TOLERANCE``.
 
     Returns a :class:`FitResult`; non-convergence is reported through the
     ``converged`` flag, never raised.
@@ -164,7 +162,7 @@ def fit(
         raise ValueError(f"positive parameters need positive starts: {names}")
 
     theta, diag = _levenberg_marquardt(
-        model, x_arr, y_arr, sig_arr, theta0, free, positive, options
+        model, x_arr, y_arr, sig_arr, theta0, free, positive, max_iterations
     )
 
     resid = (y_arr - model.evaluate(theta, x_arr)) / sig_arr
@@ -203,25 +201,17 @@ def fit(
 
 def _starting_vector(model, x, y, init) -> np.ndarray:
     theta0 = np.asarray(model.initial_guess(x, y), dtype=float)
-    if init is None:
-        return theta0
-    if isinstance(init, Mapping):
-        unknown = set(init) - set(model.param_names)
-        if unknown:
-            raise ValueError(f"unknown init parameter(s) {sorted(unknown)}")
-        for j, name in enumerate(model.param_names):
-            if name in init:
-                theta0[j] = float(init[name])
-        return theta0
-    vec = np.asarray(init, dtype=float)
-    if vec.shape != (model.n_params,):
-        raise ValueError(
-            f"init vector must have length {model.n_params}, got {vec.shape}"
-        )
-    return vec.copy()
+    init = init or {}
+    unknown = set(init) - set(model.param_names)
+    if unknown:
+        raise ValueError(f"unknown init parameter(s) {sorted(unknown)}")
+    for j, name in enumerate(model.param_names):
+        if name in init:
+            theta0[j] = float(init[name])
+    return theta0
 
 
-def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, options):
+def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, max_iterations):
     """Damped least squares in the transformed (log where positive) space."""
 
     def to_internal(theta):
@@ -258,10 +248,10 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, options):
     converged = False
     message = "maximum iterations reached"
     iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         jac = jacobian_internal(theta)
         grad = jac.T @ r
-        if np.max(np.abs(2.0 * grad)) < options.gradient_tolerance:
+        if np.max(np.abs(2.0 * grad)) < GRADIENT_TOLERANCE:
             converged = True
             message = "gradient norm below tolerance"
             iterations -= 1
@@ -299,7 +289,7 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, options):
         prev_cost, cost = cost, cost_trial
         cost_history.append(cost)
         lam = max(lam / 3.0, 1e-12)
-        if cost == 0.0 or change < options.cost_tolerance * max(prev_cost, 1e-300):
+        if cost == 0.0 or change < COST_TOLERANCE * max(prev_cost, 1e-300):
             converged = True
             message = "relative cost change below tolerance"
             break
@@ -463,6 +453,8 @@ def registry() -> dict[str, ModelSpec]:
             evaluate=_t1_evaluate,
             jacobian=_t1_jacobian,
             initial_guess=_t1_guess,
+            time_unit_s=1.0,
+            reference=astuple(DEFAULT_T1_PARAMS),
         ),
         "t2_model": ModelSpec(
             name="t2_model",
@@ -473,6 +465,8 @@ def registry() -> dict[str, ModelSpec]:
             jacobian=_t2_jacobian,
             initial_guess=_t2_guess,
             default_fixed={"Gamma_res": DEFAULT_T2_PARAMS.gamma_res_per_us},
+            time_unit_s=1e-6,
+            reference=astuple(DEFAULT_T2_PARAMS),
         ),
     }
 

@@ -283,11 +283,11 @@ def simulate_inversion_recovery(
         raise ValueError("delay grid must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(t)) or t[0] < 0 or np.any(np.diff(t) <= 0):
         raise ValueError("delays must be finite, >= 0 and strictly increasing")
-    amplitude = 1.0 - 2.0 * np.exp(-t / t1)
-    if noise_amplitude > 0:
-        amplitude = amplitude + noise_amplitude * _rng(seed, 0).standard_normal(
-            t.size
-        )
+    # T/T1 may overflow to inf (exp gives 0); DecayTrace rejects inf amplitudes.
+    with np.errstate(over="ignore"):
+        amplitude = 1.0 - 2.0 * np.exp(-t / t1)
+        if noise_amplitude > 0:
+            amplitude += noise_amplitude * _rng(seed, 0).standard_normal(t.size)
     std_error = np.full_like(amplitude, noise_amplitude)
     return DecayTrace(
         sequence=SEQUENCE_INVERSION,
@@ -307,19 +307,17 @@ def default_tau_grid() -> np.ndarray:
 def effective_t2_scan(
     cfg: BathNoiseConfig,
     temperatures: Sequence[float],
-    tau_grid: Optional[Sequence[float]] = None,
     n_realizations: int = 2000,
     threads: int = 1,
 ) -> list[tuple[float, float]]:
     """Fitted echo T2 (seconds) at each temperature of a quench scan.
 
-    Runs :func:`simulate_hahn_echo` at every temperature with the same seed
-    (equal temperatures therefore give identical results) and fits a single
-    exponential ``a exp(-2 tau / T2)``. A fit that fails to converge raises,
-    naming the offending temperature.
+    Runs :func:`simulate_hahn_echo` on :func:`default_tau_grid` at every
+    temperature with the same seed (equal temperatures therefore give
+    identical results) and fits a single exponential ``a exp(-2 tau / T2)``.
+    A fit that fails to converge raises, naming the offending temperature.
     """
-    if tau_grid is None:
-        tau_grid = default_tau_grid()
+    tau_grid = default_tau_grid()
     model = fitkit.get_model("echo_decay")
     out: list[tuple[float, float]] = []
     for temperature in temperatures:

@@ -39,6 +39,9 @@ DEFAULT_FIELD_STEP = 2e-6
 # Longest grid convolve allocates; the default window has 175 001 points.
 MAX_GRID_POINTS = 10_000_000
 
+# analyze_peaks ignores extrema below this fraction of the largest amplitude.
+MIN_RELATIVE_PEAK_AMPLITUDE = 1e-3
+
 # Sticks closer than this are treated as one line (exact degeneracies only;
 # well below any physical splitting).
 MERGE_TOLERANCE = 1e-10
@@ -278,14 +281,12 @@ def convolve(
     )
 
 
-def analyze_peaks(
-    spectrum: Spectrum, min_relative_amplitude: float = 1e-3
-) -> PeakReport:
+def analyze_peaks(spectrum: Spectrum) -> PeakReport:
     """Locate derivative lines as (maximum, following minimum) extremum pairs.
 
     Extremum positions are refined by parabolic interpolation, giving
-    sub-grid-step centers and widths. ``min_relative_amplitude`` rejects
-    extrema below that fraction of the global amplitude scale.
+    sub-grid-step centers and widths. Extrema below
+    ``MIN_RELATIVE_PEAK_AMPLITUDE`` of the global amplitude scale are ignored.
     """
     a = spectrum.amplitude
     field = spectrum.field_t
@@ -294,7 +295,7 @@ def analyze_peaks(
         return PeakReport(())
     if not scale < 0.5 * sys.float_info.max:  # so a max - min difference is finite
         raise ValueError(f"amplitude {scale:.3g} overflows; lower the populations")
-    threshold = min_relative_amplitude * scale
+    threshold = MIN_RELATIVE_PEAK_AMPLITUDE * scale
     diffs = np.diff(a)
     before, after = diffs[:-1], diffs[1:]
     large = np.abs(a[1:-1]) >= threshold

@@ -87,6 +87,14 @@ class TestFlipFlopFactor:
             )
             assert bm.flip_flop_factor(1.0, 1500.0) == 0.0
 
+    def test_ratio_past_float_range_is_frozen_limit(self):
+        # T_Ze / T overflows to inf: exactly the frozen bath, with no warning.
+        with np.errstate(over="raise"):
+            assert bm.flip_flop_factor(5e-324, T_ZE_240) == 0.0
+            point = bm.polarization(np.array([5e-324, 1e-300]), 1e300)
+        assert point.polarization.tolist() == [1.0, 1.0]
+        assert point.p_upper.tolist() == [0.0, 0.0]
+
 
 class TestT2Model:
     def test_room_temperature(self):
@@ -161,8 +169,6 @@ def test_default_parameter_sets():
     assert bm.DEFAULT_T2_PARAMS.gamma_res_per_us == 0.004
     assert bm.DEFAULT_T1_PARAMS.a_per_s_k == 8.0e-3
     assert bm.DEFAULT_T1_PARAMS.b_per_s_k5 == 3.5e-10
-    assert bm.DEFAULT_PARAMS.t2 is bm.DEFAULT_T2_PARAMS
-    assert bm.DEFAULT_PARAMS.t1 is bm.DEFAULT_T1_PARAMS
 
 
 def test_param_validation():

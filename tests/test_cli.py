@@ -80,6 +80,8 @@ class TestPolarization:
         assert cli.main(base + ["0,-3"]) == 2
         assert cli.main(base + ["warm"]) == 2
         assert cli.main(base + ["nan"]) == 2
+        # 7.28 TiB of temperatures: refused before the grid is allocated.
+        assert cli.main(base + ["1:10:log:1000000000000"]) == 2
         zeeman = ["--outdir", str(tmp_path), "polarization", "--t-zeeman-k"]
         assert cli.main(zeeman + ["nan"]) == 2
         assert cli.main(zeeman + ["-1"]) == 2
@@ -248,6 +250,14 @@ class TestSimulate:
         # Finite noise whose draws overflow the amplitudes to inf.
         assert cli.main(inversion + ["--noise", "1.7976931348623157e308"]) == 2
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_inversion_delays_past_float_range_of_t1(self, tmp_path):
+        # T / T1 overflows to inf, which is exactly the recovered plateau.
+        argv = ["--outdir", str(tmp_path), "simulate", "--sequence", "inversion"]
+        rc = cli.main(argv + ["--t1-s", "1e-300", "--tau-max-s", "1e300"])
+        assert rc == 0
+        _, rows = _rows(tmp_path / "trace.csv", "delay_s,amplitude,std_error")
+        assert [row[1] for row in rows[1:]] == [1.0] * (len(rows) - 1)
 
     def test_inversion_default_delays_fit(self, tmp_path):
         out = ["--outdir", str(tmp_path)]
@@ -467,6 +477,8 @@ class TestModelEval:
             ["t2_model", "--temps", "nan"],
             ["t2_model", "--params", "C=0,Gamma_res=0"],
             ["t1_model", "--params", "B=1e300"],  # B T**5 overflows to inf
+            ["t1_model", "--params", "B=0", "--temps", "1e100"],  # 0 * inf
+            ["t1_model", "--temps", "1:10:log:1000000000000"],  # 7.28 TiB grid
         ):
             rc = cli.main(base + extra)
             assert rc == 2, extra

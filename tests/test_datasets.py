@@ -119,6 +119,6 @@ class TestRateConversion:
 
     def test_per_microsecond(self):
         d = ds.bundled("NV", "T2")
-        _, rates, errors = ds.as_rate_data(d, per_microsecond=True)
+        _, rates, errors = ds.as_rate_data(d, time_unit_s=1e-6)
         assert rates[0] == pytest.approx(1e-6 / 6.7e-6, rel=1e-15)
         assert errors[0] == pytest.approx(1e-6 * 0.2e-6 / 6.7e-6**2, rel=1e-15)

@@ -1,15 +1,48 @@
 """Levenberg-Marquardt engine and the model registry."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvbath import bath_model as bm
-from nvbath import fitkit
+from nvbath import datasets, fitkit
 
 
 def _synthetic(model_name, params, x):
     model = fitkit.get_model(model_name)
     return model, model.evaluate(np.asarray(params, dtype=float), np.asarray(x))
+
+
+def _order_cases():
+    """Small noisy data sets ``(model, x, y, sigma)`` covering every registry
+    model, one of them with tied ``x`` (each delay measured twice)."""
+    rng = np.random.default_rng(11)
+    tau = np.linspace(0.0, 25e-6, 9)
+    delays = np.linspace(0.0, 6e-3, 9)
+    cases = {}
+    for name, model_name, x, params in (
+        ("echo", "echo_decay", tau, [1.0, 7e-6]),
+        ("echo_tied_x", "echo_decay", np.repeat(tau, 2), [1.0, 7e-6]),
+        ("recovery", "inversion_recovery", delays, [1.0, 2.0, 1.2e-3]),
+    ):
+        model, y = _synthetic(model_name, params, x)
+        cases[name] = (model, x, y + 0.02 * rng.standard_normal(x.size), None)
+    temps = np.geomspace(1.7, 300.0, 13)
+    model, y = _synthetic("t2_model", [0.58136, 14.7, 0.004], temps)
+    noisy = y * (1.0 + 0.05 * rng.standard_normal(y.size))
+    cases["t2_synthetic"] = (model, temps, noisy, 0.05 * y)
+    for center, quantity in (("NV", "T2"), ("N", "T1")):
+        model = fitkit.get_model(f"{quantity.lower()}_model")
+        dataset = datasets.bundled(center, quantity)
+        rate_data = datasets.as_rate_data(dataset, model.time_unit_s)
+        cases[f"{center}_{quantity}"] = (model, *map(np.array, rate_data))
+    return cases
+
+
+ORDER_CASES = _order_cases()
 
 
 class TestRegistry:
@@ -31,6 +64,15 @@ class TestRegistry:
 
     def test_t2_default_fixes_residual_rate(self):
         assert fitkit.get_model("t2_model").default_fixed == {"Gamma_res": 0.004}
+
+    def test_rate_laws_carry_unit_and_reference_sample(self):
+        t1, t2 = fitkit.get_model("t1_model"), fitkit.get_model("t2_model")
+        assert t1.reference == astuple(bm.DEFAULT_T1_PARAMS)
+        assert t2.reference == astuple(bm.DEFAULT_T2_PARAMS)
+        assert (t1.time_unit_s, t2.time_unit_s) == (1.0, 1e-6)
+        for name in ("echo_decay", "inversion_recovery"):
+            model = fitkit.get_model(name)
+            assert model.time_unit_s is None and model.reference is None
 
     def test_model_evaluations_match_closed_forms(self):
         x = np.geomspace(1.7, 300.0, 9)
@@ -195,16 +237,20 @@ class TestEngineContracts:
         # stderr carries the reduced-chi-square factor and is k-invariant
         np.testing.assert_allclose(a.stderr, b.stderr, rtol=1e-6)
 
-    def test_reorder_bit_identity(self):
-        temps = np.geomspace(1.7, 300.0, 13)
-        model, y = _synthetic("t2_model", [0.58136, 14.7, 0.004], temps)
-        rng = np.random.default_rng(11)
-        noisy = y * (1.0 + 0.05 * rng.standard_normal(y.size))
-        sigma = 0.05 * y
-        perm = rng.permutation(temps.size)
-        a = fitkit.fit(model, temps, noisy, sigma=sigma)
-        b = fitkit.fit(model, temps[perm], noisy[perm], sigma=sigma[perm])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_reorder_bit_identity(self, data):
+        name = data.draw(st.sampled_from(sorted(ORDER_CASES)), label="case")
+        model, x, y, sigma = ORDER_CASES[name]
+        perm = np.array(data.draw(st.permutations(range(x.size)), label="order"))
+        a = fitkit.fit(model, x, y, sigma=sigma)
+        b = fitkit.fit(
+            model, x[perm], y[perm], sigma=None if sigma is None else sigma[perm]
+        )
         assert np.array_equal(a.params, b.params)
+        assert np.array_equal(a.stderr, b.stderr)
+        for field in ("cost", "n_iterations", "message", "cost_history"):
+            assert getattr(a, field) == getattr(b, field), field
 
     def test_fixed_parameter_exact_pass_through(self):
         temps = np.geomspace(1.7, 300.0, 13)
@@ -242,7 +288,7 @@ class TestEngineContracts:
             temps,
             noisy,
             init={"C": 40.0, "T_Ze": 4000.0},
-            options=fitkit.FitOptions(max_iterations=1),
+            max_iterations=1,
         )
         assert not result.converged
         assert result.n_iterations == 1
