@@ -384,8 +384,8 @@ def _cmd_simulate(args) -> int:
     tau_max = args.tau_max_s
     if tau_max is None:
         tau_max = _INVERSION_TAU_MAX_T1 * args.t1_s if inversion else _HAHN_TAU_MAX_S
-    if args.tau_points < 2:
-        raise ValueError("need at least two delay points")
+    if not 2 <= args.tau_points <= spectra.MAX_GRID_POINTS:
+        raise ValueError(f"need 2 to {spectra.MAX_GRID_POINTS} delay points")
     if not 0 < tau_max < math.inf:
         raise ValueError("delay maximum must be positive and finite")
     delays = np.linspace(0.0, tau_max, args.tau_points)

@@ -78,7 +78,6 @@ class FitResult:
     n_iterations: int
     cost: float
     reduced_chisq: float
-    residuals: np.ndarray
     cost_history: tuple[float, ...]
     message: str
 
@@ -113,7 +112,12 @@ def fit(
         below ``COST_TOLERANCE`` or a gradient below ``GRADIENT_TOLERANCE``.
 
     Returns a :class:`FitResult`; non-convergence is reported through the
-    ``converged`` flag, never raised.
+    ``converged`` flag and ``message``, never raised. Converged means the
+    gradient test passed, or the cost test passed in an iteration whose trial
+    steps all stayed in the model's domain. A cost-test pass after a trial
+    step left the domain (a stall at its edge), no downhill step in 60
+    damping tries, and the iteration limit are not converged. Starting values
+    whose cost is not finite raise ``ValueError``.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
@@ -141,11 +145,14 @@ def fit(
             f"unknown fixed parameter(s) {sorted(unknown)}; "
             f"model {model.name} has {list(model.param_names)}"
         )
-    theta0 = _starting_vector(model, x_arr, y_arr, init)
+    theta0 = np.asarray(model.initial_guess(x_arr, y_arr), dtype=float)
+    init = init or {}
+    unknown = set(init) - set(model.param_names)
+    if unknown:
+        raise ValueError(f"unknown init parameter(s) {sorted(unknown)}")
     fixed_mask = np.array([name in fixed for name in model.param_names])
     for j, name in enumerate(model.param_names):
-        if name in fixed:
-            theta0[j] = float(fixed[name])
+        theta0[j] = float(fixed.get(name, init.get(name, theta0[j])))
     free = ~fixed_mask
     n_free = int(free.sum())
     if n_free == 0:
@@ -161,11 +168,12 @@ def fit(
         names = [model.param_names[j] for j in np.flatnonzero(bad)]
         raise ValueError(f"positive parameters need positive starts: {names}")
 
-    theta, diag = _levenberg_marquardt(
-        model, x_arr, y_arr, sig_arr, theta0, free, positive, max_iterations
+    theta, resid, n_iterations, converged, message, cost_history = (
+        _levenberg_marquardt(
+            model, x_arr, y_arr, sig_arr, theta0, free, positive, max_iterations
+        )
     )
 
-    resid = (y_arr - model.evaluate(theta, x_arr)) / sig_arr
     cost = float(resid @ resid)
     dof = x_arr.size - n_free
     reduced = cost / dof if dof > 0 else float("nan")
@@ -189,78 +197,53 @@ def fit(
         stderr=stderr,
         covariance=cov_full,
         fixed=tuple(bool(b) for b in fixed_mask),
-        converged=diag["converged"],
-        n_iterations=diag["iterations"],
+        converged=converged,
+        n_iterations=n_iterations,
         cost=cost,
         reduced_chisq=reduced,
-        residuals=resid,
-        cost_history=tuple(diag["cost_history"]),
-        message=diag["message"],
+        cost_history=tuple(cost_history),
+        message=message,
     )
 
 
-def _starting_vector(model, x, y, init) -> np.ndarray:
-    theta0 = np.asarray(model.initial_guess(x, y), dtype=float)
-    init = init or {}
-    unknown = set(init) - set(model.param_names)
-    if unknown:
-        raise ValueError(f"unknown init parameter(s) {sorted(unknown)}")
-    for j, name in enumerate(model.param_names):
-        if name in init:
-            theta0[j] = float(init[name])
-    return theta0
-
-
 def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, max_iterations):
-    """Damped least squares in the transformed (log where positive) space."""
+    """Damped least squares in the transformed (log where positive) space.
 
-    def to_internal(theta):
-        z = theta[free].copy()
-        logs = positive[free]
-        z[logs] = np.log(z[logs])
-        return z
+    Returns ``(theta, residuals, iterations, converged, message,
+    cost_history)`` from the line whose test decides the stop.
+    """
+    logs = positive[free]
 
-    def to_theta(z, template):
-        theta = template.copy()
+    def to_theta(z):
+        theta = theta0.copy()
         vals = z.copy()
-        logs = positive[free]
         vals[logs] = np.exp(vals[logs])
         theta[free] = vals
         return theta
 
-    def residuals(theta):
-        return (y - model.evaluate(theta, x)) / sigma
-
-    def jacobian_internal(theta):
-        # d residual / d z = -(df/dtheta) * (dtheta/dz) / sigma
-        j_theta = model.jacobian(theta, x)[:, free]
-        scale = np.ones(free.sum())
-        logs = positive[free]
-        scale[logs] = theta[free][logs]
-        return -(j_theta * scale[None, :]) / sigma[:, None]
-
-    theta = theta0.copy()
-    z = to_internal(theta)
-    r = residuals(theta)
-    cost = float(r @ r)
-    cost_history = [cost]
+    theta = theta0
+    z = theta0[free]
+    z[logs] = np.log(z[logs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (y - model.evaluate(theta, x)) / sigma
+        cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise ValueError("the fit's cost at its starting values is not finite")
+    history = [cost]
     lam = 1e-3
-    converged = False
-    message = "maximum iterations reached"
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        jac = jacobian_internal(theta)
+    for k in range(1, max_iterations + 1):
+        # d residual / d z = -(df/dtheta) * (dtheta/dz) / sigma
+        scale = np.ones(logs.size)
+        scale[logs] = theta[free][logs]
+        jac = -(model.jacobian(theta, x)[:, free] * scale[None, :]) / sigma[:, None]
         grad = jac.T @ r
         if np.max(np.abs(2.0 * grad)) < GRADIENT_TOLERANCE:
-            converged = True
-            message = "gradient norm below tolerance"
-            iterations -= 1
-            break
+            return theta, r, k - 1, True, "gradient norm below tolerance", history
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         floor = 1e-32 * max(float(np.max(diag)), 1.0)
         diag = np.maximum(diag, floor)
-        accepted = False
+        left_domain = False
         for _ in range(60):
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
@@ -270,35 +253,29 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, max_iterati
             # Overflow to inf, or a step out of the model's domain (a
             # ValueError, e.g. T_Ze underflowing to 0), rejects a wild step.
             with np.errstate(over="ignore", invalid="ignore"):
-                theta_trial = to_theta(z_trial, theta)
+                theta_trial = to_theta(z_trial)
                 try:
-                    r_trial = residuals(theta_trial)
+                    r_trial = (y - model.evaluate(theta_trial, x)) / sigma
+                    cost_trial = float(r_trial @ r_trial)
                 except ValueError:
-                    r_trial = np.full_like(r, math.inf)
-                cost_trial = float(r_trial @ r_trial)
-            if np.isfinite(cost_trial) and cost_trial <= cost:
-                accepted = True
+                    cost_trial = math.inf
+            if cost_trial <= cost:  # false for inf and nan: cost is finite
                 break
+            left_domain |= not math.isfinite(cost_trial)
             lam = min(lam * 10.0, 1e14)
-        if not accepted:
-            converged = True
-            message = "no downhill step found (local minimum at damping limit)"
-            break
+        else:
+            return theta, r, k, False, "stalled: no downhill step found", history
         change = cost - cost_trial
         z, theta, r = z_trial, theta_trial, r_trial
         prev_cost, cost = cost, cost_trial
-        cost_history.append(cost)
+        history.append(cost)
         lam = max(lam / 3.0, 1e-12)
         if cost == 0.0 or change < COST_TOLERANCE * max(prev_cost, 1e-300):
-            converged = True
-            message = "relative cost change below tolerance"
-            break
-    return theta, {
-        "converged": converged,
-        "iterations": iterations,
-        "cost_history": cost_history,
-        "message": message,
-    }
+            if left_domain:
+                return theta, r, k, False, "stalled at the edge of the domain", history
+            return theta, r, k, True, "relative cost change below tolerance", history
+    # Each iteration accepted one step, so this is max_iterations (0 if < 0).
+    return theta, r, len(history) - 1, False, "maximum iterations reached", history
 
 
 def jacobian_check(

@@ -45,6 +45,10 @@ _NEGLIGIBLE_EVENTS = 1e-12
 # may allocate; the default 300 K run needs 2.7e3, the 8-byte times and the
 # event-count broadcast over 2 x 41 delays then stay under about 0.4 GB.
 _MAX_EVENT_BUFFER = 4_000_000
+# Largest event-count broadcast (buffer x 2 x delays, one byte each) and
+# echo array (realizations x delays, 8 bytes each): about 0.4 GB apiece.
+_MAX_EVENT_CELLS = 82 * _MAX_EVENT_BUFFER
+_MAX_ECHO_CELLS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,9 @@ class BathNoiseConfig:
     def __post_init__(self) -> None:
         if self.n_sources < 1:
             raise ValueError("n_sources must be >= 1")
-        if not 0 <= self.coupling_scale < math.inf:
-            raise ValueError("coupling_scale must be non-negative and finite")
+        # The couplings reach coupling_scale * 2**53 (1 - U is at least 2**-53).
+        if not 0 <= self.coupling_scale * 2.0**53 < math.inf:
+            raise ValueError("coupling_scale * 2**53 must be non-negative and finite")
         if not 0 <= self.base_rate < math.inf:
             raise ValueError("base_rate must be non-negative and finite")
         if not (0 < self.temperature < math.inf and 0 < self.t_zeeman < math.inf):
@@ -100,20 +105,28 @@ class DecayTrace:
     def __post_init__(self) -> None:
         if self.sequence not in (SEQUENCE_HAHN, SEQUENCE_INVERSION):
             raise ValueError(f"unknown sequence {self.sequence!r}")
+        _delay_grid(self.delays)
         if not (
             self.delays.shape == self.amplitude.shape == self.std_error.shape
         ):
             raise ValueError("delay, amplitude and std_error lengths differ")
-        if np.any(np.diff(self.delays) <= 0):
-            raise ValueError("delays must be strictly increasing")
-        if self.delays[0] < 0:
-            raise ValueError("delays must be non-negative")
         if not np.all(np.isfinite(self.amplitude)):
             raise ValueError("amplitudes must be finite")
         if not np.all((self.std_error >= 0) & (self.std_error < math.inf)):
             raise ValueError("standard errors must be non-negative and finite")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
+
+
+def _delay_grid(delays: Sequence[float]) -> np.ndarray:
+    """The delays as a float array, refused unless 1-d, non-empty, finite,
+    >= 0 and strictly increasing."""
+    t = np.asarray(delays, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("delays must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(t)) or t[0] < 0 or np.any(np.diff(t) <= 0):
+        raise ValueError("delays must be finite, >= 0 and strictly increasing")
+    return t
 
 
 def _rng(seed: int, realization: int) -> np.random.Generator:
@@ -163,24 +176,32 @@ def simulate_hahn_echo(
     cos(Phi(tau)) at every tau of the grid. The trace reports the mean and
     standard error over realizations.
     """
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or tau.size == 0:
-        raise ValueError("tau grid must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(tau)) or tau[0] < 0 or np.any(np.diff(tau) <= 0):
-        raise ValueError("tau grid must be finite, >= 0 and strictly increasing")
+    tau = _delay_grid(tau_grid)
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
     rate = effective_rate(cfg)
     shared = None if cfg.fixed_couplings is None else sample_couplings(cfg)
-    # Checked in floating point, before any allocation or int conversion.
-    buffer = cfg.n_sources * _draws_per_source(rate * 2.0 * tau[-1])
+    # Checked in Python floats (which overflow to inf quietly), before any
+    # allocation or int conversion.
+    buffer = cfg.n_sources * _draws_per_source(rate * 2.0 * float(tau[-1]))
     if buffer > _MAX_EVENT_BUFFER:
         raise ValueError(
             f"one realization would buffer {buffer:.3g} switching times "
             f"({cfg.n_sources} sources), over the limit of {_MAX_EVENT_BUFFER:.3g}; "
             "shorten the delays or lower the switching rate"
+        )
+    if buffer * 2.0 * tau.size > _MAX_EVENT_CELLS:
+        raise ValueError(
+            f"one realization would compare {buffer:.3g} switching times with "
+            f"{2 * tau.size} window ends, over the limit of {_MAX_EVENT_CELLS:.3g} "
+            "cells; use fewer delays or sources"
+        )
+    if n_realizations * tau.size > _MAX_ECHO_CELLS:
+        raise ValueError(
+            f"{n_realizations} realizations x {tau.size} delays is over the "
+            f"limit of {_MAX_ECHO_CELLS:.3g} echo values; use fewer of either"
         )
     echoes = np.empty((n_realizations, tau.size))
 
@@ -278,11 +299,7 @@ def simulate_inversion_recovery(
         raise ValueError(f"t1 must be positive and finite, got {t1}")
     if not 0 <= noise_amplitude < math.inf:
         raise ValueError("noise amplitude must be non-negative and finite")
-    t = np.asarray(delays, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("delay grid must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(t)) or t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValueError("delays must be finite, >= 0 and strictly increasing")
+    t = _delay_grid(delays)
     # T/T1 may overflow to inf (exp gives 0); DecayTrace rejects inf amplitudes.
     with np.errstate(over="ignore"):
         amplitude = 1.0 - 2.0 * np.exp(-t / t1)

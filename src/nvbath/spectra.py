@@ -265,13 +265,17 @@ def convolve(
                 stacklevel=2,
             )
         # 8 sigma window: the discarded tail is < 1e-14 of the line area.
-        lo = int(np.searchsorted(grid, stick.field_t - 8 * sigma))
-        hi = int(np.searchsorted(grid, stick.field_t + 8 * sigma))
-        if lo >= hi:
-            continue
-        x = grid[lo:hi] - stick.field_t
-        gauss = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        amplitude[lo:hi] += stick.weight * (-x / sigma**2) * gauss
+        # An absurd linewidth overflows 8 sigma and sigma**2 to inf, which
+        # spans the grid with a flat line; absurd populations overflow the
+        # sum to inf or nan, which analyze_peaks refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = int(np.searchsorted(grid, stick.field_t - 8 * sigma))
+            hi = int(np.searchsorted(grid, stick.field_t + 8 * sigma))
+            if lo >= hi:
+                continue
+            x = grid[lo:hi] - stick.field_t
+            gauss = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+            amplitude[lo:hi] += stick.weight * (-x / sigma**2) * gauss
     return Spectrum(
         field_t=grid,
         amplitude=amplitude,

@@ -244,6 +244,16 @@ class TestSimulate:
         assert cli.main(base + ["--tau-max-s", "inf"]) == 2
         # Refused before the event buffer is allocated.
         assert cli.main(base + ["--tau-max-s", "1e300"]) == 2
+        # Refused before allocating 7.28 TiB of delays, a 251 GiB event-count
+        # broadcast, or a 7.28 TiB echo array.
+        assert cli.main(base + ["--tau-points", "1000000000000"]) == 2
+        sizes = "--realizations 1 --sources 1000 --tau-points 5000000"
+        assert cli.main(base + sizes.split()) == 2
+        sizes = "--realizations 10000000 --tau-points 100000 --sources 1"
+        assert cli.main(base + sizes.split()) == 2
+        # The couplings, up to coupling_scale * 2**53, would overflow.
+        sizes = "--realizations 2 --tau-points 3 --sources 2"
+        assert cli.main(base + sizes.split() + ["--coupling-scale", "1e308"]) == 2
         inversion = base + ["--sequence", "inversion"]
         assert cli.main(inversion + ["--t1-s", "nan"]) == 2
         assert cli.main(inversion + ["--noise", "nan"]) == 2
@@ -296,6 +306,29 @@ class TestFit:
         assert float(values["Gamma_res"][2]) == 0.0
         report = (tmp_path / "t2fit.txt").read_text()
         assert "converged: True" in report
+
+    def test_free_and_unweighted_flags(self, tmp_path):
+        data = tmp_path / "nv_t2.csv"
+        datasets.save_csv(datasets.bundled("NV", "T2"), data)
+        base = ["--outdir", str(tmp_path), "fit", "--model", "t2_model"]
+        base += ["--data", str(data), "--output-prefix"]
+        runs = {
+            "weighted": [],
+            "free": ["--free", "Gamma_res"],
+            "unweighted": ["--unweighted"],
+        }
+        fits = {}
+        for prefix, extra in runs.items():
+            assert cli.main(base + [prefix] + extra) == 0
+            lines = (tmp_path / f"{prefix}.csv").read_text().splitlines()
+            fits[prefix] = lines[0], {l.split(",")[0]: l.split(",") for l in lines[2:]}
+        _, free = fits["free"]
+        assert free["Gamma_res"][3] == "0"
+        assert 0.0 < float(free["Gamma_res"][2]) < math.inf
+        weighted_line, weighted = fits["weighted"]
+        unweighted_line, unweighted = fits["unweighted"]
+        assert weighted_line != unweighted_line  # "unweighted" is hashed
+        assert float(weighted["T_Ze"][1]) != float(unweighted["T_Ze"][1])
 
     def test_echo_trace_fit(self, tmp_path):
         rc = cli.main(
@@ -549,12 +582,13 @@ FUZZ = settings(max_examples=50, deadline=None)
 
 
 def _assert_exit_contract(argv, outdir):
-    """Exit code in {0, 2, 3, 4}; exit 2 prints one ``error:`` line; exit 0
-    writes no ``nan`` or ``inf`` data cell."""
+    """Exit code in {0, 2, 3, 4} and no ``RuntimeWarning`` (pyproject.toml
+    makes it an error); exit 2 prints one ``error:`` line; exit 0 writes no
+    ``nan`` or ``inf`` data cell."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # coverage warnings are not errors
+            warnings.simplefilter("ignore", UserWarning)  # spectrum coverage
             rc = cli.main(["--outdir", str(outdir)] + argv)
     assert rc in (0, 2, 3, 4), (argv, rc)
     if rc == 2:
@@ -610,6 +644,7 @@ class TestExitCodeContract:
         flags=_flags(HAHN + ["--t1-s", "--noise"]),
     )
     @example(sequence="inversion", flags={"--noise": "1.7976931348623157e+308"})
+    @example(sequence="hahn", flags={"--coupling-scale": "1e308"})
     def test_simulate(self, sequence, flags):
         sizes = "--realizations 2 --tau-points 3 --sources 2 --threads 1".split()
         argv = ["simulate", "--sequence", sequence] + sizes
@@ -625,6 +660,8 @@ class TestExitCodeContract:
         value=NUMBERS,
     )
     @example(model="t2_model", kind="--fix", index=0, value="0.0")
+    @example(model="t1_model", kind="--fix", index=0, value="1e300")
+    @example(model="t1_model", kind="--fix", index=1, value="1e300")
     def test_fit(self, model, kind, index, value):
         names = fitkit.get_model(model).param_names
         name = names[index % len(names)]

@@ -296,7 +296,8 @@ class TestEngineContracts:
 
     def test_step_out_of_domain_is_rejected(self):
         # A trial step the model refuses (ValueError, like T_Ze reaching 0 in
-        # the rate models) is rejected like an overflow, not raised.
+        # the rate models) is rejected like an overflow, not raised; a fit
+        # that stops against the domain's edge is stalled, not converged.
         def evaluate(p, x):
             if p[0] > 1.5:
                 raise ValueError("slope outside the model's domain")
@@ -315,6 +316,12 @@ class TestEngineContracts:
         result = fitkit.fit(bounded, x, 2.0 * x)
         assert 1.0 < result.params[0] <= 1.5
         assert np.isfinite(result.cost)
+        assert not result.converged
+        assert "edge" in result.message
+        # Started on the edge, every step leaves the domain: no downhill step.
+        result = fitkit.fit(bounded, x, 2.0 * x, init={"k": 1.5})
+        assert (result.params[0], result.converged) == (1.5, False)
+        assert "no downhill step" in result.message
 
     def test_all_fixed_raises(self):
         model = fitkit.get_model("t1_model")

@@ -155,6 +155,13 @@ class TestHahnEcho:
         # Refused before the switching-time buffer is allocated.
         with pytest.raises(ValueError, match="buffer"):
             ps.simulate_hahn_echo(cfg, [0.0, 1e300], 10)
+        # Refused before the (1000, 27, 10**7) event-count broadcast, 251 GiB.
+        wide = ps.BathNoiseConfig(n_sources=1000)
+        with pytest.raises(ValueError, match="window ends"):
+            ps.simulate_hahn_echo(wide, np.linspace(0.0, 25e-6, 5_000_000), 1)
+        # Refused before the (10**12, 41) echo array, 298 TiB.
+        with pytest.raises(ValueError, match="realizations"):
+            ps.simulate_hahn_echo(cfg, np.linspace(0.0, 25e-6, 41), 10**12)
 
     def test_matches_fixed_step_oracle(self):
         # Single telegraph source against the 1 ns fixed-step integrator,
@@ -279,6 +286,13 @@ class TestConfigValidation:
             ps.DecayTrace(**{**good, "std_error": np.array([0.0, math.nan])})
         with pytest.raises(ValueError, match="finite"):
             ps.DecayTrace(**{**good, "amplitude": np.array([1.0, math.inf])})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ps.DecayTrace(**{**good, "delays": np.array([0.0, bad])})
+        grid = np.array([[0.0, 1e-6], [2e-6, 3e-6]])
+        two_d = dict.fromkeys(("delays", "amplitude", "std_error"), grid)
+        with pytest.raises(ValueError, match="1-d"):
+            ps.DecayTrace(**{**good, **two_d})
         with pytest.raises(ValueError):
             ps.DecayTrace(**{**good, "n_realizations": 0})
 
