@@ -108,7 +108,7 @@ def fit(
         Name -> value mapping of parameters to pin. ``None`` applies the
         model's ``default_fixed``; pass ``{}`` to free everything.
     max_iterations:
-        Iteration limit; the search also stops on a relative cost change
+        Iteration limit, >= 0; the search also stops on a relative cost change
         below ``COST_TOLERANCE`` or a gradient below ``GRADIENT_TOLERANCE``.
 
     Returns a :class:`FitResult`; non-convergence is reported through the
@@ -133,6 +133,8 @@ def fit(
             raise ValueError("sigma values must be positive")
     if not (np.all(np.isfinite(x_arr)) and np.all(np.isfinite(y_arr))):
         raise ValueError("data contains non-finite values")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     # Fixed summation order regardless of input ordering.
     order = np.lexsort((sig_arr, y_arr, x_arr))
     x_arr, y_arr, sig_arr = x_arr[order], y_arr[order], sig_arr[order]
@@ -274,7 +276,7 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, max_iterati
             if left_domain:
                 return theta, r, k, False, "stalled at the edge of the domain", history
             return theta, r, k, True, "relative cost change below tolerance", history
-    # Each iteration accepted one step, so this is max_iterations (0 if < 0).
+    # Each iteration accepted one step, so this is max_iterations.
     return theta, r, len(history) - 1, False, "maximum iterations reached", history
 
 

@@ -8,10 +8,16 @@ through the Zeeman temperature freezes the bath and the echo decay slows.
 
 A Hahn echo (pi/2 - tau - pi - tau) accumulates the phase
 ``Phi = int_0^tau dw dt - int_tau^2tau dw dt`` and the echo amplitude is the
-realization average of cos(Phi). Trajectories are integrated event by event
-(exact, no time step). Realization r draws from a counter-based stream keyed
-by (seed, r), so results are bit-identical for any worker count and any
-chunking of the realization loop.
+realization average of cos(Phi). A switching event at time t adds
+``+-2 b h(tau, t)`` to Phi, with the Hahn filter
+``h = 2 (tau - t)+ - (2 tau - t)+``, so the phase is an exact sum over events
+(no time step). Realization r draws from a counter-based stream keyed by
+(seed, r), so results are bit-identical for any worker count and any
+chunking of the realization loop. Each source's events are drawn once at the
+hot-limit rate (a Poisson count of sorted uniform times) and stretched by
+hot rate / rate: every temperature of a scan sees the same events on a
+slower clock. The work per realization is therefore bounded by its
+hot-limit events, and a cold run with a huge base rate may be refused.
 
 Couplings follow the dipolar ``b = coupling_scale / r**3`` law for sources
 placed uniformly in the unit ball, with random sign; by default each
@@ -41,13 +47,11 @@ _UINT64_MASK = (1 << 64) - 1
 # Events with expected count below this are treated as none at all.
 _NEGLIGIBLE_EVENTS = 1e-12
 
-# Largest switching-time buffer (sources x draws per source) one realization
-# may allocate; the default 300 K run needs 2.7e3, the 8-byte times and the
-# event-count broadcast over 2 x 41 delays then stay under about 0.4 GB.
-_MAX_EVENT_BUFFER = 4_000_000
-# Largest event-count broadcast (buffer x 2 x delays, one byte each) and
-# echo array (realizations x delays, 8 bytes each): about 0.4 GB apiece.
-_MAX_EVENT_CELLS = 82 * _MAX_EVENT_BUFFER
+# Largest Hahn filter one realization may evaluate (sources x most events of
+# one source x delays; the default 300 K run needs at most 2.5e4), so that
+# its 8-byte temporaries stay near 0.4 GB; and largest echo array
+# (realizations x delays, 8 bytes each), about 0.4 GB.
+_MAX_FILTER_CELLS = 16_000_000
 _MAX_ECHO_CELLS = 50_000_000
 
 
@@ -183,20 +187,14 @@ def simulate_hahn_echo(
         raise ValueError("threads must be >= 1")
     rate = effective_rate(cfg)
     shared = None if cfg.fixed_couplings is None else sample_couplings(cfg)
-    # Checked in Python floats (which overflow to inf quietly), before any
-    # allocation or int conversion.
-    buffer = cfg.n_sources * _draws_per_source(rate * 2.0 * float(tau[-1]))
-    if buffer > _MAX_EVENT_BUFFER:
+    # Checked in Python floats (which overflow to inf quietly) before numpy
+    # sees the Poisson mean; each realization checks its own draw exactly.
+    events = cfg.n_sources * (max(cfg.base_rate, rate) * 2.0 * float(tau[-1]) + 1.0)
+    if events * tau.size > _MAX_FILTER_CELLS:
         raise ValueError(
-            f"one realization would buffer {buffer:.3g} switching times "
-            f"({cfg.n_sources} sources), over the limit of {_MAX_EVENT_BUFFER:.3g}; "
-            "shorten the delays or lower the switching rate"
-        )
-    if buffer * 2.0 * tau.size > _MAX_EVENT_CELLS:
-        raise ValueError(
-            f"one realization would compare {buffer:.3g} switching times with "
-            f"{2 * tau.size} window ends, over the limit of {_MAX_EVENT_CELLS:.3g} "
-            "cells; use fewer delays or sources"
+            f"one realization would filter about {events:.3g} switching events x "
+            f"{tau.size} delays, over the limit of {_MAX_FILTER_CELLS:.3g}; shorten "
+            "the delays, lower the base rate, or use fewer sources or delays"
         )
     if n_realizations * tau.size > _MAX_ECHO_CELLS:
         raise ValueError(
@@ -251,37 +249,33 @@ def _one_realization(
     n = couplings.size
     s0 = rng.integers(0, 2, n) * 2 - 1
     t_end = 2.0 * tau[-1]
-    if rate * t_end < _NEGLIGIBLE_EVENTS or t_end == 0.0:
+    if rate * t_end < _NEGLIGIBLE_EVENTS:
         # Static noise refocuses exactly.
         return np.ones_like(tau)
-    m_cap = int(_draws_per_source(rate * t_end))
-    times = rng.exponential(1.0 / rate, (n, m_cap)).cumsum(axis=1)
-    while float(times[:, -1].min()) < t_end:
-        extra = rng.exponential(1.0 / rate, (n, m_cap)).cumsum(axis=1)
-        times = np.concatenate([times, times[:, -1:] + extra], axis=1)
-
-    # Running integral of s(t): with events t_1 < t_2 < ... and N = N(t),
-    # S(t) = s0 * ((-1)^N t + 2 sum_{k<=N} (-1)^{k+1} t_k).
-    alt = np.ones(times.shape[1])
-    alt[1::2] = -1.0
-    alt_sums = np.concatenate(
-        [np.zeros((n, 1)), np.cumsum(times * alt, axis=1)], axis=1
-    )
-    t_eval = np.concatenate([tau, 2.0 * tau])
-    counts = (times[:, :, None] <= t_eval[None, None, :]).sum(axis=1)
-    parity = np.where(counts % 2 == 0, 1.0, -1.0)
-    s_int = s0[:, None] * (
-        parity * t_eval[None, :] + 2.0 * np.take_along_axis(alt_sums, counts, axis=1)
-    )
-    g = tau.size
-    window_diff = 2.0 * s_int[:, :g] - s_int[:, g:]
-    phase = couplings @ window_diff
-    return np.cos(phase)
-
-
-def _draws_per_source(mean_events: float) -> float:
-    """First batch of switching times per source: the mean plus ten sigma."""
-    return mean_events + 10.0 * math.sqrt(mean_events) + 20.0
+    # Every temperature draws the same events at the hot-limit rate and slows
+    # their clock by hot / rate, so a quench scan shares its random numbers.
+    hot = max(cfg.base_rate, rate)
+    counts = rng.poisson(hot * t_end, n)
+    m = int(counts.max())
+    if n * m * tau.size > _MAX_FILTER_CELLS:
+        raise ValueError(
+            f"realization {realization} drew up to {m} switching events per source; "
+            f"{n} sources x {m} x {tau.size} delays is over the limit of "
+            f"{_MAX_FILTER_CELLS:.3g}"
+        )
+    drawn = np.arange(m) < counts[:, None]
+    times = np.full((n, m), math.inf)
+    times[drawn] = rng.random(int(counts.sum()))
+    times.sort(axis=1)
+    source, k = np.nonzero(drawn)
+    with np.errstate(over="ignore"):  # an event at t = inf has h = 0
+        t = (times[drawn] * t_end * (hot / rate))[:, None]
+    # Event k (from 0) turns its source's sign s0 into s0 (-1)^(k+1), so
+    # Phi = sum 2 b s0 (-1)^(k+1) h(tau, t), with the Hahn filter
+    # h = 2 (tau - t)+ - (2 tau - t)+.
+    weight = np.where(k % 2 == 0, -2.0, 2.0) * (couplings * s0)[source]
+    h = 2.0 * np.maximum(tau - t, 0.0) - np.maximum(2.0 * tau - t, 0.0)
+    return np.cos(weight @ h)
 
 
 def simulate_inversion_recovery(

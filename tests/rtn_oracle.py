@@ -7,7 +7,9 @@ the probability of an odd number of Poisson switches inside one step. Window
 integrals are left-Riemann sums on that grid. RNG streams are PCG64 (a
 different family from the production code) seeded per chunk.
 
-Slow by construction; used only in tests.
+The Bernoulli(q) flip of each step is drawn as geometric gaps between flips
+(the same law, about 1/q times fewer draws), and the Riemann sums come from
+the exact integer identity of :func:`running_sums`. Used only in tests.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def hahn_echo_fixed_step(
         raise ValueError("tau grid must align with the oracle step")
     n_steps = int(2 * tau_idx.max())
     q = 0.5 * (1.0 - np.exp(-2.0 * rate * dt))
+    width = int(n_steps * q + 10.0 * np.sqrt(n_steps * q) + 20.0)
 
     total = np.zeros(tau_grid.size)
     total_sq = np.zeros(tau_grid.size)
@@ -46,16 +49,14 @@ def hahn_echo_fixed_step(
         m = min(chunk, n_realizations - done)
         rng = np.random.default_rng((seed, chunk_index))
         s0 = rng.integers(0, 2, size=(m, 1)) * 2 - 1
-        flips = rng.random(size=(m, n_steps)) < q
-        # s before step k = s0 * (-1)^(flips in steps < k); cumulative state
-        state = s0 * np.where(np.cumsum(flips, axis=1, dtype=np.int64) % 2 == 0, 1, -1)
-        state = np.concatenate([s0, state[:, :-1]], axis=1)
-        integral = np.concatenate(
-            [np.zeros((m, 1)), np.cumsum(state, axis=1, dtype=np.float64) * dt],
-            axis=1,
-        )
-        first = integral[:, tau_idx]
-        total_window = integral[:, 2 * tau_idx]
+        # Steps between Bernoulli(q) flips are geometric; draw until every
+        # row has passed the last step.
+        gaps = rng.geometric(q, size=(m, width))
+        while gaps.sum(axis=1).min() <= n_steps:
+            gaps = np.concatenate([gaps, rng.geometric(q, size=(m, width))], axis=1)
+        positions = np.cumsum(gaps, axis=1) - 1
+        first = running_sums(s0, positions, tau_idx) * dt
+        total_window = running_sums(s0, positions, 2 * tau_idx) * dt
         phase = coupling * (2.0 * first - total_window)
         echo = np.cos(phase)
         total += echo.sum(axis=0)
@@ -70,3 +71,15 @@ def hahn_echo_fixed_step(
     else:
         stderr = np.zeros_like(mean)
     return mean, stderr
+
+
+def running_sums(s0: np.ndarray, positions: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``sum_{k<j} s(k)`` per row, with ``s(k) = s0 (-1)^N(k)`` and N(k) the
+    flips at steps before k.
+
+    With flip i (from 1) at step ``positions[:, i-1]``, sorted per row, the
+    sum is ``s0 (j + 2 sum_i (-1)^i (j - 1 - pos_i)+)``, exact in integers.
+    """
+    sign = np.where(np.arange(positions.shape[1]) % 2 == 0, -2, 2)
+    late = np.maximum(j[None, None, :] - 1 - positions[:, :, None], 0)
+    return s0 * (j + (sign[None, :, None] * late).sum(axis=1))

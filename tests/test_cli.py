@@ -387,6 +387,7 @@ class TestFit:
         assert cli.main(base + ["--model", "t2_model", "--fix", "Gamma=1"]) == 2
         assert cli.main(base + ["--model", "t2_model", "--init", "T_Ze"]) == 2
         assert cli.main(base + ["--model", "t2_model", "--fix", "T_Ze=-1"]) == 2
+        assert cli.main(base + ["--model", "t2_model", "--max-iterations", "-1"]) == 2
         # C = 0 leaves T_Ze undetermined: no stderr, so no output files.
         assert cli.main(base + ["--model", "t2_model", "--fix", "C=0"]) == 2
         assert not (tmp_path / "fit.csv").exists()
@@ -645,6 +646,11 @@ class TestExitCodeContract:
     )
     @example(sequence="inversion", flags={"--noise": "1.7976931348623157e+308"})
     @example(sequence="hahn", flags={"--coupling-scale": "1e308"})
+    # Events stretched past 1e308 s at 0.5 K (rate / base rate about 4e-10).
+    @example(
+        sequence="hahn",
+        flags={"--tau-max-s": "1e300", "--base-rate": "1e-300", "--temp": "0.5"},
+    )
     def test_simulate(self, sequence, flags):
         sizes = "--realizations 2 --tau-points 3 --sources 2 --threads 1".split()
         argv = ["simulate", "--sequence", sequence] + sizes

@@ -13,6 +13,7 @@ import pytest
 from nvbath import pulse_sim as ps
 from nvbath.bath_model import flip_flop_factor
 
+import rtn_exact
 import rtn_oracle
 
 # First four couplings of the (seed=1, realization=0) Philox stream with the
@@ -152,13 +153,19 @@ class TestHahnEcho:
             ps.simulate_hahn_echo(cfg, [0.0, math.nan], 10)
         with pytest.raises(ValueError):
             ps.simulate_hahn_echo(cfg, [0.0, math.inf], 10)
-        # Refused before the switching-time buffer is allocated.
-        with pytest.raises(ValueError, match="buffer"):
+        # Refused before numpy sees a Poisson mean of 2e304 events.
+        with pytest.raises(ValueError, match="would filter"):
             ps.simulate_hahn_echo(cfg, [0.0, 1e300], 10)
-        # Refused before the (1000, 27, 10**7) event-count broadcast, 251 GiB.
+        # Refused before a Hahn filter over 1000 sources x 5e6 delays.
         wide = ps.BathNoiseConfig(n_sources=1000)
-        with pytest.raises(ValueError, match="window ends"):
+        with pytest.raises(ValueError, match="would filter"):
             ps.simulate_hahn_echo(wide, np.linspace(0.0, 25e-6, 5_000_000), 1)
+        # One event per source on average passes the pre-flight (1000 x
+        # (1 + 1) x 5000 cells), but the busiest of 1000 sources draws
+        # several, and 1000 x that x 5000 is over the limit.
+        busy = ps.BathNoiseConfig(n_sources=1000, base_rate=2e4)
+        with pytest.raises(ValueError, match="drew up to"):
+            ps.simulate_hahn_echo(busy, np.linspace(0.0, 25e-6, 5000), 1)
         # Refused before the (10**12, 41) echo array, 298 TiB.
         with pytest.raises(ValueError, match="realizations"):
             ps.simulate_hahn_echo(cfg, np.linspace(0.0, 25e-6, 41), 10**12)
@@ -184,6 +191,80 @@ class TestHahnEcho:
         combined = np.hypot(trace.std_error[1:], err[1:])
         z = (trace.amplitude[1:] - mean[1:]) / combined
         assert np.max(np.abs(z)) < 4.0
+
+
+class TestExactReference:
+    """The simulator against the exact ensemble echo of tests/rtn_exact.py.
+
+    The reference has no sampling error, so each bound is 4 of the
+    simulation's standard errors at every delay, as in
+    test_matches_fixed_step_oracle.
+    """
+
+    TAU = np.linspace(1.25e-6, 25e-6, 20)
+
+    @staticmethod
+    def _max_z(cfg, exact, n_realizations=4000):
+        trace = ps.simulate_hahn_echo(cfg, TestExactReference.TAU, n_realizations)
+        assert np.all(trace.std_error > 0)
+        return np.max(np.abs(trace.amplitude - exact) / trace.std_error)
+
+    def test_closed_form_is_the_transfer_matrix_product(self):
+        rng = np.random.default_rng(0)
+        for b, rate, tau in rng.uniform((-3e5, 0.0, 0.0), (3e5, 2e5, 5e-5), (50, 3)):
+            assert rtn_exact.echo_one_source(b, rate, tau) == pytest.approx(
+                rtn_exact.transfer_matrix_echo(b, rate, tau), abs=1e-13
+            )
+
+    def test_one_pinned_source(self):
+        cfg = ps.BathNoiseConfig(
+            n_sources=1, fixed_couplings=(1e5,), base_rate=1e5, temperature=1e12
+        )
+        exact = rtn_exact.pinned_echo([1e5], ps.effective_rate(cfg), self.TAU)
+        assert self._max_z(cfg, exact) < 4.0
+
+    @pytest.mark.parametrize("temperature", [300.0, 4.0])
+    def test_three_pinned_sources(self, temperature):
+        couplings = (3e4, -5e4, 1.2e5)
+        cfg = ps.BathNoiseConfig(
+            n_sources=3,
+            fixed_couplings=couplings,
+            base_rate=5e4,
+            temperature=temperature,
+        )
+        exact = rtn_exact.pinned_echo(couplings, ps.effective_rate(cfg), self.TAU)
+        assert self._max_z(cfg, exact) < 4.0
+
+    @pytest.mark.parametrize("temperature", [300.0, 20.0, 4.0])
+    def test_default_bath(self, temperature):
+        cfg = ps.BathNoiseConfig(temperature=temperature)
+        exact = rtn_exact.resampled_echo(
+            cfg.coupling_scale, ps.effective_rate(cfg), self.TAU, cfg.n_sources
+        )
+        assert self._max_z(cfg, exact) < 4.0
+
+
+class TestOracle:
+    def test_flip_identity_matches_cumulative_sum(self):
+        # The oracle's integer identity and the direct left-Riemann sum of
+        # s(t) = s0 (-1)^(flips before the step) agree exactly on shared flips.
+        rng = np.random.default_rng(4)
+        n_steps = 1000
+        s0 = rng.integers(0, 2, (50, 1)) * 2 - 1
+        flips = rng.random((50, n_steps)) < 0.02
+        state = s0 * np.where(np.cumsum(flips, axis=1) % 2 == 0, 1, -1)
+        state = np.concatenate([s0, state[:, :-1]], axis=1)
+        direct = np.concatenate(
+            [np.zeros((50, 1)), np.cumsum(state, axis=1, dtype=np.float64)], axis=1
+        )
+        width = int(flips.sum(axis=1).max())
+        positions = np.full((50, width), n_steps)
+        for row, flipped in enumerate(flips):
+            hits = np.flatnonzero(flipped)
+            positions[row, : hits.size] = hits
+        j = np.arange(n_steps + 1)
+        via_identity = rtn_oracle.running_sums(s0, positions, j)
+        np.testing.assert_array_equal(via_identity.astype(np.float64), direct)
 
 
 class TestInversionRecovery:
@@ -236,6 +317,16 @@ class TestTemperatureScan:
         t2 = [value for _, value in scan]
         assert all(b > a for a, b in zip(t2, t2[1:]))
         assert t2[-1] / t2[0] > 2.0
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_hot_limit_to_20k_rises_at_each_seed(self, seed):
+        # Every temperature stretches the same hot-limit events, so one
+        # seed's scan stays ordered where independent draws per temperature
+        # gave T2(20 K) / T2(hot) = 0.979 and 0.998 at these seeds.
+        scan = ps.effective_t2_scan(
+            ps.BathNoiseConfig(seed=seed), (1e9, 20.0), n_realizations=1000
+        )
+        assert scan[0][1] < scan[1][1]
 
 
 class TestConfigValidation:
