@@ -9,15 +9,15 @@ through the Zeeman temperature freezes the bath and the echo decay slows.
 A Hahn echo (pi/2 - tau - pi - tau) accumulates the phase
 ``Phi = int_0^tau dw dt - int_tau^2tau dw dt`` and the echo amplitude is the
 realization average of cos(Phi). A switching event at time t adds
-``+-2 b h(tau, t)`` to Phi, with the Hahn filter
-``h = 2 (tau - t)+ - (2 tau - t)+``, so the phase is an exact sum over events
-(no time step). Realization r draws from a counter-based stream keyed by
-(seed, r), so results are bit-identical for any worker count and any
-chunking of the realization loop. Each source's events are drawn once at the
-hot-limit rate (a Poisson count of sorted uniform times) and stretched by
-hot rate / rate: every temperature of a scan sees the same events on a
-slower clock. The work per realization is therefore bounded by its
-hot-limit events, and a cold run with a huge base rate may be refused.
+``+-2 b h(tau, t)`` to Phi, with the Hahn filter ``h = 2 (tau - t)+ -
+(2 tau - t)+``: an exact sum, no time step. Realization r draws from a
+counter-based stream keyed by (seed, r), so results are bit-identical for any
+worker count and any chunking of the realization loop. Each source's events
+are drawn once at the hot-limit rate and stretched by hot rate / rate, so
+every temperature of a scan sees the same events on a slower clock (and a
+cold run with a huge base rate may be refused). Flipping the initial signs of
+a whole source group leaves the law of Phi unchanged, so each realization
+contributes the exact mean of cos(Phi) over those flips.
 
 Couplings follow the dipolar ``b = coupling_scale / r**3`` law for sources
 placed uniformly in the unit ball, with random sign; by default each
@@ -47,12 +47,15 @@ _UINT64_MASK = (1 << 64) - 1
 # Events with expected count below this are treated as none at all.
 _NEGLIGIBLE_EVENTS = 1e-12
 
-# Largest Hahn filter one realization may evaluate (sources x most events of
-# one source x delays; the default 300 K run needs at most 2.5e4), so that
-# its 8-byte temporaries stay near 0.4 GB; and largest echo array
-# (realizations x delays, 8 bytes each), about 0.4 GB.
-_MAX_FILTER_CELLS = 16_000_000
+# Largest arrays of one realization, in 8-byte cells (events drawn at the
+# hot-limit rate; events in the window x (delays + sign groups)), and largest
+# echo array (realizations x delays): with temporaries about 0.4 GB apiece.
+_MAX_CELLS = 16_000_000
 _MAX_ECHO_CELLS = 50_000_000
+# One cosine per group of consecutive sources: more groups lower the variance,
+# but many make each realization's echo heavy-tailed where it has decayed, and
+# its sample standard error then stops falling as 1 / sqrt(realizations).
+_SIGN_GROUPS = 8
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,11 @@ def _delay_grid(delays: Sequence[float]) -> np.ndarray:
     return t
 
 
+def _refuse_over(cells: float, limit: float, what: str) -> None:
+    if cells > limit:
+        raise ValueError(f"{what}, over the limit of {limit:.3g}")
+
+
 def _rng(seed: int, realization: int) -> np.random.Generator:
     """Counter-based generator for one realization: key = (seed, index)."""
     key = np.array(
@@ -176,9 +184,9 @@ def simulate_hahn_echo(
 
     Each realization draws its bath geometry (unless pinned) and one
     telegraph trajectory per source, integrates the two free-evolution
-    windows exactly from the switching events, and contributes
-    cos(Phi(tau)) at every tau of the grid. The trace reports the mean and
-    standard error over realizations.
+    windows exactly from the switching events, and contributes the mean of
+    cos(Phi(tau)) over sign flips of whole source groups at every tau of the
+    grid. The trace reports the mean and standard error over realizations.
     """
     tau = _delay_grid(tau_grid)
     if n_realizations < 1:
@@ -189,18 +197,14 @@ def simulate_hahn_echo(
     shared = None if cfg.fixed_couplings is None else sample_couplings(cfg)
     # Checked in Python floats (which overflow to inf quietly) before numpy
     # sees the Poisson mean; each realization checks its own draw exactly.
-    events = cfg.n_sources * (max(cfg.base_rate, rate) * 2.0 * float(tau[-1]) + 1.0)
-    if events * tau.size > _MAX_FILTER_CELLS:
-        raise ValueError(
-            f"one realization would filter about {events:.3g} switching events x "
-            f"{tau.size} delays, over the limit of {_MAX_FILTER_CELLS:.3g}; shorten "
-            "the delays, lower the base rate, or use fewer sources or delays"
-        )
-    if n_realizations * tau.size > _MAX_ECHO_CELLS:
-        raise ValueError(
-            f"{n_realizations} realizations x {tau.size} delays is over the "
-            f"limit of {_MAX_ECHO_CELLS:.3g} echo values; use fewer of either"
-        )
+    t_end = 2.0 * float(tau[-1])
+    drawn = cfg.n_sources * (max(cfg.base_rate, rate) * t_end + 1.0)
+    in_window = cfg.n_sources * (rate * t_end + 1.0)
+    _refuse_over(drawn, _MAX_CELLS, f"a realization would draw {drawn:.3g} events")
+    _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS, "a realization "
+                 f"would filter {in_window:.3g} events x {tau.size} delays")
+    _refuse_over(n_realizations * tau.size, _MAX_ECHO_CELLS,
+                 f"{n_realizations} realizations x {tau.size} delays of echo values")
     echoes = np.empty((n_realizations, tau.size))
 
     def run_block(lo: int, hi: int) -> None:
@@ -256,26 +260,25 @@ def _one_realization(
     # their clock by hot / rate, so a quench scan shares its random numbers.
     hot = max(cfg.base_rate, rate)
     counts = rng.poisson(hot * t_end, n)
-    m = int(counts.max())
-    if n * m * tau.size > _MAX_FILTER_CELLS:
-        raise ValueError(
-            f"realization {realization} drew up to {m} switching events per source; "
-            f"{n} sources x {m} x {tau.size} delays is over the limit of "
-            f"{_MAX_FILTER_CELLS:.3g}"
-        )
-    drawn = np.arange(m) < counts[:, None]
-    times = np.full((n, m), math.inf)
-    times[drawn] = rng.random(int(counts.sum()))
-    times.sort(axis=1)
-    source, k = np.nonzero(drawn)
-    with np.errstate(over="ignore"):  # an event at t = inf has h = 0
-        t = (times[drawn] * t_end * (hot / rate))[:, None]
-    # Event k (from 0) turns its source's sign s0 into s0 (-1)^(k+1), so
-    # Phi = sum 2 b s0 (-1)^(k+1) h(tau, t), with the Hahn filter
-    # h = 2 (tau - t)+ - (2 tau - t)+.
-    weight = np.where(k % 2 == 0, -2.0, 2.0) * (couplings * s0)[source]
-    h = 2.0 * np.maximum(tau - t, 0.0) - np.maximum(2.0 * tau - t, 0.0)
-    return np.cos(weight @ h)
+    drawn = int(counts.sum())
+    _refuse_over(drawn, _MAX_CELLS, f"realization {realization} drew {drawn} events")
+    u = rng.random(drawn)
+    inside = u < rate / hot  # the events the stretch leaves inside the window
+    source = np.repeat(np.arange(n), counts)[inside]
+    t = u[inside] * (hot / rate) * t_end
+    _refuse_over(t.size * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
+                 f"realization {realization} has {t.size} events in its window")
+    # Event k of a source (from 0, in time order) turns its sign s0 into
+    # s0 (-1)^(k+1): Phi = sum 2 b s0 (-1)^(k+1) h(tau, t), h = -min(t, (2 tau
+    # - t)+). Over sign flips of whole groups, the mean of cos(Phi) is the
+    # product of the groups' cosines.
+    t = t[np.lexsort((t, source)), None]  # source is sorted already
+    k = np.arange(t.size) - np.searchsorted(source, source)
+    weight = np.where(k % 2 == 0, 2.0, -2.0) * (couplings * s0)[source]
+    group = source * _SIGN_GROUPS // n
+    minus_h = np.minimum(t, np.maximum(2.0 * tau - t, 0.0))
+    phases = ((np.arange(_SIGN_GROUPS)[:, None] == group) * weight) @ minus_h
+    return np.prod(np.cos(phases), axis=0)
 
 
 def simulate_inversion_recovery(

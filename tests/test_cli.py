@@ -242,10 +242,10 @@ class TestSimulate:
         assert cli.main(base + ["--coupling-scale", "nan"]) == 2
         assert cli.main(base + ["--tau-max-s", "nan"]) == 2
         assert cli.main(base + ["--tau-max-s", "inf"]) == 2
-        # Refused before the event buffer is allocated.
+        # Refused before numpy sees a Poisson mean of 2e304 events per source.
         assert cli.main(base + ["--tau-max-s", "1e300"]) == 2
-        # Refused before allocating 7.28 TiB of delays, a 251 GiB event-count
-        # broadcast, or a 7.28 TiB echo array.
+        # Refused before allocating 7.28 TiB of delays, a Hahn filter over
+        # 5e6 delays, or a 7.28 TiB echo array.
         assert cli.main(base + ["--tau-points", "1000000000000"]) == 2
         sizes = "--realizations 1 --sources 1000 --tau-points 5000000"
         assert cli.main(base + sizes.split()) == 2
@@ -260,6 +260,12 @@ class TestSimulate:
         # Finite noise whose draws overflow the amplitudes to inf.
         assert cli.main(inversion + ["--noise", "1.7976931348623157e308"]) == 2
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_cold_run_with_a_large_base_rate(self, tmp_path):
+        # 5e4 events per source drawn at the hot-limit rate, of which about
+        # two fall inside the window at 1 K.
+        argv = ["--outdir", str(tmp_path), "simulate", "--temp", "1"]
+        assert cli.main(argv + ["--base-rate", "1e9", "--realizations", "2"]) == 0
 
     def test_inversion_delays_past_float_range_of_t1(self, tmp_path):
         # T / T1 overflows to inf, which is exactly the recovered plateau.

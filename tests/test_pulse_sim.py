@@ -153,22 +153,35 @@ class TestHahnEcho:
             ps.simulate_hahn_echo(cfg, [0.0, math.nan], 10)
         with pytest.raises(ValueError):
             ps.simulate_hahn_echo(cfg, [0.0, math.inf], 10)
-        # Refused before numpy sees a Poisson mean of 2e304 events.
-        with pytest.raises(ValueError, match="would filter"):
+        # Refused before numpy sees a Poisson mean of 2e304 events per source.
+        with pytest.raises(ValueError, match="would draw"):
             ps.simulate_hahn_echo(cfg, [0.0, 1e300], 10)
         # Refused before a Hahn filter over 1000 sources x 5e6 delays.
         wide = ps.BathNoiseConfig(n_sources=1000)
         with pytest.raises(ValueError, match="would filter"):
             ps.simulate_hahn_echo(wide, np.linspace(0.0, 25e-6, 5_000_000), 1)
-        # One event per source on average passes the pre-flight (1000 x
-        # (1 + 1) x 5000 cells), but the busiest of 1000 sources draws
-        # several, and 1000 x that x 5000 is over the limit.
-        busy = ps.BathNoiseConfig(n_sources=1000, base_rate=2e4)
-        with pytest.raises(ValueError, match="drew up to"):
-            ps.simulate_hahn_echo(busy, np.linspace(0.0, 25e-6, 5000), 1)
         # Refused before the (10**12, 41) echo array, 298 TiB.
         with pytest.raises(ValueError, match="realizations"):
             ps.simulate_hahn_echo(cfg, np.linspace(0.0, 25e-6, 41), 10**12)
+
+    def test_each_draw_is_checked_against_the_limit(self, monkeypatch):
+        # With the limit lowered, the expected events plus one per source sit
+        # exactly at it, so the pre-flight passes and each realization's own
+        # draw is over it about half the time.
+        tau = np.linspace(0.0, 25e-6, 10)
+        limit = (tau.size + ps._SIGN_GROUPS) * 100
+        monkeypatch.setattr(ps, "_MAX_CELLS", limit)
+        # Hot: about 99 events inside the window.
+        hot = ps.BathNoiseConfig(n_sources=1, base_rate=99 / 50e-6, temperature=1e9)
+        with pytest.raises(ValueError, match="in its window"):
+            ps.simulate_hahn_echo(hot, tau, 200)
+        # Cold: about limit - 1 events drawn at the hot-limit rate, almost
+        # none of them inside the window.
+        cold = ps.BathNoiseConfig(
+            n_sources=1, base_rate=(limit - 1) / 50e-6, temperature=1.0
+        )
+        with pytest.raises(ValueError, match="drew"):
+            ps.simulate_hahn_echo(cold, tau, 200)
 
     def test_matches_fixed_step_oracle(self):
         # Single telegraph source against the 1 ns fixed-step integrator,
