@@ -31,9 +31,8 @@ from . import __version__, bath_model, datasets, fitkit, pulse_sim, spectra
 from . import spin_core, table
 
 
-# Default delay span per sequence: the Hahn-echo scan's 25 us, or enough T1
-# for an inversion-recovery fit to see the recovered plateau.
-_HAHN_TAU_MAX_S = 25e-6
+# Default delay span of inversion recovery: enough T1 for a fit to see the
+# recovered plateau (a Hahn echo uses the temperature scan's delays).
 _INVERSION_TAU_MAX_T1 = 5.0
 
 
@@ -66,7 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("polarization", help="bath polarization versus temperature")
-    p.add_argument("--frequency-hz", "--freq", type=float, default=240e9)
+    p.add_argument(
+        "--frequency-hz", "--freq", type=float, default=spin_core.DEFAULT_FREQUENCY_HZ
+    )
     p.add_argument(
         "--t-zeeman-k",
         type=float,
@@ -103,11 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tau-max-s",
         type=float,
         default=None,
-        help=f"longest delay (default: {_HAHN_TAU_MAX_S:g} for a Hahn echo, "
+        help=f"longest delay (default: {pulse_sim.DEFAULT_TAU_MAX_S:g} for a Hahn echo, "
         f"{_INVERSION_TAU_MAX_T1:g} x --t1-s for inversion recovery)",
     )
-    p.add_argument("--tau-points", type=int, default=41)
-    p.add_argument("--realizations", type=int, default=2000)
+    p.add_argument("--tau-points", type=int, default=pulse_sim.DEFAULT_TAU_POINTS)
+    p.add_argument("--realizations", type=int, default=pulse_sim.DEFAULT_REALIZATIONS)
     p.add_argument("--sources", type=int, default=bath.n_sources)
     p.add_argument("--coupling-scale", type=float, default=bath.coupling_scale)
     p.add_argument("--base-rate", type=float, default=bath.base_rate)
@@ -271,7 +272,7 @@ def _cmd_polarization(args) -> int:
 
 
 _SPECTRUM_DEFAULTS = {
-    "frequency_hz": 240e9,
+    "frequency_hz": spin_core.DEFAULT_FREQUENCY_HZ,
     "temperature_k": 300.0,
     "field_start_t": spectra.DEFAULT_FIELD_START,
     "field_stop_t": spectra.DEFAULT_FIELD_STOP,
@@ -317,6 +318,8 @@ def _load_spectrum_config(path):
                         f"{path}: unknown center {key!r} in [populations]"
                     )
                 populations[key] = _config_float(path, section, key, raw)
+                if populations[key] < 0:
+                    raise ValueError(f"{path}: [populations] {key} = {raw!r} is negative")
         elif section.startswith("center."):
             label = section.split(".", 1)[1]
             if label not in center_params:
@@ -383,7 +386,9 @@ def _cmd_simulate(args) -> int:
         raise ValueError("T1 must be positive and finite")
     tau_max = args.tau_max_s
     if tau_max is None:
-        tau_max = _INVERSION_TAU_MAX_T1 * args.t1_s if inversion else _HAHN_TAU_MAX_S
+        tau_max = (
+            _INVERSION_TAU_MAX_T1 * args.t1_s if inversion else pulse_sim.DEFAULT_TAU_MAX_S
+        )
     if not 2 <= args.tau_points <= spectra.MAX_GRID_POINTS:
         raise ValueError(f"need 2 to {spectra.MAX_GRID_POINTS} delay points")
     if not 0 < tau_max < math.inf:

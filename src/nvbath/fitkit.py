@@ -25,14 +25,11 @@ import numpy as np
 
 from .bath_model import DEFAULT_T1_PARAMS, DEFAULT_T2_PARAMS, T1ModelParams
 from .bath_model import T2ModelParams, flip_flop_factor, polarization, t1_rate, t2_rate
-from .spin_core import zeeman_temperature
+from .spin_core import DEFAULT_FREQUENCY_HZ, zeeman_temperature
 
 DEFAULT_MAX_ITERATIONS = 500
 COST_TOLERANCE = 1e-10
 GRADIENT_TOLERANCE = 1e-12
-
-# Spectrometer frequency assumed by the default T_Ze starting value.
-_DEFAULT_FREQUENCY_HZ = 240e9
 
 
 @dataclass(frozen=True)
@@ -389,7 +386,7 @@ def _t2_guess(x, y):
     gamma0 = DEFAULT_T2_PARAMS.gamma_res_per_us
     i_hi = int(np.argmax(x))
     c0 = max(4.0 * (y[i_hi] - gamma0), 1e-6)
-    return np.array([c0, zeeman_temperature(_DEFAULT_FREQUENCY_HZ), gamma0])
+    return np.array([c0, zeeman_temperature(DEFAULT_FREQUENCY_HZ), gamma0])
 
 
 def _decay_time_guess(x, y_norm, factor):

@@ -42,6 +42,11 @@ SEQUENCE_INVERSION = "inversion_recovery"
 
 _TRACE_COLUMNS = ("delay_s", "amplitude", "std_error")
 
+# Hahn-echo defaults of the temperature scan and `nvbath simulate`.
+DEFAULT_TAU_MAX_S = 25e-6
+DEFAULT_TAU_POINTS = 41
+DEFAULT_REALIZATIONS = 2000
+
 _UINT64_MASK = (1 << 64) - 1
 
 # Events with expected count below this are treated as none at all.
@@ -315,13 +320,13 @@ def simulate_inversion_recovery(
 
 def default_tau_grid() -> np.ndarray:
     """Pulse spacings used by the temperature scan, 0 to 25 us."""
-    return np.linspace(0.0, 25e-6, 41)
+    return np.linspace(0.0, DEFAULT_TAU_MAX_S, DEFAULT_TAU_POINTS)
 
 
 def effective_t2_scan(
     cfg: BathNoiseConfig,
     temperatures: Sequence[float],
-    n_realizations: int = 2000,
+    n_realizations: int = DEFAULT_REALIZATIONS,
     threads: int = 1,
 ) -> list[tuple[float, float]]:
     """Fitted echo T2 (seconds) at each temperature of a quench scan.

@@ -23,7 +23,7 @@ from .spin_core import (
     CONSTANTS,
     CenterParams,
     TransitionSpec,
-    effective_g,
+    level_energies,
     observed_transitions,
     resonance_field,
     tetrahedral_orientations,
@@ -189,35 +189,23 @@ def _population_difference(
 ) -> float:
     """Boltzmann population difference across one transition.
 
-    Levels of the electronic manifold at the line's resonance field, first
-    order in the zero-field and hyperfine terms (so the gap of the driven
-    pair is exactly the spectrometer quantum). For spin 1/2 this reduces to
-    the bath polarization.
+    Levels from :func:`nvbath.spin_core.level_energies` at the line's
+    resonance field. For spin 1/2 this reduces to the bath polarization.
     """
-    params = spec.center
-    orient = spec.orientation
-    s = params.spin
-    g = effective_g(params.g_parallel, params.g_perp, orient.cos_theta)
-    angular = 0.5 * (3.0 * orient.cos_theta**2 - 1.0)
-    n_levels = int(round(2 * s)) + 1
-    m_values = [-s + k for k in range(n_levels)]
-    energies = []
-    for m in m_values:
-        zeeman = g * CONSTANTS.bohr_magneton * field * m
-        zfs = (
-            CONSTANTS.planck_h
-            * params.zero_field_d
-            * angular
-            * (m * m - s * (s + 1) / 3.0)
-        )
-        hyperfine = CONSTANTS.planck_h * spec.hyperfine * m * spec.m_i
-        energies.append(zeeman + zfs + hyperfine)
+    energies = level_energies(spec, field)
     beta = 1.0 / (CONSTANTS.boltzmann_k * temperature)
-    e_min = min(energies)
-    boltzmann = [math.exp(-beta * (e - e_min)) for e in energies]
-    z = sum(boltzmann)
-    pops = {m: b / z for m, b in zip(m_values, boltzmann)}
-    return pops[spec.m_s_low] - pops[spec.m_s_high]
+    e_min = min(energies.values())
+    boltzmann = {m: math.exp(-beta * (e - e_min)) for m, e in energies.items()}
+    z = sum(boltzmann.values())
+    delta_p = boltzmann[spec.m_s_low] / z - boltzmann[spec.m_s_high] / z
+    # k_B T near the subnormal range makes beta inf (nan here); a huge one
+    # leaves every Boltzmann factor at exactly 1.
+    if not delta_p > 0:
+        raise ValueError(
+            f"temperature {temperature:g} K leaves no positive population "
+            f"difference across the {spec.center.label} line at {field:.6f} T"
+        )
+    return delta_p
 
 
 def convolve(
@@ -305,38 +293,23 @@ def analyze_peaks(spectrum: Spectrum) -> PeakReport:
     large = np.abs(a[1:-1]) >= threshold
     is_max = large & (before > 0) & (after <= 0)
     is_min = large & (before < 0) & (after >= 0)
-    extrema = [
-        (i + 1, "max" if is_max[i] else "min")
-        for i in np.flatnonzero(is_max | is_min).tolist()
-    ]
-    peaks: list[Peak] = []
-    k = 0
-    while k < len(extrema) - 1:
-        (i, kind), (j, kind_next) = extrema[k], extrema[k + 1]
-        if kind == "max" and kind_next == "min":
-            b_max = _refine_extremum(field, a, i)
-            b_min = _refine_extremum(field, a, j)
-            peaks.append(
-                Peak(
-                    center_field_t=0.5 * (b_max + b_min),
-                    pp_width_t=b_min - b_max,
-                    pp_amplitude=float(a[i] - a[j]),
-                )
-            )
-            k += 2
-        else:
-            k += 1
-    return PeakReport(tuple(peaks))
+    extrema = np.flatnonzero(is_max | is_min)
+    # A maximum directly followed by a minimum; two such pairs never share
+    # an extremum.
+    kind_max = is_max[extrema]
+    starts = kind_max[:-1] & ~kind_max[1:]
+    i, j = extrema[:-1][starts] + 1, extrema[1:][starts] + 1
+    b_max, b_min = _refine_extrema(field, a, i), _refine_extrema(field, a, j)
+    rows = np.column_stack([0.5 * (b_max + b_min), b_min - b_max, a[i] - a[j]])
+    return PeakReport(tuple(Peak(*row) for row in rows.tolist()))
 
 
-def _refine_extremum(field: np.ndarray, a: np.ndarray, i: int) -> float:
-    """Parabolic sub-grid refinement of an extremum at index i."""
+def _refine_extrema(field: np.ndarray, a: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Parabolic sub-grid refinement of the extrema at indices i."""
     denom = a[i - 1] - 2.0 * a[i] + a[i + 1]
-    if denom == 0.0:
-        return float(field[i])
-    delta = 0.5 * (a[i - 1] - a[i + 1]) / denom
-    step = field[1] - field[0]
-    return float(field[i] + delta * step)
+    flat = denom == 0.0
+    delta = 0.5 * (a[i - 1] - a[i + 1]) / np.where(flat, 1.0, denom)
+    return np.where(flat, field[i], field[i] + delta * (field[1] - field[0]))
 
 
 def write_spectrum_csv(spectrum: Spectrum, path, header_lines: Sequence[str] = ()) -> None:

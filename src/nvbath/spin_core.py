@@ -1,4 +1,4 @@
-"""Constants and first-order resonance calculators for diamond defect EPR.
+"""Constants, first-order resonance fields and level energies for diamond EPR.
 
 Covers the two species seen in type-Ib diamond: the substitutional nitrogen
 center (electron spin 1/2, hyperfine-coupled to its own 14N nucleus) and the
@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -26,15 +28,14 @@ class PhysicalConstants:
 
 CONSTANTS = PhysicalConstants()
 
+# Spectrometer frequency of the reference measurements (11.5 K Zeeman
+# temperature).
+DEFAULT_FREQUENCY_HZ = 240e9
+
 ORIENTATION_LABELS = ("o111", "oA", "oB", "oC")
 
 # Unit axes of the four <111> defect orientations, cubic crystal frame.
-_AXES = (
-    (1.0, 1.0, 1.0),
-    (1.0, -1.0, -1.0),
-    (-1.0, 1.0, -1.0),
-    (-1.0, -1.0, 1.0),
-)
+_AXES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
 
 # A tilt exactly in a {110} plane leaves two off-axis orientations degenerate;
 # a generic azimuth splits all three.
@@ -211,6 +212,13 @@ def effective_g(g_parallel: float, g_perp: float, cos_theta: float) -> float:
     return math.sqrt(g_parallel * g_parallel * c2 + g_perp * g_perp * (1.0 - c2))
 
 
+def _angular(cos_theta: float) -> float:
+    """Axial zero-field factor ``(3 cos^2 - 1) / 2``."""
+    if not -1.0 <= cos_theta <= 1.0:
+        raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta}")
+    return 0.5 * (3.0 * cos_theta * cos_theta - 1.0)
+
+
 def zfs_first_order_shift(
     zero_field_d: float, cos_theta: float, m_s_low: float, m_s_high: float
 ) -> float:
@@ -222,10 +230,7 @@ def zfs_first_order_shift(
     cos_theta = 1 the shift is +D, placing that line on the high-field side;
     at the magic angle the shift vanishes for every transition.
     """
-    if not -1.0 <= cos_theta <= 1.0:
-        raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta}")
-    angular = 0.5 * (3.0 * cos_theta * cos_theta - 1.0)
-    return zero_field_d * angular * (m_s_low * m_s_low - m_s_high * m_s_high)
+    return zero_field_d * _angular(cos_theta) * (m_s_low * m_s_low - m_s_high * m_s_high)
 
 
 def resonance_field(transition: TransitionSpec, frequency: float) -> float:
@@ -262,6 +267,28 @@ def resonance_field(transition: TransitionSpec, frequency: float) -> float:
     return frequency_to_field(nu_eff, g)
 
 
+def level_energies(transition: TransitionSpec, field: float) -> dict[float, float]:
+    """Electron level energies (J) of the transition's center, keyed by m_s.
+
+    First order in the zero-field and hyperfine terms, in the orientation
+    and nuclear projection of ``transition``:
+    ``E(m) = g_eff mu_B B m + h D (3 cos^2 - 1)/2 (m^2 - S(S+1)/3)
+    + h A_eff m m_i``. At the transition's own :func:`resonance_field` the
+    gap of the driven pair is exactly the spectrometer quantum.
+    """
+    center = transition.center
+    cos_theta = transition.orientation.cos_theta
+    s = center.spin
+    g = effective_g(center.g_parallel, center.g_perp, cos_theta)
+    zeeman = g * CONSTANTS.bohr_magneton * field
+    zfs = CONSTANTS.planck_h * center.zero_field_d * _angular(cos_theta)
+    hyperfine = CONSTANTS.planck_h * transition.hyperfine
+    return {
+        m: zeeman * m + zfs * (m * m - s * (s + 1) / 3.0) + hyperfine * m * transition.m_i
+        for m in (-s + k for k in range(int(round(2 * s)) + 1))
+    }
+
+
 def tetrahedral_orientations(
     tilt_deg: float = 0.0, azimuth_deg: float = DEFAULT_TILT_AZIMUTH_DEG
 ) -> tuple[Orientation, ...]:
@@ -275,38 +302,21 @@ def tetrahedral_orientations(
     if not 0.0 <= tilt_deg < 90.0:
         raise ValueError(f"tilt must lie in [0, 90) degrees, got {tilt_deg}")
     if tilt_deg == 0.0:
-        third = -1.0 / 3.0
-        return (
-            Orientation("o111", 1.0),
-            Orientation("oA", third),
-            Orientation("oB", third),
-            Orientation("oC", third),
+        cosines = np.array([1.0, -1.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])
+    else:
+        n1 = _AXES[0]
+        # In-plane unit vector toward axis 2, and its normal, spanning the
+        # plane perpendicular to n1.
+        u = _AXES[1] - (n1 * _AXES[1]).sum() * n1
+        u = u / math.sqrt((u * u).sum())
+        v = np.cross(n1, u)
+        tilt = math.radians(tilt_deg)
+        azim = math.radians(azimuth_deg)
+        b_hat = math.cos(tilt) * n1 + math.sin(tilt) * (
+            math.cos(azim) * u + math.sin(azim) * v
         )
-    axes = [tuple(x / math.sqrt(3.0) for x in axis) for axis in _AXES]
-    n1 = axes[0]
-    # In-plane unit vector toward axis 2, and its normal, spanning the
-    # plane perpendicular to n1.
-    dot12 = sum(a * b for a, b in zip(n1, axes[1]))
-    u = tuple(a - dot12 * b for a, b in zip(axes[1], n1))
-    norm_u = math.sqrt(sum(x * x for x in u))
-    u = tuple(x / norm_u for x in u)
-    v = (
-        n1[1] * u[2] - n1[2] * u[1],
-        n1[2] * u[0] - n1[0] * u[2],
-        n1[0] * u[1] - n1[1] * u[0],
-    )
-    tilt = math.radians(tilt_deg)
-    azim = math.radians(azimuth_deg)
-    trans = math.sin(tilt)
-    b_hat = tuple(
-        math.cos(tilt) * n1[k] + trans * (math.cos(azim) * u[k] + math.sin(azim) * v[k])
-        for k in range(3)
-    )
-    out = []
-    for label, axis in zip(ORIENTATION_LABELS, axes):
-        cos_theta = sum(a * b for a, b in zip(b_hat, axis))
-        out.append(Orientation(label, max(-1.0, min(1.0, cos_theta))))
-    return tuple(out)
+        cosines = np.clip((b_hat * _AXES).sum(axis=1), -1.0, 1.0)
+    return tuple(map(Orientation, ORIENTATION_LABELS, cosines.tolist()))
 
 
 def observed_transitions(center: CenterParams) -> tuple[tuple[float, float], ...]:

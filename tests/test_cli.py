@@ -142,6 +142,7 @@ class TestSpectrum:
                 "[populations]\nn = inf\n",
                 "[populations]\nn = 1.315863936605693e302\n",  # pp amplitude inf
                 "[spectrum]\ntemperature_k = 2.2250738585e-313\n",  # k_B T is 0
+                "[populations]\nn = -1\nnv = 1\n",  # not the same as an absent center
             ]
         ):
             configs.append(tmp_path / f"domain_{i}.ini")

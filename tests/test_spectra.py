@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from nvbath import spectra
 from nvbath.spin_core import (
@@ -26,6 +28,37 @@ N_FIELDS = (
 
 def _dummy_label(field_ignored: float = 0.0) -> TransitionSpec:
     return TransitionSpec(N_DEFAULT, Orientation("o111", 1.0, 1), -0.5, 0.5, 0.0)
+
+
+def _walked_peaks(field: np.ndarray, a: np.ndarray) -> list[tuple]:
+    """Reference for analyze_peaks: walk the extrema one by one, taking a
+    maximum and the minimum right after it as a pair, else moving on by one."""
+    threshold = spectra.MIN_RELATIVE_PEAK_AMPLITUDE * float(np.max(np.abs(a)))
+    extrema = []
+    for i in range(1, a.size - 1):
+        before, after = a[i] - a[i - 1], a[i + 1] - a[i]
+        if abs(a[i]) >= threshold and before > 0 and after <= 0:
+            extrema.append((i, "max"))
+        elif abs(a[i]) >= threshold and before < 0 and after >= 0:
+            extrema.append((i, "min"))
+
+    def refine(i):
+        denom = a[i - 1] - 2.0 * a[i] + a[i + 1]
+        if denom == 0.0:
+            return float(field[i])
+        delta = 0.5 * (a[i - 1] - a[i + 1]) / denom
+        return float(field[i] + delta * (field[1] - field[0]))
+
+    peaks, k = [], 0
+    while k < len(extrema) - 1:
+        (i, kind), (j, kind_next) = extrema[k], extrema[k + 1]
+        if kind == "max" and kind_next == "min":
+            b_max, b_min = refine(i), refine(j)
+            peaks.append((0.5 * (b_max + b_min), b_min - b_max, float(a[i] - a[j])))
+            k += 2
+        else:
+            k += 1
+    return peaks
 
 
 def _single_stick(field: float, weight: float = 1.0) -> spectra.StickSpectrum:
@@ -94,7 +127,9 @@ class TestBuildSticks:
             spectra.build_sticks([(N_DEFAULT, 0.0)], 240e9, 300.0)
         with pytest.raises(ValueError):
             spectra.build_sticks([(N_DEFAULT, 1.0)], 240e9, -4.0)
-        for temperature in (math.nan, math.inf, 2.2e-313):  # k_B T underflows
+        # k_B T underflows to 0 at 2.2e-313 K and is subnormal at 1e-300 K
+        # (1 / k_B T is inf); at 1e300 K every Boltzmann factor is exactly 1.
+        for temperature in (math.nan, math.inf, 2.2e-313, 1e-300, 1e300):
             with pytest.raises(ValueError, match="temperature"):
                 spectra.build_sticks([(N_DEFAULT, 1.0)], 240e9, temperature)
 
@@ -212,6 +247,43 @@ class TestAnalyzePeaks:
         spectrum = spectra.Spectrum(field, amplitude, 240e9, 300.0, ())
         with pytest.raises(ValueError, match="overflows"):
             spectra.analyze_peaks(spectrum)
+
+    def test_pairs_a_maximum_with_the_minimum_right_after_it(self):
+        # Extrema: a lone minimum (1), maxima at 3 and 5 (the dip at 4 is
+        # below threshold), a minimum at 7. Only (5, 7) is a pair.
+        step = 1e-6
+        field = 8.5 + step * np.arange(9)
+        amplitude = np.array([0.0, -1.0, 0.0, 2.0, 0.0, 1.0, 0.2, -3.0, 0.0])
+        spectrum = spectra.Spectrum(field, amplitude, 240e9, 300.0, ())
+        (peak,) = spectra.analyze_peaks(spectrum).peaks
+
+        def vertex(i):  # of the parabola through points i - 1, i, i + 1
+            lo, mid, hi = amplitude[i - 1 : i + 2]
+            return field[i] + step * 0.5 * (lo - hi) / (lo - 2.0 * mid + hi)
+
+        assert peak.center_field_t == pytest.approx(0.5 * (vertex(5) + vertex(7)))
+        assert peak.pp_width_t == pytest.approx(vertex(7) - vertex(5))
+        assert peak.pp_amplitude == 4.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        strategies.lists(
+            strategies.one_of(
+                strategies.integers(-3, 3).map(float), strategies.floats(-10.0, 10.0)
+            ),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_pairs_match_the_extremum_walk(self, values):
+        amplitude = np.array(values)
+        if not np.any(amplitude):
+            return
+        field = 8.5 + 1e-6 * np.arange(amplitude.size)
+        spectrum = spectra.Spectrum(field, amplitude, 240e9, 300.0, ())
+        peaks = spectra.analyze_peaks(spectrum).peaks
+        got = [(p.center_field_t, p.pp_width_t, p.pp_amplitude) for p in peaks]
+        assert got == _walked_peaks(field, amplitude)
 
     def test_flat_spectrum_empty_report(self):
         field = 8.4 + 2e-6 * np.arange(1000)

@@ -137,6 +137,19 @@ def test_resonance_field_rejects_unreachable_transition():
         sc.resonance_field(spec, 1.0e9)
 
 
+@pytest.mark.parametrize("center", [sc.N_DEFAULT, sc.NV_DEFAULT])
+def test_level_gap_at_resonance_is_the_spectrometer_quantum(center):
+    frequency = 240e9
+    (m_lo, m_hi), = sc.observed_transitions(center)
+    for orient in sc.tetrahedral_orientations(17.5, 77.0):
+        for m_i in (-1.0, 0.0, 1.0):
+            spec = sc.TransitionSpec(center, orient, m_lo, m_hi, m_i)
+            levels = sc.level_energies(spec, sc.resonance_field(spec, frequency))
+            assert sorted(levels) == [-center.spin + k for k in range(len(levels))]
+            gap = levels[m_hi] - levels[m_lo]
+            assert gap == pytest.approx(sc.CONSTANTS.planck_h * frequency, rel=1e-12)
+
+
 def test_tetrahedral_orientations_untilted():
     orients = sc.tetrahedral_orientations()
     cos_values = sorted(o.cos_theta for o in orients)
@@ -156,6 +169,22 @@ def test_tetrahedral_sum_rule_any_direction(tilt_deg, azimuth_deg):
         o.degeneracy * 0.5 * (3.0 * o.cos_theta**2 - 1.0) for o in orients
     )
     assert p2 == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "tilt_deg, azimuth_deg, cosines",
+    [
+        (3.0, 15.0, (0.9986295347545742, -0.28521501441205,
+                     -0.3456473712623702, -0.36776714908015395)),
+        (17.5, 77.0, (0.9537169507482272, -0.2541301937501873,
+                      -0.11056091777325158, -0.5890258392247884)),
+    ],
+)
+def test_tetrahedral_cosines_frozen(tilt_deg, azimuth_deg, cosines):
+    orients = sc.tetrahedral_orientations(tilt_deg, azimuth_deg)
+    assert tuple(o.axis_label for o in orients) == sc.ORIENTATION_LABELS
+    assert tuple(o.cos_theta for o in orients) == cosines
+    assert all(o.degeneracy == 1 for o in orients)
 
 
 def test_tilt_splits_off_axis_orientations():

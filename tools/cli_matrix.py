@@ -1,0 +1,127 @@
+"""Run a fixed matrix of nvbath commands and print the sha256 of every output.
+
+The byte-identity check for a refactor: run this once against each tree and
+diff the two listings.
+
+    PYTHONPATH=src python3 tools/cli_matrix.py /tmp/after > after.txt
+    PYTHONPATH=/path/to/old/src python3 tools/cli_matrix.py /tmp/before > before.txt
+    diff before.txt after.txt
+
+Every command goes through ``nvbath.cli.main`` in this process, so the
+``nvbath`` on the import path is the one measured. The matrix covers
+``polarization`` (default and a 301-point grid at T_Ze = 14.7 K), ``spectrum``
+(defaults and five INI files), Hahn-echo ``simulate`` (seed 7 at one and two
+threads, seed 3 at 4 K), inversion recovery, the bundled NV T1/T2 and N T2
+tables, a ``fit`` of each registry model, and ``model-eval`` of both rate
+laws. Each command's exit code and stdout (with the output directory written
+as ``OUT``) go to ``commands.txt``, which is hashed with the data files.
+Uses the standard library and nvbath only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from nvbath import cli, datasets
+
+# name -> INI text for `spectrum --config`; outputs <name>_spectrum.csv and
+# <name>_peaks.csv.
+SPECTRUM_CONFIGS = {
+    "mix": (
+        "[spectrum]\ntemperature_k = 4\ntilt_deg = 3\ntilt_azimuth_deg = 15\n"
+        "[populations]\nn = 1\nnv = 0.3\n"
+    ),
+    "cold_tilt": (
+        "[spectrum]\ntemperature_k = 1.3\ntilt_deg = 17.5\ntilt_azimuth_deg = 77\n"
+        "[populations]\nn = 1\nnv = 0.3\n"
+    ),
+    # The field at arccos(1/sqrt(3)) from <111>: no first-order zero-field
+    # shift on the o111 axis.
+    "magic": (
+        "[spectrum]\ntemperature_k = 300\ntilt_deg = 54.735610317245346\n"
+        "[populations]\nn = 1\nnv = 0.3\n"
+    ),
+    "nv_only": "[spectrum]\ntemperature_k = 0.5\n[populations]\nn = 0\nnv = 1\n",
+}
+
+BUNDLED_TABLES = {
+    "nv_t1.csv": ("NV", "T1"),
+    "nv_t2.csv": ("NV", "T2"),
+    "n_t2.csv": ("N", "T2"),
+}
+
+
+def commands(out: Path) -> list[list[str]]:
+    """The CLI argument lists, in run order (later ones read earlier outputs)."""
+    runs = [
+        ["polarization"],
+        ["polarization", "--t-zeeman-k", "14.7", "--temps", "0.5:400:log:301",
+         "--output", "pol_147.csv"],
+        ["spectrum"],
+    ]
+    for name in SPECTRUM_CONFIGS:
+        runs.append(["spectrum", "--config", str(out / f"{name}.ini"),
+                     "--output", f"{name}_spectrum.csv",
+                     "--peaks-output", f"{name}_peaks.csv"])
+    runs += [
+        ["simulate", "--seed", "7", "--threads", "1", "--output", "hahn_t1.csv"],
+        ["simulate", "--seed", "7", "--threads", "2", "--output", "hahn_t2.csv"],
+        ["simulate", "--seed", "3", "--temp", "4", "--output", "hahn_4k.csv"],
+        ["simulate", "--sequence", "inversion", "--noise", "0.01",
+         "--tau-max-s", "8e-3", "--output", "inv.csv"],
+    ]
+    fits = [
+        ("echo_decay", "hahn_t1.csv", "fit_echo", []),
+        ("inversion_recovery", "inv.csv", "fit_inv", []),
+        ("t1_model", "nv_t1.csv", "fit_t1", []),
+        ("t2_model", "nv_t2.csv", "fit_t2", []),
+        ("t2_model", "n_t2.csv", "fit_n_t2_free", ["--free", "Gamma_res"]),
+    ]
+    for model, data, prefix, extra in fits:
+        runs.append(["fit", "--model", model, "--data", str(out / data),
+                     "--output-prefix", prefix, *extra])
+    runs += [
+        ["model-eval", "--model", "t1_model"],
+        ["model-eval", "--model", "t2_model", "--output", "model_eval_t2.csv"],
+    ]
+    return [["--outdir", str(out), *args] for args in runs]
+
+
+def run(out: Path) -> dict[str, str]:
+    """Run the matrix into ``out`` and return {file name: sha256}."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in SPECTRUM_CONFIGS.items():
+        (out / f"{name}.ini").write_text(text)
+    for name, (center, quantity) in BUNDLED_TABLES.items():
+        datasets.save_csv(datasets.bundled(center, quantity), out / name)
+    log = []
+    for argv in commands(out):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(argv)
+        shown = " ".join(argv[2:]).replace(str(out), "OUT")
+        log.append(f"{rc} {shown}\n  {stdout.getvalue().replace(str(out), 'OUT')}")
+    (out / "commands.txt").write_text("".join(log))
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+        if path.suffix != ".ini"
+    }
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: cli_matrix.py OUTDIR", file=sys.stderr)
+        return 2
+    for name, digest in run(Path(args[0])).items():
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
