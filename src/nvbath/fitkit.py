@@ -3,9 +3,10 @@
 A small damped least-squares (Levenberg-Marquardt style) engine tailored to
 the model shapes used here: decaying exponentials and the two
 temperature-rate laws. Positive-definite parameters (times, rates,
-temperature scales) are fit in log space so a step can never leave the
-domain; parameters may be pinned to fixed values; data order never affects
-the result because points are sorted before any summation.
+temperature scales) are fit in log space, and a step whose exponential
+leaves (0, inf) is rejected; parameters may be pinned to fixed values; data
+order never affects the result because points are sorted before any
+summation.
 
 The registry maps stable names to :class:`ModelSpec` instances:
 
@@ -18,6 +19,7 @@ The registry maps stable names to :class:`ModelSpec` instances:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -112,9 +114,10 @@ def fit(
     ``converged`` flag and ``message``, never raised. Converged means the
     gradient test passed, or the cost test passed in an iteration whose trial
     steps all stayed in the model's domain. A cost-test pass after a trial
-    step left the domain (a stall at its edge), no downhill step in 60
-    damping tries, and the iteration limit are not converged. Starting values
-    whose cost is not finite raise ``ValueError``.
+    step left the domain, or with a positive parameter so near 0 or inf that
+    the model no longer resolves it (a stall at its edge), no downhill step in
+    60 damping tries, and the iteration limit are not converged. Starting
+    values whose cost is not finite raise ``ValueError``.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
@@ -212,6 +215,7 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, max_iterati
     cost_history)`` from the line whose test decides the stop.
     """
     logs = positive[free]
+    exps = np.flatnonzero(free & positive)  # the parameters fitted as exp(z)
 
     def to_theta(z):
         theta = theta0.copy()
@@ -250,14 +254,17 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, max_iterati
                 step, *_ = np.linalg.lstsq(jtj + lam * np.diag(diag), -grad, rcond=None)
             z_trial = z + step
             # Overflow to inf, or a step out of the model's domain (a
-            # ValueError, e.g. T_Ze underflowing to 0), rejects a wild step.
+            # ValueError, e.g. T_Ze underflowing to 0, or a positive
+            # parameter exp(z) leaving (0, inf)), rejects a wild step.
             with np.errstate(over="ignore", invalid="ignore"):
                 theta_trial = to_theta(z_trial)
-                try:
-                    r_trial = (y - model.evaluate(theta_trial, x)) / sigma
-                    cost_trial = float(r_trial @ r_trial)
-                except ValueError:
-                    cost_trial = math.inf
+                cost_trial = math.inf
+                if all(0.0 < v < math.inf for v in theta_trial[exps].tolist()):
+                    try:
+                        r_trial = (y - model.evaluate(theta_trial, x)) / sigma
+                        cost_trial = float(r_trial @ r_trial)
+                    except ValueError:
+                        pass
             if cost_trial <= cost:  # false for inf and nan: cost is finite
                 break
             left_domain |= not math.isfinite(cost_trial)
@@ -270,11 +277,24 @@ def _levenberg_marquardt(model, x, y, sigma, theta0, free, positive, max_iterati
         history.append(cost)
         lam = max(lam / 3.0, 1e-12)
         if cost == 0.0 or change < COST_TOLERANCE * max(prev_cost, 1e-300):
-            if left_domain:
+            # jac is from the start of this last iteration, a step ago.
+            if left_domain or _unresolved(jac[:, logs], sigma, y - r * sigma):
                 return theta, r, k, False, "stalled at the edge of the domain", history
             return theta, r, k, True, "relative cost change below tolerance", history
     # Each iteration accepted one step, so this is max_iterations.
     return theta, r, len(history) - 1, False, "maximum iterations reached", history
+
+
+def _unresolved(jac, sigma, value) -> bool:
+    """Whether the model (``value``, errors ``sigma``) no longer resolves a
+    parameter fitted as exp(z), by the residuals' z-jacobian ``jac`` of those
+    parameters: scaling it by e moves no model value by more than rounding,
+    as when exp(z) has run off towards 0 or inf, where the cost in z is flat
+    but not minimal."""
+    with np.errstate(over="ignore"):
+        moved = np.abs(jac) * sigma[:, None]
+    limit = sys.float_info.epsilon * np.abs(value)[:, None]
+    return bool(np.any(np.all(moved <= limit, axis=0)))
 
 
 def jacobian_check(

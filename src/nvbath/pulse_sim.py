@@ -19,6 +19,14 @@ cold run with a huge base rate may be refused). Flipping the initial signs of
 a whole source group leaves the law of Phi unchanged, so each realization
 contributes the exact mean of cos(Phi) over those flips.
 
+Realizations run in blocks of 64, the unit of thread work. Each one still
+draws from its own stream, one reset Philox generator per block, in the
+same order as when it runs alone. The elementwise filter steps then run
+once over the block's events, and each realization's phases are its own
+``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
+stacked matmul per E: the echoes are bit-identical to a per-realization
+loop (tests/echo_reference.py), with far fewer numpy calls.
+
 Couplings follow the dipolar ``b = coupling_scale / r**3`` law for sources
 placed uniformly in the unit ball, with random sign; by default each
 realization draws its own bath geometry (an ensemble measurement), and
@@ -61,6 +69,12 @@ _MAX_ECHO_CELLS = 50_000_000
 # but many make each realization's echo heavy-tailed where it has decayed, and
 # its sample standard error then stops falling as 1 / sqrt(realizations).
 _SIGN_GROUPS = 8
+# Realizations per block, the unit of thread work. A block's draws are
+# filtered together, and early once they and their filter arrays pass
+# _BLOCK_CELLS cells (2 MiB), so a block adds little beside the realization
+# limit above; larger blocks measured no faster.
+_BLOCK = 64
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,17 +155,36 @@ def _delay_grid(delays: Sequence[float]) -> np.ndarray:
     return t
 
 
-def _refuse_over(cells: float, limit: float, what: str) -> None:
+def _refuse_over(cells: float, limit: float, what: str, *args) -> None:
+    """Refuse cells over limit, naming them by ``what.format(*args)``."""
     if cells > limit:
-        raise ValueError(f"{what}, over the limit of {limit:.3g}")
+        raise ValueError(f"{what.format(*args)}, over the limit of {limit:.3g}")
 
 
-def _rng(seed: int, realization: int) -> np.random.Generator:
-    """Counter-based generator for one realization: key = (seed, index)."""
-    key = np.array(
-        [seed & _UINT64_MASK, realization & _UINT64_MASK], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(
+    seed: int, realization: int, rng: Optional[np.random.Generator] = None
+) -> np.random.Generator:
+    """Counter-based generator for one realization: key = (seed, index).
+
+    ``rng`` (a new generator if None) is reset to counter 0 under that key
+    with an empty buffer, which is the stream of a freshly built
+    ``Generator(Philox(key=...))``; a reset costs about a tenth of building
+    one, whose constructor also gathers OS entropy that the key discards.
+    """
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [0, 0, 0, 0],
+            "key": [seed & _UINT64_MASK, realization & _UINT64_MASK],
+        },
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def effective_rate(cfg: BathNoiseConfig) -> float:
@@ -169,14 +202,28 @@ def sample_couplings(cfg: BathNoiseConfig, realization: int = 0) -> np.ndarray:
     """
     if cfg.fixed_couplings is not None:
         return np.asarray(cfg.fixed_couplings, dtype=float)
-    return _draw_couplings(_rng(cfg.seed, realization), cfg)
+    n = cfg.n_sources
+    rng = _stream(cfg.seed, realization)
+    unit = rng.random(n)
+    return _couplings(cfg, unit, _signs(rng.bit_generator.random_raw((n + 1) // 2))[:n])
 
 
-def _draw_couplings(rng: np.random.Generator, cfg: BathNoiseConfig) -> np.ndarray:
+def _couplings(cfg: BathNoiseConfig, unit: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Couplings from uniforms on [0, 1) and signs, drawn in that order."""
     # 1 - U is uniform on (0, 1], avoiding the zero-radius singularity.
-    r_cubed = 1.0 - rng.random(cfg.n_sources)
-    signs = rng.integers(0, 2, cfg.n_sources) * 2 - 1
-    return signs * (cfg.coupling_scale / r_cubed)
+    return signs * (cfg.coupling_scale / (1.0 - unit))
+
+
+def _signs(words: np.ndarray) -> np.ndarray:
+    """The signs ``rng.integers(0, 2, 2 * k) * 2 - 1`` draws from the k words
+    of ``rng.bit_generator.random_raw(k)``, along the last axis.
+
+    Each value takes one 32-bit half of a word, the low half first, and
+    Lemire's method maps a 32-bit draw x into {0, 1} as x >> 31 with no
+    rejection. Shifting the raw words costs a fraction of ``integers``.
+    """
+    bits = np.stack((words >> 31 & 1, words >> 63), axis=-1)
+    return bits.reshape(*words.shape[:-1], -1).astype(np.int64) * 2 - 1
 
 
 def simulate_hahn_echo(
@@ -205,28 +252,27 @@ def simulate_hahn_echo(
     t_end = 2.0 * float(tau[-1])
     drawn = cfg.n_sources * (max(cfg.base_rate, rate) * t_end + 1.0)
     in_window = cfg.n_sources * (rate * t_end + 1.0)
-    _refuse_over(drawn, _MAX_CELLS, f"a realization would draw {drawn:.3g} events")
-    _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS, "a realization "
-                 f"would filter {in_window:.3g} events x {tau.size} delays")
+    _refuse_over(drawn, _MAX_CELLS, "a realization would draw {:.3g} events", drawn)
+    _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
+                 "a realization would filter {:.3g} events x {} delays",
+                 in_window, tau.size)
     _refuse_over(n_realizations * tau.size, _MAX_ECHO_CELLS,
-                 f"{n_realizations} realizations x {tau.size} delays of echo values")
+                 "{} realizations x {} delays of echo values", n_realizations, tau.size)
     echoes = np.empty((n_realizations, tau.size))
-
-    def run_block(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            echoes[r] = _one_realization(cfg, rate, tau, r, shared)
-
-    if threads == 1:
-        run_block(0, n_realizations)
+    if rate * t_end < _NEGLIGIBLE_EVENTS:
+        echoes.fill(1.0)  # static noise refocuses exactly
     else:
-        block = math.ceil(n_realizations / threads)
-        bounds = [
-            (lo, min(lo + block, n_realizations))
-            for lo in range(0, n_realizations, block)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(run_block, lo, hi) for lo, hi in bounds]:
-                future.result()
+        def run_block(lo: int) -> None:
+            hi = min(lo + _BLOCK, n_realizations)
+            echoes[lo:hi] = _echo_block(cfg, rate, tau, lo, hi, shared)
+
+        starts = range(0, n_realizations, _BLOCK)
+        if threads == 1:
+            for lo in starts:
+                run_block(lo)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(run_block, starts))
 
     amplitude = echoes.mean(axis=0)
     if n_realizations > 1:
@@ -243,47 +289,121 @@ def simulate_hahn_echo(
     )
 
 
-def _one_realization(
+def _echo_block(
     cfg: BathNoiseConfig,
     rate: float,
     tau: np.ndarray,
-    realization: int,
+    lo: int,
+    hi: int,
     shared_couplings: Optional[np.ndarray],
 ) -> np.ndarray:
-    rng = _rng(cfg.seed, realization)
-    if shared_couplings is not None:
-        couplings = shared_couplings
-    else:
-        couplings = _draw_couplings(rng, cfg)
-    n = couplings.size
-    s0 = rng.integers(0, 2, n) * 2 - 1
+    """Echoes of realizations lo .. hi - 1.
+
+    Each realization draws from its own (seed, r) stream, with one generator
+    reset per realization, in the same order and with the same checks as when
+    it is evaluated alone. The draws go through :func:`_filter` together, and
+    early once they and their filter hold ``_BLOCK_CELLS`` cells.
+    """
+    n = cfg.n_sources
     t_end = 2.0 * tau[-1]
-    if rate * t_end < _NEGLIGIBLE_EVENTS:
-        # Static noise refocuses exactly.
-        return np.ones_like(tau)
     # Every temperature draws the same events at the hot-limit rate and slows
     # their clock by hot / rate, so a quench scan shares its random numbers.
     hot = max(cfg.base_rate, rate)
-    counts = rng.poisson(hot * t_end, n)
-    drawn = int(counts.sum())
-    _refuse_over(drawn, _MAX_CELLS, f"realization {realization} drew {drawn} events")
-    u = rng.random(drawn)
-    inside = u < rate / hot  # the events the stretch leaves inside the window
-    source = np.repeat(np.arange(n), counts)[inside]
-    t = u[inside] * (hot / rate) * t_end
-    _refuse_over(t.size * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
-                 f"realization {realization} has {t.size} events in its window")
+    width = tau.size + _SIGN_GROUPS
+    echoes = np.empty((hi - lo, tau.size))
+    rng, draws, cells = None, [], 0
+    for r in range(lo, hi):
+        rng = _stream(cfg.seed, r, rng)
+        unit = None if shared_couplings is not None else rng.random(n)
+        # The couplings' signs (unless pinned), then the initial signs.
+        words = rng.bit_generator.random_raw(n if unit is not None else (n + 1) // 2)
+        counts = rng.poisson(hot * t_end, n)
+        drawn = int(counts.sum())
+        _refuse_over(drawn, _MAX_CELLS, "realization {} drew {} events", r, drawn)
+        u = rng.random(drawn)
+        inside = u < rate / hot  # the events the stretch leaves inside the window
+        events = int(np.count_nonzero(inside))
+        _refuse_over(events * width, _MAX_CELLS,
+                     "realization {} has {} events in its window", r, events)
+        draws.append((unit, words, counts, u, inside, events))
+        cells += 3 * n + drawn + events * width
+        if cells > _BLOCK_CELLS or r == hi - 1:
+            echoes[r + 1 - lo - len(draws):r + 1 - lo] = _filter(
+                cfg, rate, tau, draws, shared_couplings)
+            draws, cells = [], 0
+    return echoes
+
+
+def _filter(
+    cfg: BathNoiseConfig,
+    rate: float,
+    tau: np.ndarray,
+    draws: list,
+    shared_couplings: Optional[np.ndarray],
+) -> np.ndarray:
+    """Echoes of a run of realizations from their draws.
+
+    The elementwise steps run once over all their events, each tagged with
+    its slot (realization x n + source). Each realization's phases are the
+    ``(8, E) @ (E, delays)`` matmul of its E in-window events, as it would
+    get alone: the realizations with E events share one stacked matmul whose
+    operands are C-contiguous, so BLAS sums each one in the same order.
+    """
+    unit, words, counts, u, inside, events = zip(*draws)
+    n, m = cfg.n_sources, len(draws)
+    t_end = 2.0 * tau[-1]
+    hot = max(cfg.base_rate, rate)
+    signs = _signs(np.array(words))
+    if shared_couplings is None:
+        couplings, s0 = _couplings(cfg, np.array(unit), signs[:, :n]), signs[:, n:]
+    else:
+        couplings, s0 = shared_couplings, signs[:, :n]
+    signed = (couplings * s0).ravel()
+    inside = np.concatenate(inside)
+    slot = np.repeat(np.arange(m * n), np.concatenate(counts))[inside]
+    # Sort each slot's events by time (slot is sorted already): complex
+    # numbers sort by their real part, then their imaginary part.
+    key = np.empty(slot.size, dtype=complex)
+    key.real, key.imag = slot, np.concatenate(u)[inside] * (hot / rate) * t_end
+    key.sort()
+    t = key.imag
     # Event k of a source (from 0, in time order) turns its sign s0 into
     # s0 (-1)^(k+1): Phi = sum 2 b s0 (-1)^(k+1) h(tau, t), h = -min(t, (2 tau
     # - t)+). Over sign flips of whole groups, the mean of cos(Phi) is the
     # product of the groups' cosines.
-    t = t[np.lexsort((t, source)), None]  # source is sorted already
-    k = np.arange(t.size) - np.searchsorted(source, source)
-    weight = np.where(k % 2 == 0, 2.0, -2.0) * (couplings * s0)[source]
-    group = source * _SIGN_GROUPS // n
-    minus_h = np.minimum(t, np.maximum(2.0 * tau - t, 0.0))
-    phases = ((np.arange(_SIGN_GROUPS)[:, None] == group) * weight) @ minus_h
-    return np.prod(np.cos(phases), axis=0)
+    k = np.arange(t.size) - np.searchsorted(slot, slot)
+    weight = np.where(k % 2 == 0, 2.0, -2.0) * signed[slot]
+    group = slot % n * _SIGN_GROUPS // n
+    # Order the realizations by E, and their events to match, so that the
+    # realizations with E events are one run of (E,) event rows.
+    events = np.array(events)
+    rows = np.argsort(events, kind="stable")
+    size = events[rows]
+    start = np.cumsum(size) - size
+    first = np.repeat(start, size)  # of each event's realization, reordered
+    ordinal = np.arange(t.size)
+    order = ordinal - first + np.repeat((np.cumsum(events) - events)[rows], size)
+    t = t[order]
+    # Row g of a realization's (8, E) left operand holds the weights of group
+    # g's events and zeros elsewhere, whose signs cannot reach cos(Phi).
+    g = _SIGN_GROUPS
+    left = np.zeros(g * t.size)
+    left[(g - 1) * first + group[order] * np.repeat(size, size) + ordinal] = weight[order]
+    two_tau = 2.0 * tau
+    by_size = np.empty((m, tau.size))
+    runs = np.flatnonzero(np.diff(size, prepend=-1)).tolist() + [m]
+    for i, j in zip(runs, runs[1:]):
+        e, a = int(size[i]), int(start[i])
+        b = a + (j - i) * e
+        t_e = t[a:b].reshape(j - i, e, 1)
+        minus_h = two_tau - t_e
+        np.maximum(minus_h, 0.0, out=minus_h)
+        np.minimum(t_e, minus_h, out=minus_h)
+        phases = left[g * a:g * b].reshape(j - i, g, e) @ minus_h
+        np.multiply.reduce(np.cos(phases, out=phases), axis=1, out=by_size[i:j])
+    echoes = np.empty_like(by_size)
+    echoes[rows] = by_size
+    return echoes
 
 
 def simulate_inversion_recovery(
@@ -306,7 +426,7 @@ def simulate_inversion_recovery(
     with np.errstate(over="ignore"):
         amplitude = 1.0 - 2.0 * np.exp(-t / t1)
         if noise_amplitude > 0:
-            amplitude += noise_amplitude * _rng(seed, 0).standard_normal(t.size)
+            amplitude += noise_amplitude * _stream(seed, 0).standard_normal(t.size)
     std_error = np.full_like(amplitude, noise_amplitude)
     return DecayTrace(
         sequence=SEQUENCE_INVERSION,

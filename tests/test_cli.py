@@ -386,6 +386,20 @@ class TestFit:
         assert rc == 3
         assert "converged: False" in (tmp_path / "wild.txt").read_text()
 
+    @pytest.mark.parametrize("start", ["A=1e150", "B=1e140"])
+    def test_parameter_run_off_to_zero_is_not_converged(self, tmp_path, start):
+        # From these starts the log-space search drives the other rate
+        # coefficient towards 0, where the cost stops changing far above its
+        # minimum (about 2e-28 from the default start).
+        data = tmp_path / "nv_t1.csv"
+        datasets.save_csv(datasets.bundled("NV", "T1"), data)
+        rc = cli.main(
+            ["--outdir", str(tmp_path), "fit", "--model", "t1_model",
+             "--data", str(data), "--init", start]
+        )
+        assert rc == 3
+        assert "converged: False" in (tmp_path / "fit.txt").read_text()
+
     def test_usage_errors_exit_2(self, tmp_path):
         data = tmp_path / "nv_t2.csv"
         datasets.save_csv(datasets.bundled("NV", "T2"), data)

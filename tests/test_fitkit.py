@@ -323,6 +323,20 @@ class TestEngineContracts:
         assert (result.params[0], result.converged) == (1.5, False)
         assert "no downhill step" in result.message
 
+    def test_positive_parameter_stays_inside_zero_to_inf(self):
+        # A rate A = 1e150 far from its value drives B = exp(z) towards 0;
+        # steps that would underflow it are rejected, and where the model no
+        # longer resolves B the fit is stalled, not converged.
+        model = fitkit.get_model("t1_model")
+        x, sigma = np.array([40.0, 300.0]), np.array([0.0346, 6.75])
+        y = model.evaluate(np.array([6.4e-3, 5.3e-11]), x)
+        result = fitkit.fit(model, x, y, sigma, init={"A": 1e150})
+        assert np.all(result.params > 0.0)
+        assert not result.converged
+        assert "edge" in result.message
+        # From the data-driven start the same fit converges.
+        assert fitkit.fit(model, x, y, sigma).converged
+
     def test_all_fixed_raises(self):
         model = fitkit.get_model("t1_model")
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import pytest
 from nvbath import pulse_sim as ps
 from nvbath.bath_model import flip_flop_factor
 
+import echo_reference
 import rtn_exact
 import rtn_oracle
 
@@ -58,6 +59,69 @@ class TestCouplings:
             n_sources=2, fixed_couplings=(1e4, -3e4)
         )
         np.testing.assert_array_equal(ps.sample_couplings(cfg), [1e4, -3e4])
+
+
+class TestStream:
+    SEEDS = [0, 1, -1, -(2**70) + 5, 2**64, 2**64 + 7, 3 * 2**66 - 1]
+
+    @staticmethod
+    def _draws(gen, odd):
+        return [
+            gen.integers(0, 2**32, odd, dtype=np.uint32),
+            gen.random(odd),
+            gen.integers(0, 2, odd),
+            gen.poisson(2.5, odd),
+            gen.bit_generator.random_raw(odd),
+        ]
+
+    def test_reset_stream_is_a_fresh_philox_stream(self):
+        rng = None
+        for seed in self.SEEDS:
+            for realization in (0, 5, -3, 2**64 + 1):
+                for odd in (1, 3, 101):
+                    # An odd uint32 count leaves half a word buffered; each
+                    # reset must drop it.
+                    rng = ps._stream(seed, realization, rng)
+                    fresh = echo_reference.stream(seed, realization)
+                    for a, b in zip(self._draws(rng, odd), self._draws(fresh, odd)):
+                        np.testing.assert_array_equal(a, b)
+                    rng.integers(0, 2**32, odd, dtype=np.uint32)
+
+    def test_new_stream_matches_fresh_generator(self):
+        for seed in self.SEEDS:
+            np.testing.assert_array_equal(
+                ps._stream(seed, 9).random(7), echo_reference.stream(seed, 9).random(7)
+            )
+
+    @pytest.mark.parametrize("words", [1, 2, 50, 151])
+    def test_signs_are_what_integers_draws(self, words):
+        for seed in self.SEEDS:
+            raw = ps._stream(seed, 2).bit_generator.random_raw(words)
+            expected = echo_reference.stream(seed, 2).integers(0, 2, 2 * words) * 2 - 1
+            np.testing.assert_array_equal(ps._signs(raw), expected)
+            assert ps._signs(raw).dtype == expected.dtype
+
+    def test_inversion_noise_uses_the_stream(self):
+        delays = np.linspace(0.0, 8e-3, 9)
+        trace = ps.simulate_inversion_recovery(1.2e-3, delays, 0.05, seed=-2)
+        noise = 0.05 * echo_reference.stream(-2, 0).standard_normal(9)
+        expected = 1.0 - 2.0 * np.exp(-delays / 1.2e-3) + noise
+        np.testing.assert_array_equal(trace.amplitude, expected)
+
+    @pytest.mark.parametrize("n_sources", [1, 7, 300])
+    def test_sample_couplings_are_the_kernel_couplings(self, monkeypatch, n_sources):
+        cfg = ps.BathNoiseConfig(n_sources=n_sources, seed=-5, temperature=20.0)
+        used = []
+        couplings = ps._couplings
+        monkeypatch.setattr(
+            ps, "_couplings", lambda *args: used.append(couplings(*args)) or used[-1]
+        )
+        ps.simulate_hahn_echo(cfg, np.linspace(0.0, 25e-6, 5), 70, threads=1)
+        monkeypatch.undo()
+        used = np.concatenate(used)
+        assert used.shape == (70, n_sources)
+        for r in range(70):
+            np.testing.assert_array_equal(ps.sample_couplings(cfg, r), used[r])
 
 
 class TestEffectiveRate:
@@ -204,6 +268,51 @@ class TestHahnEcho:
         combined = np.hypot(trace.std_error[1:], err[1:])
         z = (trace.amplitude[1:] - mean[1:]) / combined
         assert np.max(np.abs(z)) < 4.0
+
+
+class TestBlockKernel:
+    """The block kernel against the per-realization kernel of
+    tests/echo_reference.py: same draws, same bytes."""
+
+    # 70 realizations: one full block of 64 and a partial one.
+    N = 70
+    TEMPERATURES = [1e9, 300.0, 20.0, 8.0, 4.0, 2.0, 1.0, 0.115]
+    BATHS = [
+        dict(n_sources=1),
+        dict(n_sources=7),
+        dict(n_sources=300),
+        dict(n_sources=7, fixed_couplings=(3e4, -5e4, 1.2e5, 7e3, -2e4, 9e4, -1e5)),
+    ]
+
+    @pytest.mark.parametrize("temperature", TEMPERATURES)
+    def test_bit_identical_to_per_realization_kernel(self, temperature):
+        in_window = []
+        for bath in self.BATHS:
+            cfg = ps.BathNoiseConfig(temperature=temperature, seed=4, **bath)
+            for points in (5, 200):
+                tau = np.linspace(0.0, 25e-6, points)
+                amplitude, std_error, _, events = echo_reference.hahn_echo(
+                    cfg, ps.effective_rate(cfg), tau, self.N
+                )
+                in_window.append(events)
+                for threads in (1, 2, 5):
+                    trace = ps.simulate_hahn_echo(cfg, tau, self.N, threads)
+                    assert np.array_equal(trace.amplitude, amplitude)
+                    assert np.array_equal(trace.std_error, std_error)
+        if temperature >= 20.0:
+            # BLAS may sum short and long inner dimensions differently.
+            in_window = np.concatenate(in_window)
+            assert np.any(in_window < 16) and np.any(in_window > 16)
+
+    def test_block_cell_budget_keeps_the_bytes(self, monkeypatch):
+        cfg = ps.BathNoiseConfig(n_sources=30, seed=8)
+        tau = np.linspace(0.0, 25e-6, 9)
+        whole = ps.simulate_hahn_echo(cfg, tau, 100)
+        # A budget of one cell filters every realization on its own.
+        monkeypatch.setattr(ps, "_BLOCK_CELLS", 1)
+        alone = ps.simulate_hahn_echo(cfg, tau, 100, threads=2)
+        assert np.array_equal(whole.amplitude, alone.amplitude)
+        assert np.array_equal(whole.std_error, alone.std_error)
 
 
 class TestExactReference:
