@@ -182,7 +182,10 @@ def _sequence_name(text: str) -> str:
 
 
 def _outdir(args) -> str:
-    return args.outdir or os.environ.get("NVBATH_OUTPUT_DIR") or "."
+    """The output directory, created (with its parents) if it is missing."""
+    path = args.outdir or os.environ.get("NVBATH_OUTPUT_DIR") or "."
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 def _resolve(args, name: str) -> str:

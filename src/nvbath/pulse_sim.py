@@ -15,14 +15,17 @@ counter-based stream keyed by (seed, r), so results are bit-identical for any
 worker count and any chunking of the realization loop. Each source's events
 are drawn once at the hot-limit rate and stretched by hot rate / rate, so
 every temperature of a scan sees the same events on a slower clock (and a
-cold run with a huge base rate may be refused). Flipping the initial signs of
-a whole source group leaves the law of Phi unchanged, so each realization
-contributes the exact mean of cos(Phi) over those flips.
+cold run with a huge base rate may be refused): a scan draws each
+realization once and filters it at every temperature, with the bytes of a
+run at each temperature alone. Flipping the initial signs of a whole source
+group leaves the law of Phi unchanged, so each realization contributes the
+exact mean of cos(Phi) over those flips.
 
 Realizations run in blocks of 64, the unit of thread work. Each one still
 draws from its own stream, one reset Philox generator per block, in the
 same order as when it runs alone. The elementwise filter steps then run
-once over the block's events, and each realization's phases are its own
+once over the block's events, sorted once by source and time for all the
+rates of a call, and each realization's phases are its own
 ``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
 stacked matmul per E: the echoes are bit-identical to a per-realization
 loop (tests/echo_reference.py), with far fewer numpy calls.
@@ -240,40 +243,88 @@ def simulate_hahn_echo(
     cos(Phi(tau)) over sign flips of whole source groups at every tau of the
     grid. The trace reports the mean and standard error over realizations.
     """
+    return _hahn_echoes(cfg, [effective_rate(cfg)], tau_grid, n_realizations, threads)[0]
+
+
+def _hahn_echoes(
+    cfg: BathNoiseConfig,
+    rates: Sequence[float],
+    tau_grid: Sequence[float],
+    n_realizations: int,
+    threads: int,
+) -> list[DecayTrace]:
+    """Hahn-echo traces of the bath at each switching rate, one per rate.
+
+    Every rate is checked before anything is drawn. The rates that share a
+    hot-limit rate share their draws: each realization's stream is drawn once
+    per group of rates whose echo arrays fit ``_MAX_ECHO_CELLS`` together, and
+    filtered at each rate of the group, so each trace is the one a run at
+    that rate alone gives. One group's echo arrays exist at a time.
+    """
     tau = _delay_grid(tau_grid)
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    rate = effective_rate(cfg)
     shared = None if cfg.fixed_couplings is None else sample_couplings(cfg)
     # Checked in Python floats (which overflow to inf quietly) before numpy
     # sees the Poisson mean; each realization checks its own draw exactly.
     t_end = 2.0 * float(tau[-1])
-    drawn = cfg.n_sources * (max(cfg.base_rate, rate) * t_end + 1.0)
-    in_window = cfg.n_sources * (rate * t_end + 1.0)
-    _refuse_over(drawn, _MAX_CELLS, "a realization would draw {:.3g} events", drawn)
-    _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
-                 "a realization would filter {:.3g} events x {} delays",
-                 in_window, tau.size)
-    _refuse_over(n_realizations * tau.size, _MAX_ECHO_CELLS,
-                 "{} realizations x {} delays of echo values", n_realizations, tau.size)
-    echoes = np.empty((n_realizations, tau.size))
-    if rate * t_end < _NEGLIGIBLE_EVENTS:
-        echoes.fill(1.0)  # static noise refocuses exactly
-    else:
-        def run_block(lo: int) -> None:
-            hi = min(lo + _BLOCK, n_realizations)
-            echoes[lo:hi] = _echo_block(cfg, rate, tau, lo, hi, shared)
-
-        starts = range(0, n_realizations, _BLOCK)
-        if threads == 1:
-            for lo in starts:
-                run_block(lo)
+    for rate in rates:
+        drawn = cfg.n_sources * (max(cfg.base_rate, rate) * t_end + 1.0)
+        in_window = cfg.n_sources * (rate * t_end + 1.0)
+        _refuse_over(drawn, _MAX_CELLS, "a realization would draw {:.3g} events", drawn)
+        _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
+                     "a realization would filter {:.3g} events x {} delays",
+                     in_window, tau.size)
+        _refuse_over(n_realizations * tau.size, _MAX_ECHO_CELLS,
+                     "{} realizations x {} delays of echo values", n_realizations, tau.size)
+    traces: dict[float, DecayTrace] = {}
+    by_hot: dict[float, list[float]] = {}
+    for rate in dict.fromkeys(rates):
+        if rate * t_end < _NEGLIGIBLE_EVENTS:
+            # Static noise refocuses exactly.
+            traces[rate] = _trace(np.ones((n_realizations, tau.size)), tau, cfg.seed)
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(run_block, starts))
+            by_hot.setdefault(max(cfg.base_rate, rate), []).append(rate)
+    per_draw = _MAX_ECHO_CELLS // (n_realizations * tau.size)
+    groups = [same[i:i + per_draw] for same in by_hot.values()
+              for i in range(0, len(same), per_draw)]
+    for group in groups:
+        traces.update(zip(group, _drawn_traces(cfg, group, tau, n_realizations,
+                                                threads, shared)))
+    return [traces[rate] for rate in rates]
 
+
+def _drawn_traces(
+    cfg: BathNoiseConfig,
+    rates: list[float],
+    tau: np.ndarray,
+    n_realizations: int,
+    threads: int,
+    shared_couplings: Optional[np.ndarray],
+) -> list[DecayTrace]:
+    """Traces at rates that share one hot-limit rate, from one draw of each
+    realization; the blocks of realizations fan out over ``threads``."""
+    echoes = np.empty((len(rates), n_realizations, tau.size))
+
+    def run_block(lo: int) -> None:
+        hi = min(lo + _BLOCK, n_realizations)
+        echoes[:, lo:hi] = _echo_block(cfg, rates, tau, lo, hi, shared_couplings)
+
+    starts = range(0, n_realizations, _BLOCK)
+    if threads == 1:
+        for lo in starts:
+            run_block(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_block, starts))
+    return [_trace(e, tau, cfg.seed) for e in echoes]
+
+
+def _trace(echoes: np.ndarray, tau: np.ndarray, seed: int) -> DecayTrace:
+    """The trace of a (realizations, delays) echo array: mean and standard error."""
+    n_realizations = echoes.shape[0]
     amplitude = echoes.mean(axis=0)
     if n_realizations > 1:
         std_error = echoes.std(axis=0, ddof=1) / math.sqrt(n_realizations)
@@ -285,32 +336,35 @@ def simulate_hahn_echo(
         amplitude=amplitude,
         std_error=std_error,
         n_realizations=n_realizations,
-        seed=cfg.seed,
+        seed=seed,
     )
 
 
 def _echo_block(
     cfg: BathNoiseConfig,
-    rate: float,
+    rates: Sequence[float],
     tau: np.ndarray,
     lo: int,
     hi: int,
     shared_couplings: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Echoes of realizations lo .. hi - 1.
+    """Echoes of realizations lo .. hi - 1 at each rate, as a (rates,
+    realizations, delays) array; the rates share one hot-limit rate.
 
-    Each realization draws from its own (seed, r) stream, with one generator
-    reset per realization, in the same order and with the same checks as when
-    it is evaluated alone. The draws go through :func:`_filter` together, and
-    early once they and their filter hold ``_BLOCK_CELLS`` cells.
+    Each realization draws from its own (seed, r) stream once, with one
+    generator reset per realization, in the same order and with the same
+    checks (at each rate) as when it is evaluated alone. The draws go through
+    :func:`_filter` together, and early once they and the filters of every
+    rate hold ``_BLOCK_CELLS`` cells.
     """
     n = cfg.n_sources
     t_end = 2.0 * tau[-1]
     # Every temperature draws the same events at the hot-limit rate and slows
     # their clock by hot / rate, so a quench scan shares its random numbers.
-    hot = max(cfg.base_rate, rate)
+    hot = max(cfg.base_rate, *rates)
+    cuts = [rate / hot for rate in rates]
     width = tau.size + _SIGN_GROUPS
-    echoes = np.empty((hi - lo, tau.size))
+    echoes = np.empty((len(rates), hi - lo, tau.size))
     rng, draws, cells = None, [], 0
     for r in range(lo, hi):
         rng = _stream(cfg.seed, r, rng)
@@ -321,52 +375,81 @@ def _echo_block(
         drawn = int(counts.sum())
         _refuse_over(drawn, _MAX_CELLS, "realization {} drew {} events", r, drawn)
         u = rng.random(drawn)
-        inside = u < rate / hot  # the events the stretch leaves inside the window
-        events = int(np.count_nonzero(inside))
-        _refuse_over(events * width, _MAX_CELLS,
-                     "realization {} has {} events in its window", r, events)
-        draws.append((unit, words, counts, u, inside, events))
-        cells += 3 * n + drawn + events * width
+        draws.append((unit, words, counts, u))
+        cells += 3 * n + drawn
+        for cut in cuts:  # the events the stretch leaves inside the window
+            events = int(np.count_nonzero(u < cut))
+            _refuse_over(events * width, _MAX_CELLS,
+                         "realization {} has {} events in its window", r, events)
+            cells += events * width
         if cells > _BLOCK_CELLS or r == hi - 1:
-            echoes[r + 1 - lo - len(draws):r + 1 - lo] = _filter(
-                cfg, rate, tau, draws, shared_couplings)
+            echoes[:, r + 1 - lo - len(draws):r + 1 - lo] = _filter(
+                cfg, rates, tau, draws, shared_couplings)
             draws, cells = [], 0
     return echoes
 
 
 def _filter(
     cfg: BathNoiseConfig,
-    rate: float,
+    rates: Sequence[float],
     tau: np.ndarray,
     draws: list,
     shared_couplings: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Echoes of a run of realizations from their draws.
+    """Echoes of a run of realizations from their draws, at each rate.
 
     The elementwise steps run once over all their events, each tagged with
-    its slot (realization x n + source). Each realization's phases are the
-    ``(8, E) @ (E, delays)`` matmul of its E in-window events, as it would
-    get alone: the realizations with E events share one stacked matmul whose
-    operands are C-contiguous, so BLAS sums each one in the same order.
+    its slot (realization x n + source). The events inside the window of the
+    fastest rate are sorted by slot and time once: a slower rate keeps a
+    subset of them and stretches their times by a positive factor, which
+    keeps their order.
     """
-    unit, words, counts, u, inside, events = zip(*draws)
+    unit, words, counts, u = zip(*draws)
     n, m = cfg.n_sources, len(draws)
     t_end = 2.0 * tau[-1]
-    hot = max(cfg.base_rate, rate)
+    hot = max(cfg.base_rate, *rates)
     signs = _signs(np.array(words))
     if shared_couplings is None:
         couplings, s0 = _couplings(cfg, np.array(unit), signs[:, :n]), signs[:, n:]
     else:
         couplings, s0 = shared_couplings, signs[:, :n]
     signed = (couplings * s0).ravel()
-    inside = np.concatenate(inside)
+    u = np.concatenate(u)
+    fastest = max(rates)
+    inside = u < fastest / hot
     slot = np.repeat(np.arange(m * n), np.concatenate(counts))[inside]
-    # Sort each slot's events by time (slot is sorted already): complex
-    # numbers sort by their real part, then their imaginary part.
+    # Sort each slot's events by u, and so by time at every rate (slot is
+    # sorted already): complex numbers sort by their real part, then their
+    # imaginary part.
     key = np.empty(slot.size, dtype=complex)
-    key.real, key.imag = slot, np.concatenate(u)[inside] * (hot / rate) * t_end
+    key.real, key.imag = slot, u[inside]
     key.sort()
-    t = key.imag
+    echoes = np.empty((len(rates), m, tau.size))
+    for i, rate in enumerate(rates):
+        u, kept = key.imag, slot
+        if rate < fastest:
+            keep = u < rate / hot
+            u, kept = u[keep], slot[keep]
+        echoes[i] = _stacked_echoes(n, m, tau, kept, u * (hot / rate) * t_end, signed)
+    return echoes
+
+
+def _stacked_echoes(
+    n: int,
+    m: int,
+    tau: np.ndarray,
+    slot: np.ndarray,
+    t: np.ndarray,
+    signed: np.ndarray,
+) -> np.ndarray:
+    """Echoes of m realizations from their in-window events, sorted by slot
+    and then time.
+
+    Each realization's phases are the ``(8, E) @ (E, delays)`` matmul of its
+    E in-window events, as it would get alone: the realizations with E events
+    share one stacked matmul whose operands are C-contiguous, so BLAS sums
+    each one in the same order.
+    """
     # Event k of a source (from 0, in time order) turns its sign s0 into
     # s0 (-1)^(k+1): Phi = sum 2 b s0 (-1)^(k+1) h(tau, t), h = -min(t, (2 tau
     # - t)+). Over sign flips of whole groups, the mean of cos(Phi) is the
@@ -376,7 +459,7 @@ def _filter(
     group = slot % n * _SIGN_GROUPS // n
     # Order the realizations by E, and their events to match, so that the
     # realizations with E events are one run of (E,) event rows.
-    events = np.array(events)
+    events = np.diff(np.searchsorted(slot, np.arange(0, (m + 1) * n, n)))
     rows = np.argsort(events, kind="stable")
     size = events[rows]
     start = np.cumsum(size) - size
@@ -451,17 +534,19 @@ def effective_t2_scan(
 ) -> list[tuple[float, float]]:
     """Fitted echo T2 (seconds) at each temperature of a quench scan.
 
-    Runs :func:`simulate_hahn_echo` on :func:`default_tau_grid` at every
-    temperature with the same seed (equal temperatures therefore give
-    identical results) and fits a single exponential ``a exp(-2 tau / T2)``.
-    A fit that fails to converge raises, naming the offending temperature.
+    Simulates the Hahn echo on :func:`default_tau_grid` at every
+    temperature from one draw of each realization: each temperature's trace
+    is the one :func:`simulate_hahn_echo` gives there with the same seed
+    (equal temperatures therefore give identical results). Every temperature
+    is checked before anything is drawn. Each trace is fitted with a single
+    exponential ``a exp(-2 tau / T2)``; a fit that fails to converge raises,
+    naming the offending temperature.
     """
-    tau_grid = default_tau_grid()
     model = fitkit.get_model("echo_decay")
+    rates = [effective_rate(replace(cfg, temperature=float(t))) for t in temperatures]
+    traces = _hahn_echoes(cfg, rates, default_tau_grid(), n_realizations, threads)
     out: list[tuple[float, float]] = []
-    for temperature in temperatures:
-        run_cfg = replace(cfg, temperature=float(temperature))
-        trace = simulate_hahn_echo(run_cfg, tau_grid, n_realizations, threads)
+    for temperature, trace in zip(temperatures, traces):
         result = fitkit.fit(model, trace.delays, trace.amplitude)
         if not result.converged:
             raise RuntimeError(

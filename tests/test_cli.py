@@ -559,17 +559,31 @@ class TestOutputRouting:
         assert (right / "polarization.csv").exists()
         assert not (wrong / "polarization.csv").exists()
 
-    def test_missing_outdir_exits_4(self, tmp_path):
-        rc = cli.main(
-            [
-                "--outdir",
-                str(tmp_path / "absent" / "nested"),
-                "polarization",
-                "--temps",
-                "2,300",
-            ]
-        )
-        assert rc == 4
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "args, written",
+        [
+            (["polarization", "--temps", "2,300"], "polarization.csv"),
+            (TestSimulate.ARGS, "trace.csv"),
+        ],
+        ids=["polarization", "simulate"],
+    )
+    def test_missing_outdir_is_created(self, tmp_path, monkeypatch, how, args, written):
+        out = tmp_path / "absent" / "nested"
+        if how == "flag":
+            rc = cli.main(["--outdir", str(out), *args])
+        else:
+            monkeypatch.setenv("NVBATH_OUTPUT_DIR", str(out))
+            rc = cli.main(args)
+        assert rc == 0
+        assert (out / written).is_file()
+
+    def test_outdir_under_a_file_exits_4(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "file", tmp_path / "file" / "nested"):
+            rc = cli.main(["--outdir", str(out), "polarization", "--temps", "2,300"])
+            assert rc == 4
+            assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 class TestEntryPoint:

@@ -6,6 +6,7 @@ is statistical, not shared-code.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -424,6 +425,13 @@ class TestInversionRecovery:
 
 
 class TestTemperatureScan:
+    # 70 realizations: one full block of 64 and a partial one. A repeated
+    # temperature; a static one (0.01 T_Ze) that draws nothing; and one whose
+    # flip-flop factor rounds to just over 1/4, so that its rate is one ulp
+    # over base_rate and its events are drawn at that rate, apart.
+    N = 70
+    SCAN = (1e9, 20.0, 4.0, 20.0, 0.11518, 2.0, 797406919.621389)
+
     def test_equal_temperatures_give_equal_t2(self):
         scan = ps.effective_t2_scan(
             ps.BathNoiseConfig(), (300.0, 300.0), n_realizations=150
@@ -449,6 +457,79 @@ class TestTemperatureScan:
             ps.BathNoiseConfig(seed=seed), (1e9, 20.0), n_realizations=1000
         )
         assert scan[0][1] < scan[1][1]
+
+    @staticmethod
+    def _traced_scan(monkeypatch, cfg, temperatures, n, threads=1):
+        """The scan's T2s and the trace it fitted at each temperature."""
+        traced = []
+        hahn_echoes = ps._hahn_echoes
+        monkeypatch.setattr(
+            ps, "_hahn_echoes", lambda *args: traced.extend(hahn_echoes(*args)) or traced
+        )
+        scan = ps.effective_t2_scan(cfg, temperatures, n, threads)
+        monkeypatch.undo()
+        return [t2 for _, t2 in scan], traced
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "bath",
+        [dict(n_sources=30), TestBlockKernel.BATHS[3]],
+        ids=["drawn", "pinned"],
+    )
+    def test_each_temperature_is_its_own_run(self, monkeypatch, bath, threads):
+        cfg = ps.BathNoiseConfig(seed=6, **bath)
+        _, traced = self._traced_scan(monkeypatch, cfg, self.SCAN, self.N, threads)
+        assert len(traced) == len(self.SCAN)
+        for temperature, trace in zip(self.SCAN, traced):
+            alone = ps.simulate_hahn_echo(
+                replace(cfg, temperature=temperature), ps.default_tau_grid(), self.N
+            )
+            assert np.array_equal(trace.amplitude, alone.amplitude)
+            assert np.array_equal(trace.std_error, alone.std_error)
+        assert np.all(traced[4].amplitude == 1.0)
+        assert ps.effective_rate(replace(cfg, temperature=self.SCAN[-1])) > cfg.base_rate
+
+    # Four moving rates share the base rate (20 K twice is one), and one
+    # draws apart; each group of per_draw rates is drawn in two blocks.
+    @pytest.mark.parametrize(
+        "per_draw, rates_per_block",
+        [(1, [1] * 10), (2, [2, 2, 2, 2, 1, 1]), (4, [4, 4, 1, 1])],
+    )
+    def test_echo_cell_groups_keep_the_t2s(self, monkeypatch, per_draw, rates_per_block):
+        cfg = ps.BathNoiseConfig(n_sources=30, seed=2)
+        whole, _ = self._traced_scan(monkeypatch, cfg, self.SCAN, self.N)
+        blocks = []
+        echo_block = ps._echo_block
+        monkeypatch.setattr(
+            ps, "_echo_block", lambda cfg, rates, *args: blocks.append(len(rates))
+            or echo_block(cfg, rates, *args)
+        )
+        # Room for per_draw echo arrays of N x 41 cells at a time.
+        monkeypatch.setattr(ps, "_MAX_ECHO_CELLS", per_draw * self.N * 41)
+        split = ps.effective_t2_scan(cfg, self.SCAN, self.N)
+        assert [t2 for _, t2 in split] == whole
+        assert blocks == rates_per_block
+
+    def test_every_temperature_is_checked_before_any_draw(self, monkeypatch):
+        # Lowered so that the hot limit would filter 152.5 events x 49 cells
+        # and is refused, while 2 K (100.7 x 49) is not.
+        monkeypatch.setattr(ps, "_MAX_CELLS", 6000)
+        streams = []
+        stream = ps._stream
+        monkeypatch.setattr(ps, "_stream", lambda *args: streams.append(args) or stream(*args))
+        with pytest.raises(ValueError, match="would filter"):
+            ps.effective_t2_scan(ps.BathNoiseConfig(), (2.0, 1e9), self.N)
+        assert streams == []
+
+    def test_each_temperature_checks_each_draw(self, monkeypatch):
+        # As TestHahnEcho.test_each_draw_is_checked_against_the_limit: the
+        # hot limit's expected events plus one sit exactly at the lowered
+        # limit, so its realizations pass the pre-flight and about half of
+        # them are over it in the window; at 2 K almost none is.
+        monkeypatch.setattr(ps, "_MAX_CELLS", (41 + ps._SIGN_GROUPS) * 100)
+        cfg = ps.BathNoiseConfig(n_sources=1, base_rate=99 / 50e-6)
+        with pytest.raises(ValueError, match="in its window"):
+            ps.effective_t2_scan(cfg, (2.0, 1e9), 200)
 
 
 class TestConfigValidation:

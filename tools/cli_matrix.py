@@ -15,7 +15,9 @@ threads, seed 3 at 4 K), inversion recovery, the bundled NV T1/T2 and N T2
 tables, a ``fit`` of each registry model, and ``model-eval`` of both rate
 laws. Each command's exit code and stdout (with the output directory written
 as ``OUT``) go to ``commands.txt``, which is hashed with the data files.
-Uses the standard library and nvbath only.
+No subcommand runs the quench scan, so ``quench_scan.txt`` holds
+``pulse_sim.effective_t2_scan`` of one small fixed scan, written here with
+``repr``-exact floats. Uses the standard library and nvbath only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import io
 import sys
 from pathlib import Path
 
-from nvbath import cli, datasets
+from nvbath import cli, datasets, pulse_sim
 
 # name -> INI text for `spectrum --config`; outputs <name>_spectrum.csv and
 # <name>_peaks.csv.
@@ -91,6 +93,15 @@ def commands(out: Path) -> list[list[str]]:
     return [["--outdir", str(out), *args] for args in runs]
 
 
+def write_quench_scan(path: Path) -> None:
+    """``effective_t2_scan`` at the bench's quench_scan temperatures (seed 11,
+    200 realizations), one ``repr(T) repr(T2)`` line per temperature."""
+    cfg = pulse_sim.BathNoiseConfig(seed=11)
+    temperatures = (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman)
+    scan = pulse_sim.effective_t2_scan(cfg, temperatures, 200)
+    path.write_text("".join(f"{t!r} {t2!r}\n" for t, t2 in scan))
+
+
 def run(out: Path) -> dict[str, str]:
     """Run the matrix into ``out`` and return {file name: sha256}."""
     out.mkdir(parents=True, exist_ok=True)
@@ -106,6 +117,7 @@ def run(out: Path) -> dict[str, str]:
         shown = " ".join(argv[2:]).replace(str(out), "OUT")
         log.append(f"{rc} {shown}\n  {stdout.getvalue().replace(str(out), 'OUT')}")
     (out / "commands.txt").write_text("".join(log))
+    write_quench_scan(out / "quench_scan.txt")
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
