@@ -118,12 +118,13 @@ def flip_flop_factor(temperature, t_zeeman: float):
     """Pair flip-flop probability factor ``P_down * P_up = 1/(2 + 2 cosh(T_Ze/T))``.
 
     Equals ``(1 - p**2)/4`` for polarization p: 1/4 in the hot limit, and
-    exponentially small once the bath freezes out.
+    exponentially small once the bath freezes out. The bound 1/4 is exact:
+    near the hot limit the rounded quotient would exceed it by one ulp.
     """
     _, x = _zeeman_ratio(temperature, t_zeeman)
     # e^-x form is overflow-safe for any positive x.
     e = np.exp(-x)
-    return _out(e / ((1.0 + e) * (1.0 + e)))
+    return _out(np.minimum(e / ((1.0 + e) * (1.0 + e)), 0.25))
 
 
 def t2_rate(temperature, params: T2ModelParams = DEFAULT_T2_PARAMS):

@@ -13,19 +13,21 @@ realization average of cos(Phi). A switching event at time t adds
 (2 tau - t)+``: an exact sum, no time step. Realization r draws from a
 counter-based stream keyed by (seed, r), so results are bit-identical for any
 worker count and any chunking of the realization loop. Each source's events
-are drawn once at the hot-limit rate and stretched by hot rate / rate, so
-every temperature of a scan sees the same events on a slower clock (and a
-cold run with a huge base rate may be refused): a scan draws each
-realization once and filters it at every temperature, with the bytes of a
-run at each temperature alone. Flipping the initial signs of a whole source
+are drawn once at the hot-limit rate, which is the base rate at every
+temperature (the flip-flop factor never exceeds 1/4), and stretched by base
+rate / rate, so every temperature of a scan sees the same events on a slower
+clock (and a cold run with a huge base rate may be refused): a scan draws
+each realization once and filters it at every temperature, with the bytes of
+a run at each temperature alone. Flipping the initial signs of a whole source
 group leaves the law of Phi unchanged, so each realization contributes the
 exact mean of cos(Phi) over those flips.
 
 Realizations run in blocks of 64, the unit of thread work. Each one still
 draws from its own stream, one reset Philox generator per block, in the
 same order as when it runs alone. The elementwise filter steps then run
-once over the block's events, sorted once by source and time for all the
-rates of a call, and each realization's phases are its own
+once over the block's events, sorted once by source and time at the
+fastest rate of a call (its filter arrays set the block's cell budget, as
+one rate is filtered at a time), and each realization's phases are its own
 ``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
 stacked matmul per E: the echoes are bit-identical to a per-realization
 loop (tests/echo_reference.py), with far fewer numpy calls.
@@ -39,6 +41,7 @@ realization draws its own bath geometry (an ensemble measurement), and
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -255,71 +258,57 @@ def _hahn_echoes(
 ) -> list[DecayTrace]:
     """Hahn-echo traces of the bath at each switching rate, one per rate.
 
-    Every rate is checked before anything is drawn. The rates that share a
-    hot-limit rate share their draws: each realization's stream is drawn once
-    per group of rates whose echo arrays fit ``_MAX_ECHO_CELLS`` together, and
-    filtered at each rate of the group, so each trace is the one a run at
-    that rate alone gives. One group's echo arrays exist at a time.
+    Every rate is checked before anything is drawn. No rate exceeds the base
+    rate, so all of them share their draws: each realization's stream is
+    drawn once per slice of moving rates whose echo arrays fit
+    ``_MAX_ECHO_CELLS`` together, and filtered at each rate of the slice, so
+    each trace is the one a run at that rate alone gives. One slice's echo
+    arrays exist at a time; its blocks of realizations fan out over at most
+    ``threads`` workers, no more than there are blocks or cores.
     """
     tau = _delay_grid(tau_grid)
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    shared = None if cfg.fixed_couplings is None else sample_couplings(cfg)
     # Checked in Python floats (which overflow to inf quietly) before numpy
     # sees the Poisson mean; each realization checks its own draw exactly.
     t_end = 2.0 * float(tau[-1])
-    for rate in rates:
-        drawn = cfg.n_sources * (max(cfg.base_rate, rate) * t_end + 1.0)
-        in_window = cfg.n_sources * (rate * t_end + 1.0)
-        _refuse_over(drawn, _MAX_CELLS, "a realization would draw {:.3g} events", drawn)
-        _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
-                     "a realization would filter {:.3g} events x {} delays",
-                     in_window, tau.size)
-        _refuse_over(n_realizations * tau.size, _MAX_ECHO_CELLS,
-                     "{} realizations x {} delays of echo values", n_realizations, tau.size)
+    drawn = cfg.n_sources * (cfg.base_rate * t_end + 1.0)
+    in_window = cfg.n_sources * (max(rates, default=0.0) * t_end + 1.0)
+    _refuse_over(drawn, _MAX_CELLS, "a realization would draw {:.3g} events", drawn)
+    _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
+                 "a realization would filter {:.3g} events x {} delays",
+                 in_window, tau.size)
+    _refuse_over(n_realizations * tau.size, _MAX_ECHO_CELLS,
+                 "{} realizations x {} delays of echo values", n_realizations, tau.size)
     traces: dict[float, DecayTrace] = {}
-    by_hot: dict[float, list[float]] = {}
+    moving = []
     for rate in dict.fromkeys(rates):
         if rate * t_end < _NEGLIGIBLE_EVENTS:
             # Static noise refocuses exactly.
             traces[rate] = _trace(np.ones((n_realizations, tau.size)), tau, cfg.seed)
         else:
-            by_hot.setdefault(max(cfg.base_rate, rate), []).append(rate)
-    per_draw = _MAX_ECHO_CELLS // (n_realizations * tau.size)
-    groups = [same[i:i + per_draw] for same in by_hot.values()
-              for i in range(0, len(same), per_draw)]
-    for group in groups:
-        traces.update(zip(group, _drawn_traces(cfg, group, tau, n_realizations,
-                                                threads, shared)))
-    return [traces[rate] for rate in rates]
-
-
-def _drawn_traces(
-    cfg: BathNoiseConfig,
-    rates: list[float],
-    tau: np.ndarray,
-    n_realizations: int,
-    threads: int,
-    shared_couplings: Optional[np.ndarray],
-) -> list[DecayTrace]:
-    """Traces at rates that share one hot-limit rate, from one draw of each
-    realization; the blocks of realizations fan out over ``threads``."""
-    echoes = np.empty((len(rates), n_realizations, tau.size))
-
-    def run_block(lo: int) -> None:
-        hi = min(lo + _BLOCK, n_realizations)
-        echoes[:, lo:hi] = _echo_block(cfg, rates, tau, lo, hi, shared_couplings)
-
+            moving.append(rate)
     starts = range(0, n_realizations, _BLOCK)
-    if threads == 1:
-        for lo in starts:
-            run_block(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, starts))
-    return [_trace(e, tau, cfg.seed) for e in echoes]
+    workers = min(threads, len(starts), os.cpu_count() or 1)
+    per_draw = _MAX_ECHO_CELLS // (n_realizations * tau.size)
+    for i in range(0, len(moving), per_draw):
+        group = moving[i:i + per_draw]
+        echoes = np.empty((len(group), n_realizations, tau.size))
+
+        def run_block(lo: int) -> None:
+            hi = min(lo + _BLOCK, n_realizations)
+            echoes[:, lo:hi] = _echo_block(cfg, group, tau, lo, hi)
+
+        if workers == 1:
+            for lo in starts:
+                run_block(lo)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_block, starts))
+        traces.update(zip(group, (_trace(e, tau, cfg.seed) for e in echoes)))
+    return [traces[rate] for rate in rates]
 
 
 def _trace(echoes: np.ndarray, tau: np.ndarray, seed: int) -> DecayTrace:
@@ -346,45 +335,41 @@ def _echo_block(
     tau: np.ndarray,
     lo: int,
     hi: int,
-    shared_couplings: Optional[np.ndarray],
 ) -> np.ndarray:
     """Echoes of realizations lo .. hi - 1 at each rate, as a (rates,
-    realizations, delays) array; the rates share one hot-limit rate.
+    realizations, delays) array.
 
     Each realization draws from its own (seed, r) stream once, with one
-    generator reset per realization, in the same order and with the same
-    checks (at each rate) as when it is evaluated alone. The draws go through
-    :func:`_filter` together, and early once they and the filters of every
-    rate hold ``_BLOCK_CELLS`` cells.
+    generator reset per realization, in the same order as when it is
+    evaluated alone, and is refused on the events inside the fastest rate's
+    window, of which a slower rate keeps a subset. The draws go through
+    :func:`_filter` together, and early once they and the filter arrays of
+    the fastest rate hold ``_BLOCK_CELLS`` cells.
     """
     n = cfg.n_sources
     t_end = 2.0 * tau[-1]
-    # Every temperature draws the same events at the hot-limit rate and slows
-    # their clock by hot / rate, so a quench scan shares its random numbers.
-    hot = max(cfg.base_rate, *rates)
-    cuts = [rate / hot for rate in rates]
+    # Every rate draws the same events at the base (hot-limit) rate and slows
+    # their clock by base / rate, so a quench scan shares its random numbers.
+    cut = max(rates) / cfg.base_rate
     width = tau.size + _SIGN_GROUPS
     echoes = np.empty((len(rates), hi - lo, tau.size))
     rng, draws, cells = None, [], 0
     for r in range(lo, hi):
         rng = _stream(cfg.seed, r, rng)
-        unit = None if shared_couplings is not None else rng.random(n)
+        unit = None if cfg.fixed_couplings is not None else rng.random(n)
         # The couplings' signs (unless pinned), then the initial signs.
         words = rng.bit_generator.random_raw(n if unit is not None else (n + 1) // 2)
-        counts = rng.poisson(hot * t_end, n)
+        counts = rng.poisson(cfg.base_rate * t_end, n)
         drawn = int(counts.sum())
         _refuse_over(drawn, _MAX_CELLS, "realization {} drew {} events", r, drawn)
         u = rng.random(drawn)
         draws.append((unit, words, counts, u))
-        cells += 3 * n + drawn
-        for cut in cuts:  # the events the stretch leaves inside the window
-            events = int(np.count_nonzero(u < cut))
-            _refuse_over(events * width, _MAX_CELLS,
-                         "realization {} has {} events in its window", r, events)
-            cells += events * width
+        events = int(np.count_nonzero(u < cut))  # left inside the window
+        _refuse_over(events * width, _MAX_CELLS,
+                     "realization {} has {} events in its window", r, events)
+        cells += 3 * n + drawn + events * width
         if cells > _BLOCK_CELLS or r == hi - 1:
-            echoes[:, r + 1 - lo - len(draws):r + 1 - lo] = _filter(
-                cfg, rates, tau, draws, shared_couplings)
+            echoes[:, r + 1 - lo - len(draws):r + 1 - lo] = _filter(cfg, rates, tau, draws)
             draws, cells = [], 0
     return echoes
 
@@ -394,7 +379,6 @@ def _filter(
     rates: Sequence[float],
     tau: np.ndarray,
     draws: list,
-    shared_couplings: Optional[np.ndarray],
 ) -> np.ndarray:
     """Echoes of a run of realizations from their draws, at each rate.
 
@@ -407,12 +391,12 @@ def _filter(
     unit, words, counts, u = zip(*draws)
     n, m = cfg.n_sources, len(draws)
     t_end = 2.0 * tau[-1]
-    hot = max(cfg.base_rate, *rates)
+    hot = cfg.base_rate
     signs = _signs(np.array(words))
-    if shared_couplings is None:
+    if cfg.fixed_couplings is None:
         couplings, s0 = _couplings(cfg, np.array(unit), signs[:, :n]), signs[:, n:]
     else:
-        couplings, s0 = shared_couplings, signs[:, :n]
+        couplings, s0 = sample_couplings(cfg), signs[:, :n]
     signed = (couplings * s0).ravel()
     u = np.concatenate(u)
     fastest = max(rates)

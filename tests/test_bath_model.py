@@ -61,6 +61,12 @@ class TestFlipFlopFactor:
             0.25, abs=1e-15
         )
 
+    def test_hot_limit_bound_is_exact(self):
+        # Unbounded, the quotient rounds to 0.25000000000000006 at about one
+        # in eight of these temperatures, from near 7.7e8 K up.
+        ff = bm.flip_flop_factor(np.geomspace(1e3, 1e15, 200001), 11.518)
+        assert ff.max() == 0.25
+
     def test_equal_temperatures(self):
         # 1/(2 + 2 cosh 1)
         assert bm.flip_flop_factor(11.518, 11.518) == pytest.approx(

@@ -135,6 +135,11 @@ class TestEffectiveRate:
         cfg = ps.BathNoiseConfig(temperature=1e12, base_rate=1e5)
         assert ps.effective_rate(cfg) == pytest.approx(1e5, rel=1e-10)
 
+    def test_never_above_base_rate(self):
+        # The unbounded flip-flop factor rounds one ulp over 1/4 here.
+        cfg = ps.BathNoiseConfig(temperature=797406919.621389)
+        assert ps.effective_rate(cfg) <= cfg.base_rate
+
     def test_cold_bath_rate_underflows_to_zero(self):
         cfg = ps.BathNoiseConfig(temperature=0.01, t_zeeman=11.518)
         assert ps.effective_rate(cfg) == 0.0
@@ -156,6 +161,26 @@ class TestHahnEcho:
         pooled = ps.simulate_hahn_echo(cfg, tau, 101, threads=4)
         np.testing.assert_array_equal(serial.amplitude, pooled.amplitude)
         np.testing.assert_array_equal(serial.std_error, pooled.std_error)
+
+    def test_thread_pool_is_bounded_by_blocks_and_cores(self, monkeypatch):
+        # Records the pool size asked for and runs a real pool of at most 2.
+        asked = []
+        pool = ps.ThreadPoolExecutor
+        monkeypatch.setattr(
+            ps, "ThreadPoolExecutor",
+            lambda max_workers: asked.append(max_workers) or pool(min(max_workers, 2)),
+        )
+        cfg = ps.BathNoiseConfig(n_sources=20, seed=11)
+        tau = np.linspace(0.0, 20e-6, 9)
+        serial = ps.simulate_hahn_echo(cfg, tau, 200)
+        for cores, workers in ((64, 4), (3, 3), (None, 1), (1, 1)):
+            monkeypatch.setattr(ps.os, "cpu_count", lambda: cores)
+            asked.clear()
+            # 200 realizations are 4 blocks.
+            pooled = ps.simulate_hahn_echo(cfg, tau, 200, threads=10**6)
+            assert asked == ([workers] if workers > 1 else [])
+            np.testing.assert_array_equal(serial.amplitude, pooled.amplitude)
+            np.testing.assert_array_equal(serial.std_error, pooled.std_error)
 
     def test_zero_delay_refocuses_exactly(self):
         cfg = ps.BathNoiseConfig(n_sources=10, seed=5)
@@ -427,8 +452,8 @@ class TestInversionRecovery:
 class TestTemperatureScan:
     # 70 realizations: one full block of 64 and a partial one. A repeated
     # temperature; a static one (0.01 T_Ze) that draws nothing; and one whose
-    # flip-flop factor rounds to just over 1/4, so that its rate is one ulp
-    # over base_rate and its events are drawn at that rate, apart.
+    # unbounded flip-flop factor would round to just over 1/4, one ulp over
+    # the base rate.
     N = 70
     SCAN = (1e9, 20.0, 4.0, 20.0, 0.11518, 2.0, 797406919.621389)
 
@@ -487,13 +512,13 @@ class TestTemperatureScan:
             assert np.array_equal(trace.amplitude, alone.amplitude)
             assert np.array_equal(trace.std_error, alone.std_error)
         assert np.all(traced[4].amplitude == 1.0)
-        assert ps.effective_rate(replace(cfg, temperature=self.SCAN[-1])) > cfg.base_rate
+        assert ps.effective_rate(replace(cfg, temperature=self.SCAN[-1])) == cfg.base_rate
 
-    # Four moving rates share the base rate (20 K twice is one), and one
-    # draws apart; each group of per_draw rates is drawn in two blocks.
+    # Four moving rates (20 K twice is one, and both hot temperatures are at
+    # the base rate); each slice of per_draw rates is drawn in two blocks.
     @pytest.mark.parametrize(
         "per_draw, rates_per_block",
-        [(1, [1] * 10), (2, [2, 2, 2, 2, 1, 1]), (4, [4, 4, 1, 1])],
+        [(1, [1] * 8), (2, [2, 2, 2, 2]), (4, [4, 4])],
     )
     def test_echo_cell_groups_keep_the_t2s(self, monkeypatch, per_draw, rates_per_block):
         cfg = ps.BathNoiseConfig(n_sources=30, seed=2)
@@ -509,6 +534,18 @@ class TestTemperatureScan:
         split = ps.effective_t2_scan(cfg, self.SCAN, self.N)
         assert [t2 for _, t2 in split] == whole
         assert blocks == rates_per_block
+
+    def test_default_scan_filters_each_block_once(self, monkeypatch):
+        # The block budget counts the fastest rate's filter arrays only.
+        runs = []
+        filter_ = ps._filter
+        monkeypatch.setattr(
+            ps, "_filter", lambda cfg, rates, tau, draws: runs.append(len(draws))
+            or filter_(cfg, rates, tau, draws)
+        )
+        cfg = ps.BathNoiseConfig(seed=11)
+        ps.effective_t2_scan(cfg, (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman), 128)
+        assert runs == [64, 64]
 
     def test_every_temperature_is_checked_before_any_draw(self, monkeypatch):
         # Lowered so that the hot limit would filter 152.5 events x 49 cells

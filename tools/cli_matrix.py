@@ -9,9 +9,11 @@ diff the two listings.
 
 Every command goes through ``nvbath.cli.main`` in this process, so the
 ``nvbath`` on the import path is the one measured. The matrix covers
-``polarization`` (default and a 301-point grid at T_Ze = 14.7 K), ``spectrum``
-(defaults and five INI files), Hahn-echo ``simulate`` (seed 7 at one and two
-threads, seed 3 at 4 K), inversion recovery, the bundled NV T1/T2 and N T2
+``polarization`` (default, a 301-point grid at T_Ze = 14.7 K, and four
+temperatures up to 1e12 K, where the flip-flop factor is at its bound of
+1/4), ``spectrum`` (defaults and five INI files), Hahn-echo ``simulate``
+(seed 7 at one and two threads, seed 3 at 4 K, seed 1 at 797406919.621389
+K, in the hot limit), inversion recovery, the bundled NV T1/T2 and N T2
 tables, a ``fit`` of each registry model, and ``model-eval`` of both rate
 laws. Each command's exit code and stdout (with the output directory written
 as ``OUT``) go to ``commands.txt``, which is hashed with the data files.
@@ -63,6 +65,8 @@ def commands(out: Path) -> list[list[str]]:
         ["polarization"],
         ["polarization", "--t-zeeman-k", "14.7", "--temps", "0.5:400:log:301",
          "--output", "pol_147.csv"],
+        ["polarization", "--temps", "300,1e9,797406919.621389,1e12",
+         "--output", "pol_hot.csv"],
         ["spectrum"],
     ]
     for name in SPECTRUM_CONFIGS:
@@ -73,6 +77,8 @@ def commands(out: Path) -> list[list[str]]:
         ["simulate", "--seed", "7", "--threads", "1", "--output", "hahn_t1.csv"],
         ["simulate", "--seed", "7", "--threads", "2", "--output", "hahn_t2.csv"],
         ["simulate", "--seed", "3", "--temp", "4", "--output", "hahn_4k.csv"],
+        ["simulate", "--temp", "797406919.621389", "--realizations", "200",
+         "--output", "hahn_ulp.csv"],
         ["simulate", "--sequence", "inversion", "--noise", "0.01",
          "--tau-max-s", "8e-3", "--output", "inv.csv"],
     ]
