@@ -10,27 +10,29 @@ A Hahn echo (pi/2 - tau - pi - tau) accumulates the phase
 ``Phi = int_0^tau dw dt - int_tau^2tau dw dt`` and the echo amplitude is the
 realization average of cos(Phi). A switching event at time t adds
 ``+-2 b h(tau, t)`` to Phi, with the Hahn filter ``h = 2 (tau - t)+ -
-(2 tau - t)+``: an exact sum, no time step. Realization r draws from a
-counter-based stream keyed by (seed, r), so results are bit-identical for any
-worker count and any chunking of the realization loop. Each source's events
-are drawn once at the hot-limit rate, which is the base rate at every
-temperature (the flip-flop factor never exceeds 1/4), and stretched by base
-rate / rate, so every temperature of a scan sees the same events on a slower
-clock (and a cold run with a huge base rate may be refused): a scan draws
-each realization once and filters it at every temperature, with the bytes of
-a run at each temperature alone. Flipping the initial signs of a whole source
+(2 tau - t)+``: an exact sum, no time step. Each source's events are drawn
+once at the hot-limit rate, which is the base rate at every temperature (the
+flip-flop factor never exceeds 1/4), and stretched by base rate / rate, so
+every temperature of a scan sees the same events on a slower clock (and a
+cold run with a huge base rate may be refused): a scan draws each block of
+realizations once and filters it at every temperature, with the bytes of a
+run at each temperature alone. Flipping the initial signs of a whole source
 group leaves the law of Phi unchanged, so each realization contributes the
 exact mean of cos(Phi) over those flips.
 
-Realizations run in blocks of 64, the unit of thread work. Each one still
-draws from its own stream, one reset Philox generator per block, in the
-same order as when it runs alone. The elementwise filter steps then run
-once over the block's events, sorted once by source and time at the
-fastest rate of a call (its filter arrays set the block's cell budget, as
-one rate is filtered at a time), and each realization's phases are its own
+Random numbers come from counter-based Philox streams keyed by (seed, key)
+(stream v3). Realization r's bath is words [2n r, 2n (r + 1)) of the seed's
+geometry stream (key ``_GEOMETRY``): n coupling uniforms, then n words of 2n
+signs, the couplings' and the initial ones. Realizations run in blocks, the
+unit of thread work, whose size the config and the delay grid alone set
+(:func:`_block_size`): block b reads its geometry rows in one call and draws
+its Poisson counts and event uniforms, one call apiece, from the (seed, b)
+stream, so results are bit-identical for any worker count. Each block is
+filtered in one run, its events sorted once by source and time at the
+fastest rate of a call, and each realization's phases are its own
 ``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
-stacked matmul per E: the echoes are bit-identical to a per-realization
-loop (tests/echo_reference.py), with far fewer numpy calls.
+stacked matmul per E: the echoes are bit-identical to a per-realization loop
+(tests/echo_reference.py), with far fewer numpy calls.
 
 Couplings follow the dipolar ``b = coupling_scale / r**3`` law for sources
 placed uniformly in the unit ball, with random sign; by default each
@@ -75,12 +77,13 @@ _MAX_ECHO_CELLS = 50_000_000
 # but many make each realization's echo heavy-tailed where it has decayed, and
 # its sample standard error then stops falling as 1 / sqrt(realizations).
 _SIGN_GROUPS = 8
-# Realizations per block, the unit of thread work. A block's draws are
-# filtered together, and early once they and their filter arrays pass
-# _BLOCK_CELLS cells (2 MiB), so a block adds little beside the realization
-# limit above; larger blocks measured no faster.
+# Realizations per block, the unit of thread work: at most _BLOCK, and as
+# many as expect _BLOCK_CELLS cells (2 MiB) of draws and filter arrays, so a
+# block adds little beside the realization limit above; larger blocks
+# measured no faster.
 _BLOCK = 64
 _BLOCK_CELLS = 1 << 18
+_GEOMETRY = _UINT64_MASK  # key word of the geometry stream; block b's is b
 
 
 @dataclass(frozen=True)
@@ -167,23 +170,22 @@ def _refuse_over(cells: float, limit: float, what: str, *args) -> None:
         raise ValueError(f"{what.format(*args)}, over the limit of {limit:.3g}")
 
 
-def _stream(
-    seed: int, realization: int, rng: Optional[np.random.Generator] = None
-) -> np.random.Generator:
-    """Counter-based generator for one realization: key = (seed, index).
+def _stream(seed: int, key: int, rng: Optional[np.random.Generator] = None,
+            counter: int = 0) -> np.random.Generator:
+    """Counter-based generator of the (seed, key) stream, from word 4 counter.
 
-    ``rng`` (a new generator if None) is reset to counter 0 under that key
-    with an empty buffer, which is the stream of a freshly built
-    ``Generator(Philox(key=...))``; a reset costs about a tenth of building
-    one, whose constructor also gathers OS entropy that the key discards.
+    ``rng`` (a new generator if None) is reset to that counter and key with
+    an empty buffer, the stream of a freshly built ``Generator(Philox(key=...,
+    counter=...))``; a reset costs about a tenth of building one, whose
+    constructor also gathers OS entropy that the key discards.
     """
     if rng is None:
         rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": [0, 0, 0, 0],
-            "key": [seed & _UINT64_MASK, realization & _UINT64_MASK],
+            "counter": [counter >> shift & _UINT64_MASK for shift in (0, 64, 128, 192)],
+            "key": [seed & _UINT64_MASK, key & _UINT64_MASK],
         },
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
@@ -208,16 +210,25 @@ def sample_couplings(cfg: BathNoiseConfig, realization: int = 0) -> np.ndarray:
     """
     if cfg.fixed_couplings is not None:
         return np.asarray(cfg.fixed_couplings, dtype=float)
-    n = cfg.n_sources
-    rng = _stream(cfg.seed, realization)
-    unit = rng.random(n)
-    return _couplings(cfg, unit, _signs(rng.bit_generator.random_raw((n + 1) // 2))[:n])
+    return _bath(cfg, realization, realization + 1)[0][0]
 
 
-def _couplings(cfg: BathNoiseConfig, unit: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Couplings from uniforms on [0, 1) and signs, drawn in that order."""
-    # 1 - U is uniform on (0, 1], avoiding the zero-radius singularity.
-    return signs * (cfg.coupling_scale / (1.0 - unit))
+def _bath(cfg: BathNoiseConfig, lo: int, hi: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings (one row if pinned) and initial signs of realizations lo ..
+    hi - 1, from their geometry rows read in one call; a coupling uniform is
+    numpy's Philox double of its word, ``(w >> 11) 2**-53``."""
+    n, start = cfg.n_sources, 2 * cfg.n_sources * lo
+    rng = _stream(cfg.seed, _GEOMETRY, rng, start // 4)
+    words = rng.bit_generator.random_raw(start % 4 + 2 * n * (hi - lo))[start % 4:]
+    words = words.reshape(-1, 2 * n)
+    signs = _signs(words[:, n:])
+    if cfg.fixed_couplings is not None:
+        couplings = np.asarray(cfg.fixed_couplings, dtype=float)
+    else:
+        # 1 - U is uniform on (0, 1], avoiding the zero-radius singularity.
+        unit = (words[:, :n] >> 11) * 2.0**-53
+        couplings = signs[:, :n] * (cfg.coupling_scale / (1.0 - unit))
+    return couplings, signs[:, n:]
 
 
 def _signs(words: np.ndarray) -> np.ndarray:
@@ -259,7 +270,7 @@ def _hahn_echoes(
     """Hahn-echo traces of the bath at each switching rate, one per rate.
 
     Every rate is checked before anything is drawn. No rate exceeds the base
-    rate, so all of them share their draws: each realization's stream is
+    rate, so all of them share their draws: each block of realizations is
     drawn once per slice of moving rates whose echo arrays fit
     ``_MAX_ECHO_CELLS`` together, and filtered at each rate of the slice, so
     each trace is the one a run at that rate alone gives. One slice's echo
@@ -290,25 +301,37 @@ def _hahn_echoes(
             traces[rate] = _trace(np.ones((n_realizations, tau.size)), tau, cfg.seed)
         else:
             moving.append(rate)
-    starts = range(0, n_realizations, _BLOCK)
-    workers = min(threads, len(starts), os.cpu_count() or 1)
+    size = _block_size(cfg, tau)
+    blocks = range(-(-n_realizations // size))
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
     per_draw = _MAX_ECHO_CELLS // (n_realizations * tau.size)
     for i in range(0, len(moving), per_draw):
         group = moving[i:i + per_draw]
         echoes = np.empty((len(group), n_realizations, tau.size))
 
-        def run_block(lo: int) -> None:
-            hi = min(lo + _BLOCK, n_realizations)
-            echoes[:, lo:hi] = _echo_block(cfg, group, tau, lo, hi)
+        def run_block(block: int) -> None:
+            lo, hi = block * size, min(block * size + size, n_realizations)
+            echoes[:, lo:hi] = _echo_block(cfg, group, tau, lo, hi, block)
 
         if workers == 1:
-            for lo in starts:
-                run_block(lo)
+            for block in blocks:
+                run_block(block)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_block, starts))
+                list(pool.map(run_block, blocks))
         traces.update(zip(group, (_trace(e, tau, cfg.seed) for e in echoes)))
     return [traces[rate] for rate in rates]
+
+
+def _block_size(cfg: BathNoiseConfig, tau: np.ndarray) -> int:
+    """Realizations per block, set by the config and the delay grid alone: as
+    many as expect ``_BLOCK_CELLS`` cells together, from 1 to ``_BLOCK``. A
+    realization expects 3 cells per source (geometry words and counts) and
+    1 + delays + 8 per event drawn at the hot-limit rate (with its filter row).
+    """
+    per_event = 1 + tau.size + _SIGN_GROUPS
+    cells = cfg.n_sources * (3 + cfg.base_rate * 2.0 * float(tau[-1]) * per_event)
+    return max(1, min(_BLOCK, int(_BLOCK_CELLS // cells)))
 
 
 def _trace(echoes: np.ndarray, tau: np.ndarray, seed: int) -> DecayTrace:
@@ -329,84 +352,55 @@ def _trace(echoes: np.ndarray, tau: np.ndarray, seed: int) -> DecayTrace:
     )
 
 
-def _echo_block(
-    cfg: BathNoiseConfig,
-    rates: Sequence[float],
-    tau: np.ndarray,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Echoes of realizations lo .. hi - 1 at each rate, as a (rates,
-    realizations, delays) array.
+def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
+                lo: int, hi: int, block: int) -> np.ndarray:
+    """Echoes of realizations lo .. hi - 1, block ``block``, at each rate,
+    as a (rates, realizations, delays) array.
 
-    Each realization draws from its own (seed, r) stream once, with one
-    generator reset per realization, in the same order as when it is
-    evaluated alone, and is refused on the events inside the fastest rate's
-    window, of which a slower rate keeps a subset. The draws go through
-    :func:`_filter` together, and early once they and the filter arrays of
-    the fastest rate hold ``_BLOCK_CELLS`` cells.
+    Its Poisson counts and event uniforms come from the (seed, block) stream,
+    one call apiece. The first realization over the limit is refused, by name,
+    on its drawn events before the uniforms exist, and on the events inside
+    the fastest rate's window (a slower rate keeps a subset) before the
+    filter arrays do.
     """
-    n = cfg.n_sources
-    t_end = 2.0 * tau[-1]
+    n, m = cfg.n_sources, hi - lo
     # Every rate draws the same events at the base (hot-limit) rate and slows
     # their clock by base / rate, so a quench scan shares its random numbers.
-    cut = max(rates) / cfg.base_rate
+    rng = _stream(cfg.seed, block)
+    counts = rng.poisson(cfg.base_rate * (2.0 * tau[-1]), (m, n))
+    drawn = counts.sum(axis=1)
+    i = int(np.argmax(drawn > _MAX_CELLS))
+    _refuse_over(drawn[i], _MAX_CELLS, "realization {} drew {} events", lo + i, drawn[i])
+    u = rng.random(int(drawn.sum()))
+    inside = u < max(rates) / cfg.base_rate
+    slot = np.repeat(np.arange(m * n), counts.ravel())[inside]
+    events = np.bincount(slot // n, minlength=m)  # left inside the window
     width = tau.size + _SIGN_GROUPS
-    echoes = np.empty((len(rates), hi - lo, tau.size))
-    rng, draws, cells = None, [], 0
-    for r in range(lo, hi):
-        rng = _stream(cfg.seed, r, rng)
-        unit = None if cfg.fixed_couplings is not None else rng.random(n)
-        # The couplings' signs (unless pinned), then the initial signs.
-        words = rng.bit_generator.random_raw(n if unit is not None else (n + 1) // 2)
-        counts = rng.poisson(cfg.base_rate * t_end, n)
-        drawn = int(counts.sum())
-        _refuse_over(drawn, _MAX_CELLS, "realization {} drew {} events", r, drawn)
-        u = rng.random(drawn)
-        draws.append((unit, words, counts, u))
-        events = int(np.count_nonzero(u < cut))  # left inside the window
-        _refuse_over(events * width, _MAX_CELLS,
-                     "realization {} has {} events in its window", r, events)
-        cells += 3 * n + drawn + events * width
-        if cells > _BLOCK_CELLS or r == hi - 1:
-            echoes[:, r + 1 - lo - len(draws):r + 1 - lo] = _filter(cfg, rates, tau, draws)
-            draws, cells = [], 0
-    return echoes
+    i = int(np.argmax(events * width > _MAX_CELLS))
+    _refuse_over(events[i] * width, _MAX_CELLS,
+                 "realization {} has {} events in its window", lo + i, events[i])
+    couplings, s0 = _bath(cfg, lo, hi, rng)
+    return _filter(cfg, rates, tau, (couplings * s0).ravel(), slot, u[inside])
 
 
-def _filter(
-    cfg: BathNoiseConfig,
-    rates: Sequence[float],
-    tau: np.ndarray,
-    draws: list,
-) -> np.ndarray:
-    """Echoes of a run of realizations from their draws, at each rate.
+def _filter(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
+            signed: np.ndarray, slot: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Echoes of a block at each rate, from its signed couplings (one per
+    slot, realization x n + source) and the slots, in order, and uniforms of
+    its events inside the fastest rate's window.
 
-    The elementwise steps run once over all their events, each tagged with
-    its slot (realization x n + source). The events inside the window of the
-    fastest rate are sorted by slot and time once: a slower rate keeps a
+    The events are sorted by slot and time once: a slower rate keeps a
     subset of them and stretches their times by a positive factor, which
     keeps their order.
     """
-    unit, words, counts, u = zip(*draws)
-    n, m = cfg.n_sources, len(draws)
+    n, m = cfg.n_sources, signed.size // cfg.n_sources
     t_end = 2.0 * tau[-1]
-    hot = cfg.base_rate
-    signs = _signs(np.array(words))
-    if cfg.fixed_couplings is None:
-        couplings, s0 = _couplings(cfg, np.array(unit), signs[:, :n]), signs[:, n:]
-    else:
-        couplings, s0 = sample_couplings(cfg), signs[:, :n]
-    signed = (couplings * s0).ravel()
-    u = np.concatenate(u)
-    fastest = max(rates)
-    inside = u < fastest / hot
-    slot = np.repeat(np.arange(m * n), np.concatenate(counts))[inside]
+    hot, fastest = cfg.base_rate, max(rates)
     # Sort each slot's events by u, and so by time at every rate (slot is
     # sorted already): complex numbers sort by their real part, then their
     # imaginary part.
     key = np.empty(slot.size, dtype=complex)
-    key.real, key.imag = slot, u[inside]
+    key.real, key.imag = slot, u
     key.sort()
     echoes = np.empty((len(rates), m, tau.size))
     for i, rate in enumerate(rates):

@@ -2,15 +2,19 @@
 
 The library evaluates realizations in blocks (one filter per block, one
 stacked matmul per in-window event count). This module evaluates one
-realization at a time with the formulas written out once more, and draws
-from a freshly built ``Generator(Philox(key=(seed, r)))``, so a test can
-require ``np.array_equal`` between the two: same draws in the same order,
-same elementwise arithmetic, same (8, E) @ (E, delays) matmul per
+realization at a time with the formulas and the stream layout written out
+once more, and draws from freshly built ``Generator(Philox(key=...))``
+streams, so a test can require ``np.array_equal`` between the two: same
+draws, same elementwise arithmetic, same (8, E) @ (E, delays) matmul per
 realization.
 
-Realization r draws, in this order: the couplings (n uniforms, then n sign
-bits; skipped when they are pinned), n initial-sign bits, n Poisson counts
-at the hot-limit rate, and one uniform time per drawn event.
+Stream v3. Realization r reads words [2n r, 2n (r + 1)) of the geometry
+stream, key (seed, 2**64 - 1): n coupling uniforms, then 2n sign bits, n for
+the couplings (unused when they are pinned) and n initial signs. Realizations
+come in blocks of ``block_size`` (the last one may be short); block b draws
+from the (seed, b) stream one Poisson count per source of each of its
+realizations at the hot-limit rate, in realization order, and then one
+uniform time per drawn event, in the same order.
 """
 
 from __future__ import annotations
@@ -21,33 +25,54 @@ import numpy as np
 
 SIGN_GROUPS = 8
 NEGLIGIBLE_EVENTS = 1e-12
+GEOMETRY = 2**64 - 1
 
 
-def stream(seed: int, realization: int) -> np.random.Generator:
-    """A freshly built generator for the (seed, realization) stream."""
+def stream(seed: int, key: int) -> np.random.Generator:
+    """A freshly built generator for the (seed, key) stream."""
     mask = (1 << 64) - 1
-    key = np.array([seed & mask, realization & mask], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed & mask, key & mask], dtype=np.uint64))
+    )
 
 
-def realization(cfg, rate: float, tau: np.ndarray, r: int):
-    """``(echo, couplings, in_window)`` of realization ``r``: the mean of
-    cos(Phi) over sign flips of whole source groups at each tau, the
+def block_size(cfg, tau: np.ndarray) -> int:
+    """Realizations per block: as many as expect 2**18 cells of geometry
+    words and counts (3 per source) and of events drawn at the hot-limit
+    rate with their filter rows (1 + delays + 8 each), at least 1, at most
+    64."""
+    per_source = 3 + cfg.base_rate * 2.0 * tau[-1] * (1 + tau.size + SIGN_GROUPS)
+    return max(1, min(64, int(2**18 // (cfg.n_sources * per_source))))
+
+
+def realization(cfg, rate: float, tau: np.ndarray, r: int, n_realizations: int,
+                size: int | None = None):
+    """``(echo, couplings, in_window)`` of realization ``r`` of a run of
+    ``n_realizations`` in blocks of ``size`` (``block_size`` if None): the
+    mean of cos(Phi) over sign flips of whole source groups at each tau, the
     couplings it used, and its number of events inside the window."""
-    rng = stream(cfg.seed, r)
     n = cfg.n_sources
+    geometry = stream(cfg.seed, GEOMETRY)
+    geometry.bit_generator.random_raw(2 * n * r)
+    r_cubed = 1.0 - geometry.random(n)
+    signs = geometry.integers(0, 2, 2 * n) * 2 - 1
     if cfg.fixed_couplings is not None:
         couplings = np.asarray(cfg.fixed_couplings, dtype=float)
     else:
-        r_cubed = 1.0 - rng.random(n)
-        couplings = (rng.integers(0, 2, n) * 2 - 1) * (cfg.coupling_scale / r_cubed)
-    s0 = rng.integers(0, 2, n) * 2 - 1
+        couplings = signs[:n] * (cfg.coupling_scale / r_cubed)
+    s0 = signs[n:]
     t_end = 2.0 * tau[-1]
     if rate * t_end < NEGLIGIBLE_EVENTS:
         return np.ones_like(tau), couplings, 0
-    hot = max(cfg.base_rate, rate)
-    counts = rng.poisson(hot * t_end, n)
+    size = size or block_size(cfg, tau)
+    block, row = divmod(r, size)
+    rng = stream(cfg.seed, block)
+    hot = cfg.base_rate
+    counts = rng.poisson(hot * t_end, (min(size, n_realizations - block * size), n))
     u = rng.random(int(counts.sum()))
+    first = int(counts[:row].sum())
+    counts = counts[row]
+    u = u[first:first + int(counts.sum())]
     inside = u < rate / hot
     source = np.repeat(np.arange(n), counts)[inside]
     t = u[inside] * (hot / rate) * t_end
@@ -60,10 +85,12 @@ def realization(cfg, rate: float, tau: np.ndarray, r: int):
     return np.prod(np.cos(phases), axis=0), couplings, t.size
 
 
-def hahn_echo(cfg, rate: float, tau: np.ndarray, n_realizations: int):
+def hahn_echo(cfg, rate: float, tau: np.ndarray, n_realizations: int,
+              size: int | None = None):
     """``(amplitude, std_error, couplings, in_window)`` over realizations
     0 .. n - 1, reduced as ``simulate_hahn_echo`` reduces them."""
-    runs = [realization(cfg, rate, tau, r) for r in range(n_realizations)]
+    runs = [realization(cfg, rate, tau, r, n_realizations, size)
+            for r in range(n_realizations)]
     echoes = np.array([echo for echo, _, _ in runs])
     amplitude = echoes.mean(axis=0)
     if n_realizations > 1:

@@ -18,13 +18,13 @@ import echo_reference
 import rtn_exact
 import rtn_oracle
 
-# First four couplings of the (seed=1, realization=0) Philox stream with the
-# default 2.0e4 rad/s scale.
+# First four couplings of realization 0 of the seed-1 geometry stream (stream
+# v3) with the default 2.0e4 rad/s scale.
 COUPLINGS_SEED1 = [
-    28717.808752634763,
-    132195.3514063845,
-    -23700.467183171026,
-    -20642.102252317498,
+    43919.27280320355,
+    199023.5882457571,
+    55948.705992441624,
+    23238.598942298984,
 ]
 
 
@@ -78,15 +78,28 @@ class TestStream:
     def test_reset_stream_is_a_fresh_philox_stream(self):
         rng = None
         for seed in self.SEEDS:
-            for realization in (0, 5, -3, 2**64 + 1):
-                for odd in (1, 3, 101):
-                    # An odd uint32 count leaves half a word buffered; each
-                    # reset must drop it.
-                    rng = ps._stream(seed, realization, rng)
-                    fresh = echo_reference.stream(seed, realization)
-                    for a, b in zip(self._draws(rng, odd), self._draws(fresh, odd)):
-                        np.testing.assert_array_equal(a, b)
-                    rng.integers(0, 2**32, odd, dtype=np.uint32)
+            for key in (0, 5, -3, 2**64 + 1, ps._GEOMETRY):
+                # Counter c starts at word 4 c; 2**64 + 3 carries into the
+                # counter's second word.
+                for counter in (0, 1, 7, 2**64 + 3):
+                    for odd in (1, 3, 101):
+                        # An odd uint32 count leaves half a word buffered;
+                        # each reset must drop it.
+                        rng = ps._stream(seed, key, rng, counter)
+                        fresh = echo_reference.stream(seed, key)
+                        fresh.bit_generator.advance(counter)
+                        for a, b in zip(self._draws(rng, odd), self._draws(fresh, odd)):
+                            np.testing.assert_array_equal(a, b)
+                        rng.integers(0, 2**32, odd, dtype=np.uint32)
+
+    def test_advance_skips_four_words_per_counter(self):
+        # The reset above is checked against advance(); this ties advance to
+        # the words of a fresh stream.
+        for counter in (1, 7):
+            fresh = echo_reference.stream(3, 9)
+            fresh.bit_generator.advance(counter)
+            drawn = echo_reference.stream(3, 9).bit_generator.random_raw(4 * counter + 9)
+            np.testing.assert_array_equal(fresh.bit_generator.random_raw(9), drawn[-9:])
 
     def test_new_stream_matches_fresh_generator(self):
         for seed in self.SEEDS:
@@ -109,20 +122,61 @@ class TestStream:
         expected = 1.0 - 2.0 * np.exp(-delays / 1.2e-3) + noise
         np.testing.assert_array_equal(trace.amplitude, expected)
 
+    @staticmethod
+    def _kernel_baths(monkeypatch, cfg, tau, n):
+        """The couplings and initial signs the kernel used, one row each per
+        realization, and the block sizes it ran."""
+        used, sizes = [], []
+        bath = ps._bath
+        monkeypatch.setattr(
+            ps, "_bath", lambda cfg, lo, hi, *args: sizes.append(hi - lo)
+            or used.append(bath(cfg, lo, hi, *args)) or used[-1]
+        )
+        ps.simulate_hahn_echo(cfg, tau, n, threads=1)
+        monkeypatch.undo()
+        shape = (n, cfg.n_sources)
+        couplings = np.concatenate([np.broadcast_to(c, (len(s), cfg.n_sources))
+                                    for c, s in used])
+        s0 = np.concatenate([s for _, s in used])
+        assert couplings.shape == s0.shape == shape
+        return couplings, s0, sizes
+
     @pytest.mark.parametrize("n_sources", [1, 7, 300])
     def test_sample_couplings_are_the_kernel_couplings(self, monkeypatch, n_sources):
         cfg = ps.BathNoiseConfig(n_sources=n_sources, seed=-5, temperature=20.0)
-        used = []
-        couplings = ps._couplings
-        monkeypatch.setattr(
-            ps, "_couplings", lambda *args: used.append(couplings(*args)) or used[-1]
-        )
-        ps.simulate_hahn_echo(cfg, np.linspace(0.0, 25e-6, 5), 70, threads=1)
-        monkeypatch.undo()
-        used = np.concatenate(used)
-        assert used.shape == (70, n_sources)
+        used, _, _ = self._kernel_baths(monkeypatch, cfg, np.linspace(0.0, 25e-6, 5), 70)
         for r in range(70):
             np.testing.assert_array_equal(ps.sample_couplings(cfg, r), used[r])
+
+    @pytest.mark.parametrize(
+        "bath",
+        [
+            dict(n_sources=7),
+            dict(n_sources=7, fixed_couplings=(3e4, -5e4, 1.2e5, 7e3, -2e4, 9e4, -1e5)),
+        ],
+        ids=["drawn", "pinned"],
+    )
+    def test_couplings_do_not_depend_on_the_block_size(self, monkeypatch, bath):
+        # A base rate of 1e6 / s draws 50 events per source in the window,
+        # so the block holds 53 realizations instead of 64: realizations 63,
+        # 64 and 65 sit in one block here and straddle two at the default.
+        tau = np.linspace(0.0, 25e-6, 5)
+        default = ps.BathNoiseConfig(seed=3, **bath)
+        fast = replace(default, base_rate=1e6)
+        assert ps._block_size(default, tau) == 64
+        assert ps._block_size(fast, tau) == 53
+        n = 130
+        couplings, s0, sizes = self._kernel_baths(monkeypatch, default, tau, n)
+        assert sizes == [64, 64, 2]
+        fast_couplings, fast_s0, sizes = self._kernel_baths(monkeypatch, fast, tau, n)
+        assert sizes == [53, 53, 24]
+        np.testing.assert_array_equal(fast_couplings, couplings)
+        np.testing.assert_array_equal(fast_s0, s0)
+        for r in (0, 52, 53, 63, 64, 65, 105, 106, 129):
+            np.testing.assert_array_equal(ps.sample_couplings(default, r), couplings[r])
+            np.testing.assert_array_equal(ps.sample_couplings(fast, r), couplings[r])
+        if default.fixed_couplings is None:
+            assert len({tuple(row) for row in couplings}) == n
 
 
 class TestEffectiveRate:
@@ -330,15 +384,70 @@ class TestBlockKernel:
             in_window = np.concatenate(in_window)
             assert np.any(in_window < 16) and np.any(in_window > 16)
 
-    def test_block_cell_budget_keeps_the_bytes(self, monkeypatch):
+    def test_block_cell_budget_sets_the_block_size(self, monkeypatch):
         cfg = ps.BathNoiseConfig(n_sources=30, seed=8)
         tau = np.linspace(0.0, 25e-6, 9)
+        rate = ps.effective_rate(cfg)
         whole = ps.simulate_hahn_echo(cfg, tau, 100)
-        # A budget of one cell filters every realization on its own.
+        # The block size is a labelled part of the stream: a budget of one
+        # cell runs every realization as its own block, with the bytes of the
+        # reference at that block size.
         monkeypatch.setattr(ps, "_BLOCK_CELLS", 1)
-        alone = ps.simulate_hahn_echo(cfg, tau, 100, threads=2)
-        assert np.array_equal(whole.amplitude, alone.amplitude)
-        assert np.array_equal(whole.std_error, alone.std_error)
+        assert ps._block_size(cfg, tau) == 1
+        amplitude, std_error, _, _ = echo_reference.hahn_echo(cfg, rate, tau, 100, size=1)
+        for threads in (1, 2):
+            alone = ps.simulate_hahn_echo(cfg, tau, 100, threads)
+            assert np.array_equal(alone.amplitude, amplitude)
+            assert np.array_equal(alone.std_error, std_error)
+        assert not np.array_equal(whole.amplitude, alone.amplitude)
+
+    # A base rate of 1e5 / s: 5 events per source drawn at the hot limit, and
+    # 10 realizations of 100 sources per block on the default grid.
+    FAST = ps.BathNoiseConfig(base_rate=1e5, seed=9)
+
+    def test_block_size_does_not_depend_on_threads(self, monkeypatch):
+        tau = ps.default_tau_grid()
+        assert ps._block_size(self.FAST, tau) == 10
+        runs = {}
+        echo_block = ps._echo_block
+        for threads in (1, 2, 5):
+            blocks = []
+            monkeypatch.setattr(
+                ps, "_echo_block", lambda *args: blocks.append(args[3:]) or echo_block(*args)
+            )
+            runs[threads] = ps.simulate_hahn_echo(self.FAST, tau, self.N, threads), sorted(blocks)
+        expected = [(lo, min(lo + 10, self.N), lo // 10) for lo in range(0, self.N, 10)]
+        for trace, blocks in runs.values():
+            assert blocks == expected
+            assert np.array_equal(trace.amplitude, runs[1][0].amplitude)
+            assert np.array_equal(trace.std_error, runs[1][0].std_error)
+
+    def test_block_draw_stays_under_the_cell_bound(self, monkeypatch):
+        # Each block expects at most _BLOCK_CELLS cells, 3 per source and
+        # 1 + delays + 8 per drawn event; its draws may exceed that only by
+        # their Poisson spread (sigma about 1.4 % of a block here). A fixed
+        # 64 realizations per block would draw 6.4 times as many events.
+        tau = ps.default_tau_grid()
+        sizes = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, size):
+                sizes.append(size)
+                return self.rng.random(size)
+
+        stream = ps._stream
+        monkeypatch.setattr(ps, "_stream", lambda *args: Counting(stream(*args)))
+        ps.simulate_hahn_echo(self.FAST, tau, 200)
+        assert len(sizes) == 20
+        cells = 3 * self.FAST.n_sources * 10 + np.array(sizes) * (1 + tau.size + ps._SIGN_GROUPS)
+        assert np.all(cells <= 1.05 * ps._BLOCK_CELLS)
+        assert np.all(cells > 0.9 * ps._BLOCK_CELLS)
 
 
 class TestExactReference:
@@ -536,12 +645,12 @@ class TestTemperatureScan:
         assert blocks == rates_per_block
 
     def test_default_scan_filters_each_block_once(self, monkeypatch):
-        # The block budget counts the fastest rate's filter arrays only.
+        # Each block of 64 is filtered in one run, at every rate.
         runs = []
         filter_ = ps._filter
         monkeypatch.setattr(
-            ps, "_filter", lambda cfg, rates, tau, draws: runs.append(len(draws))
-            or filter_(cfg, rates, tau, draws)
+            ps, "_filter", lambda cfg, rates, tau, signed, *args:
+            runs.append(signed.size // cfg.n_sources) or filter_(cfg, rates, tau, signed, *args)
         )
         cfg = ps.BathNoiseConfig(seed=11)
         ps.effective_t2_scan(cfg, (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman), 128)
