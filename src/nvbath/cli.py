@@ -218,13 +218,16 @@ def _parse_temps(text: str) -> np.ndarray:
         mode = parts[2]
         if mode not in ("log", "lin"):
             raise ValueError(f"range mode must be 'log' or 'lin', got {mode!r}")
-        if lo <= 0 or hi <= lo or n < 2:
+        if not 0 < lo < hi < math.inf or n < 2:  # before numpy sees an inf
             raise ValueError(f"bad temperature range {text!r}")
         if n > spectra.MAX_GRID_POINTS:  # refused before allocating the grid
             limit = spectra.MAX_GRID_POINTS
             raise ValueError(f"temperature range {text!r} has more than {limit} points")
         if mode == "log":
-            return np.geomspace(lo, hi, n)
+            # 10**log10(hi) may round past the float range; the ends are
+            # set to lo and hi, and an inner inf is refused as a temperature.
+            with np.errstate(over="ignore"):
+                return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
     try:
         values = np.array([float(v) for v in text.split(",") if v.strip()])

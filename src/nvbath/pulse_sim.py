@@ -21,15 +21,15 @@ group leaves the law of Phi unchanged, so each realization contributes the
 exact mean of cos(Phi) over those flips.
 
 Random numbers come from counter-based Philox streams keyed by (seed, key)
-(stream v3). Realization r's bath is words [2n r, 2n (r + 1)) of the seed's
-geometry stream (key ``_GEOMETRY``): n coupling uniforms, then n words of 2n
-signs, the couplings' and the initial ones. Realizations run in blocks, the
-unit of thread work, whose size the config and the delay grid alone set
-(:func:`_block_size`): block b reads its geometry rows in one call and draws
-its Poisson counts and event uniforms, one call apiece, from the (seed, b)
-stream, so results are bit-identical for any worker count. Each block is
-filtered in one run, its events sorted once by source and time at the
-fastest rate of a call, and each realization's phases are its own
+(stream v4). Realization r's bath is words [n r, n (r + 1)) of the seed's
+geometry stream (key ``_GEOMETRY``), one per source: its coupling uniform,
+the coupling's sign (bit 0) and its initial sign (bit 1). Realizations run
+in blocks, the unit of thread work, whose size the config and the delay grid
+alone set (:func:`_block_size`): block b reads its geometry words in one
+call and draws its Poisson counts and event uniforms, one call apiece, from
+the (seed, b) stream, so results are bit-identical for any worker count.
+Each block is filtered in one run, its events sorted once by source and time
+at the fastest rate of a call, and each realization's phases are its own
 ``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
 stacked matmul per E: the echoes are bit-identical to a per-realization loop
 (tests/echo_reference.py), with far fewer numpy calls.
@@ -215,32 +215,20 @@ def sample_couplings(cfg: BathNoiseConfig, realization: int = 0) -> np.ndarray:
 
 def _bath(cfg: BathNoiseConfig, lo: int, hi: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
     """Couplings (one row if pinned) and initial signs of realizations lo ..
-    hi - 1, from their geometry rows read in one call; a coupling uniform is
-    numpy's Philox double of its word, ``(w >> 11) 2**-53``."""
-    n, start = cfg.n_sources, 2 * cfg.n_sources * lo
-    rng = _stream(cfg.seed, _GEOMETRY, rng, start // 4)
-    words = rng.bit_generator.random_raw(start % 4 + 2 * n * (hi - lo))[start % 4:]
-    words = words.reshape(-1, 2 * n)
-    signs = _signs(words[:, n:])
+    hi - 1, from their geometry words read in one call. A source's word w
+    gives its coupling uniform as numpy's Philox double, ``(w >> 11) 2**-53``,
+    the coupling's sign from bit 0 and the initial sign from bit 1."""
+    n = cfg.n_sources
+    counter, skip = divmod(n * lo, 4)
+    rng = _stream(cfg.seed, _GEOMETRY, rng, counter)
+    words = rng.bit_generator.random_raw(skip + n * (hi - lo))[skip:].reshape(-1, n)
+    bits = words.view(np.int64)
+    s0 = (bits & 2) - 1
     if cfg.fixed_couplings is not None:
-        couplings = np.asarray(cfg.fixed_couplings, dtype=float)
-    else:
-        # 1 - U is uniform on (0, 1], avoiding the zero-radius singularity.
-        unit = (words[:, :n] >> 11) * 2.0**-53
-        couplings = signs[:, :n] * (cfg.coupling_scale / (1.0 - unit))
-    return couplings, signs[:, n:]
-
-
-def _signs(words: np.ndarray) -> np.ndarray:
-    """The signs ``rng.integers(0, 2, 2 * k) * 2 - 1`` draws from the k words
-    of ``rng.bit_generator.random_raw(k)``, along the last axis.
-
-    Each value takes one 32-bit half of a word, the low half first, and
-    Lemire's method maps a 32-bit draw x into {0, 1} as x >> 31 with no
-    rejection. Shifting the raw words costs a fraction of ``integers``.
-    """
-    bits = np.stack((words >> 31 & 1, words >> 63), axis=-1)
-    return bits.reshape(*words.shape[:-1], -1).astype(np.int64) * 2 - 1
+        return np.asarray(cfg.fixed_couplings, dtype=float), s0
+    # 1 - U is uniform on (0, 1], avoiding the zero-radius singularity.
+    unit = (words >> 11) * 2.0**-53
+    return ((bits & 1) * 2 - 1) * (cfg.coupling_scale / (1.0 - unit)), s0
 
 
 def simulate_hahn_echo(
@@ -326,8 +314,9 @@ def _hahn_echoes(
 def _block_size(cfg: BathNoiseConfig, tau: np.ndarray) -> int:
     """Realizations per block, set by the config and the delay grid alone: as
     many as expect ``_BLOCK_CELLS`` cells together, from 1 to ``_BLOCK``. A
-    realization expects 3 cells per source (geometry words and counts) and
-    1 + delays + 8 per event drawn at the hot-limit rate (with its filter row).
+    realization expects 3 cells per source (its geometry word, Poisson count
+    and signed coupling) and 1 + delays + 8 per event drawn at the hot-limit
+    rate (its uniform and filter row).
     """
     per_event = 1 + tau.size + _SIGN_GROUPS
     cells = cfg.n_sources * (3 + cfg.base_rate * 2.0 * float(tau[-1]) * per_event)
@@ -360,19 +349,23 @@ def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
     Its Poisson counts and event uniforms come from the (seed, block) stream,
     one call apiece. The first realization over the limit is refused, by name,
     on its drawn events before the uniforms exist, and on the events inside
-    the fastest rate's window (a slower rate keeps a subset) before the
-    filter arrays do.
+    the fastest rate's window before the filter arrays do. Those events are
+    sorted by slot (realization x n + source) and time once: a slower rate
+    keeps a subset of them and stretches their times by a positive factor,
+    which keeps their order.
     """
     n, m = cfg.n_sources, hi - lo
+    t_end = 2.0 * tau[-1]
+    hot, fastest = cfg.base_rate, max(rates)
     # Every rate draws the same events at the base (hot-limit) rate and slows
     # their clock by base / rate, so a quench scan shares its random numbers.
     rng = _stream(cfg.seed, block)
-    counts = rng.poisson(cfg.base_rate * (2.0 * tau[-1]), (m, n))
+    counts = rng.poisson(hot * t_end, (m, n))
     drawn = counts.sum(axis=1)
     i = int(np.argmax(drawn > _MAX_CELLS))
     _refuse_over(drawn[i], _MAX_CELLS, "realization {} drew {} events", lo + i, drawn[i])
     u = rng.random(int(drawn.sum()))
-    inside = u < max(rates) / cfg.base_rate
+    inside = u < fastest / hot
     slot = np.repeat(np.arange(m * n), counts.ravel())[inside]
     events = np.bincount(slot // n, minlength=m)  # left inside the window
     width = tau.size + _SIGN_GROUPS
@@ -380,27 +373,12 @@ def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
     _refuse_over(events[i] * width, _MAX_CELLS,
                  "realization {} has {} events in its window", lo + i, events[i])
     couplings, s0 = _bath(cfg, lo, hi, rng)
-    return _filter(cfg, rates, tau, (couplings * s0).ravel(), slot, u[inside])
-
-
-def _filter(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
-            signed: np.ndarray, slot: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Echoes of a block at each rate, from its signed couplings (one per
-    slot, realization x n + source) and the slots, in order, and uniforms of
-    its events inside the fastest rate's window.
-
-    The events are sorted by slot and time once: a slower rate keeps a
-    subset of them and stretches their times by a positive factor, which
-    keeps their order.
-    """
-    n, m = cfg.n_sources, signed.size // cfg.n_sources
-    t_end = 2.0 * tau[-1]
-    hot, fastest = cfg.base_rate, max(rates)
+    signed = (couplings * s0).ravel()
     # Sort each slot's events by u, and so by time at every rate (slot is
     # sorted already): complex numbers sort by their real part, then their
     # imaginary part.
     key = np.empty(slot.size, dtype=complex)
-    key.real, key.imag = slot, u
+    key.real, key.imag = slot, u[inside]
     key.sort()
     echoes = np.empty((len(rates), m, tau.size))
     for i, rate in enumerate(rates):

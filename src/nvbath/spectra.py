@@ -154,7 +154,7 @@ def build_sticks(
         if population <= 0:
             raise ValueError(f"population for {params.label} must be positive")
     orientations = tetrahedral_orientations(tilt_deg, tilt_azimuth_deg)
-    total_deg = sum(o.degeneracy for o in orientations)
+    orientation_fraction = 1.0 / len(orientations)
     raw: list[Stick] = []
     for params, population in centers:
         n_nuclear = int(round(2 * params.nuclear_spin)) + 1
@@ -167,7 +167,7 @@ def build_sticks(
                     delta_p = _population_difference(spec, field, temperature)
                     weight = (
                         population
-                        * (orient.degeneracy / total_deg)
+                        * orientation_fraction
                         * (1.0 / n_nuclear)
                         * delta_p
                     )

@@ -131,15 +131,12 @@ class Orientation:
 
     axis_label: str
     cos_theta: float
-    degeneracy: int = 1
 
     def __post_init__(self) -> None:
         if self.axis_label not in ORIENTATION_LABELS:
             raise ValueError(f"unknown axis label {self.axis_label!r}")
         if not -1.0 <= self.cos_theta <= 1.0:
             raise ValueError(f"cos_theta outside [-1, 1]: {self.cos_theta}")
-        if self.degeneracy < 1:
-            raise ValueError("degeneracy must be >= 1")
 
 
 @dataclass(frozen=True)

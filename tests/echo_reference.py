@@ -8,9 +8,12 @@ streams, so a test can require ``np.array_equal`` between the two: same
 draws, same elementwise arithmetic, same (8, E) @ (E, delays) matmul per
 realization.
 
-Stream v3. Realization r reads words [2n r, 2n (r + 1)) of the geometry
-stream, key (seed, 2**64 - 1): n coupling uniforms, then 2n sign bits, n for
-the couplings (unused when they are pinned) and n initial signs. Realizations
+Stream v4. Realization r reads words [n r, n (r + 1)) of the geometry
+stream, key (seed, 2**64 - 1), one per source: numpy's ``random`` double of
+the word is its coupling uniform, bit 0 the coupling's sign (unused when the
+couplings are pinned) and bit 1 its initial sign, 1 for +1. Here the
+uniforms and the words come from two fresh streams at that position, so the
+library's own bit arithmetic is not repeated. Realizations
 come in blocks of ``block_size`` (the last one may be short); block b draws
 from the (seed, b) stream one Poisson count per source of each of its
 realizations at the hot-limit rate, in realization order, and then one
@@ -37,10 +40,10 @@ def stream(seed: int, key: int) -> np.random.Generator:
 
 
 def block_size(cfg, tau: np.ndarray) -> int:
-    """Realizations per block: as many as expect 2**18 cells of geometry
-    words and counts (3 per source) and of events drawn at the hot-limit
-    rate with their filter rows (1 + delays + 8 each), at least 1, at most
-    64."""
+    """Realizations per block: as many as expect 2**18 cells, 3 per source
+    (geometry word, Poisson count, signed coupling) and 1 + delays + 8 per
+    event drawn at the hot-limit rate (uniform and filter row), at least 1,
+    at most 64."""
     per_source = 3 + cfg.base_rate * 2.0 * tau[-1] * (1 + tau.size + SIGN_GROUPS)
     return max(1, min(64, int(2**18 // (cfg.n_sources * per_source))))
 
@@ -53,14 +56,16 @@ def realization(cfg, rate: float, tau: np.ndarray, r: int, n_realizations: int,
     couplings it used, and its number of events inside the window."""
     n = cfg.n_sources
     geometry = stream(cfg.seed, GEOMETRY)
-    geometry.bit_generator.random_raw(2 * n * r)
+    geometry.bit_generator.random_raw(n * r)
     r_cubed = 1.0 - geometry.random(n)
-    signs = geometry.integers(0, 2, 2 * n) * 2 - 1
+    raw = stream(cfg.seed, GEOMETRY).bit_generator
+    raw.random_raw(n * r)
+    words = raw.random_raw(n)
     if cfg.fixed_couplings is not None:
         couplings = np.asarray(cfg.fixed_couplings, dtype=float)
     else:
-        couplings = signs[:n] * (cfg.coupling_scale / r_cubed)
-    s0 = signs[n:]
+        couplings = np.where(words % 2 == 1, 1, -1) * (cfg.coupling_scale / r_cubed)
+    s0 = np.where(words // 2 % 2 == 1, 1, -1)
     t_end = 2.0 * tau[-1]
     if rate * t_end < NEGLIGIBLE_EVENTS:
         return np.ones_like(tau), couplings, 0

@@ -76,7 +76,7 @@ def test_criterion_05_spectrum_peaks():
     centers = np.array([p.center_field_t for p in report.peaks])
     widths = np.array([p.pp_width_t for p in report.peaks])
 
-    on_axis = spin_core.Orientation("o111", 1.0, 1)
+    on_axis = spin_core.Orientation("o111", 1.0)
     b0 = spin_core.resonance_field(
         spin_core.TransitionSpec(spin_core.N_DEFAULT, on_axis, -0.5, 0.5, 0.0), 240e9
     )

@@ -614,6 +614,12 @@ NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 ).map(repr)
 
+# A --temps value: a number, or a lo:hi:mode:n range of fuzzed bounds.
+TEMPS = NUMBERS | st.builds(
+    "{}:{}:{}:{}".format, NUMBERS, NUMBERS, st.sampled_from(["log", "lin"]),
+    st.integers(-1, 40),
+)
+
 FUZZ = settings(max_examples=50, deadline=None)
 
 
@@ -639,17 +645,41 @@ def _assert_exit_contract(argv, outdir):
 
 
 def _flags(names):
-    """One to three of the named flags, each with a fuzzed number."""
-    return st.dictionaries(st.sampled_from(names), NUMBERS, min_size=1, max_size=3)
+    """One to three of the named flags, each with a fuzzed number (``--temps``
+    with a number or a range)."""
+    return st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries(
+            {k: TEMPS if k == "--temps" else NUMBERS for k in keys}
+        )
+    )
 
 
 class TestExitCodeContract:
     @FUZZ
     @given(flags=_flags(["--frequency-hz", "--t-zeeman-k", "--temps"]))
+    @example(flags={"--temps": "1:inf:log:5"})
+    @example(flags={"--temps": "1:inf:lin:5"})
+    @example(flags={"--temps": "nan:5:lin:5"})
     def test_polarization(self, flags):
         argv = ["polarization"] + [f"{k}={v}" for k, v in flags.items()]
         with tempfile.TemporaryDirectory() as out:
             _assert_exit_contract(argv, out)
+
+    # numpy's range functions warn on an infinite bound.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["polarization", "--temps", "1:inf:log:5"],
+            ["polarization", "--temps", "1:inf:lin:5"],
+            ["model-eval", "--model", "t2_model", "--temps", "1:inf:log:5"],
+        ],
+    )
+    def test_infinite_range_bound_is_one_error_line(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["--outdir", str(tmp_path)] + argv)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: bad temperature range {argv[-1]!r}\n"
 
     @FUZZ
     @given(
@@ -657,8 +687,9 @@ class TestExitCodeContract:
         params=st.dictionaries(
             st.sampled_from(["A", "B", "C", "T_Ze", "Gamma_res"]), NUMBERS, max_size=2
         ),
-        temp=st.none() | NUMBERS,
+        temp=st.none() | TEMPS,
     )
+    @example(model="t2_model", params={}, temp="1:inf:log:5")
     @example(model="t1_model", params={"B": "1e300"}, temp=None)
     @example(model="t1_model", params={}, temp="1.4118779511821709e-307")
     def test_model_eval(self, model, params, temp):

@@ -27,7 +27,7 @@ N_FIELDS = (
 
 
 def _dummy_label(field_ignored: float = 0.0) -> TransitionSpec:
-    return TransitionSpec(N_DEFAULT, Orientation("o111", 1.0, 1), -0.5, 0.5, 0.0)
+    return TransitionSpec(N_DEFAULT, Orientation("o111", 1.0), -0.5, 0.5, 0.0)
 
 
 def _walked_peaks(field: np.ndarray, a: np.ndarray) -> list[tuple]:
@@ -163,7 +163,7 @@ class TestConvolve:
         kw = dict(field_start=8.545, field_stop=8.555, field_step=5e-7)
         narrow = spectra.convolve(_single_stick(8.55), **kw)
         wide_label = TransitionSpec(
-            NV_DEFAULT, Orientation("o111", 1.0, 1), -1.0, 0.0, 0.0
+            NV_DEFAULT, Orientation("o111", 1.0), -1.0, 0.0, 0.0
         )
         wide_stick = spectra.Stick(8.55, 1.0, wide_label)
         wide = spectra.convolve(
@@ -223,7 +223,7 @@ class TestAnalyzePeaks:
     def test_width_round_trip(self, center_params):
         label = TransitionSpec(
             center_params,
-            Orientation("o111", 1.0, 1),
+            Orientation("o111", 1.0),
             *(((-0.5, 0.5) if center_params.spin == 0.5 else (-1.0, 0.0))),
             0.0,
         )

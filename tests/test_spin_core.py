@@ -84,8 +84,8 @@ def _n_transition(m_i: float, orientation: sc.Orientation) -> sc.TransitionSpec:
 
 
 def test_n_resonance_fields():
-    on_axis = sc.Orientation("o111", 1.0, 1)
-    off_axis = sc.Orientation("oA", -1.0 / 3.0, 3)
+    on_axis = sc.Orientation("o111", 1.0)
+    off_axis = sc.Orientation("oA", -1.0 / 3.0)
     assert sc.resonance_field(_n_transition(0.0, on_axis), 240e9) == pytest.approx(
         B0_N, rel=1e-12
     )
@@ -105,8 +105,8 @@ def test_n_resonance_fields():
 
 
 def test_nv_branch_ordering():
-    on_axis = sc.Orientation("o111", 1.0, 1)
-    off_axis = sc.Orientation("oB", -1.0 / 3.0, 3)
+    on_axis = sc.Orientation("o111", 1.0)
+    off_axis = sc.Orientation("oB", -1.0 / 3.0)
     b_on = sc.resonance_field(
         sc.TransitionSpec(sc.NV_DEFAULT, on_axis, -1.0, 0.0, 0.0), 240e9
     )
@@ -119,7 +119,7 @@ def test_nv_branch_ordering():
 
 
 def test_resonance_field_monotonicity():
-    on_axis = sc.Orientation("o111", 1.0, 1)
+    on_axis = sc.Orientation("o111", 1.0)
     fields = [
         sc.resonance_field(_n_transition(m_i, on_axis), 240e9)
         for m_i in (-1.0, 0.0, 1.0)
@@ -130,7 +130,7 @@ def test_resonance_field_monotonicity():
 
 
 def test_resonance_field_rejects_unreachable_transition():
-    on_axis = sc.Orientation("o111", 1.0, 1)
+    on_axis = sc.Orientation("o111", 1.0)
     spec = sc.TransitionSpec(sc.NV_DEFAULT, on_axis, 0.0, 1.0, 0.0)
     # 0 <-> +1 on axis shifts by -D; a spectrometer below D has no solution
     with pytest.raises(ValueError):
@@ -154,20 +154,18 @@ def test_tetrahedral_orientations_untilted():
     orients = sc.tetrahedral_orientations()
     cos_values = sorted(o.cos_theta for o in orients)
     assert cos_values == [-1.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0, 1.0]
-    assert sum(o.degeneracy for o in orients) == 4
+    assert len(orients) == 4
     # off-axis group carries three of the four units of weight
     off = [o for o in orients if o.cos_theta != 1.0]
-    assert sum(o.degeneracy for o in off) == 3
+    assert len(off) == 3
 
 
 @pytest.mark.parametrize("tilt_deg", [0.7, 2.0, 5.0, 30.0])
 @pytest.mark.parametrize("azimuth_deg", [0.0, 15.0, 77.0])
 def test_tetrahedral_sum_rule_any_direction(tilt_deg, azimuth_deg):
     orients = sc.tetrahedral_orientations(tilt_deg, azimuth_deg)
-    assert sum(o.degeneracy for o in orients) == 4
-    p2 = sum(
-        o.degeneracy * 0.5 * (3.0 * o.cos_theta**2 - 1.0) for o in orients
-    )
+    assert len(orients) == 4
+    p2 = sum(0.5 * (3.0 * o.cos_theta**2 - 1.0) for o in orients)
     assert p2 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -184,7 +182,6 @@ def test_tetrahedral_cosines_frozen(tilt_deg, azimuth_deg, cosines):
     orients = sc.tetrahedral_orientations(tilt_deg, azimuth_deg)
     assert tuple(o.axis_label for o in orients) == sc.ORIENTATION_LABELS
     assert tuple(o.cos_theta for o in orients) == cosines
-    assert all(o.degeneracy == 1 for o in orients)
 
 
 def test_tilt_splits_off_axis_orientations():
@@ -222,7 +219,7 @@ def test_center_params_validation():
 
 
 def test_transition_spec_validation():
-    on_axis = sc.Orientation("o111", 1.0, 1)
+    on_axis = sc.Orientation("o111", 1.0)
     with pytest.raises(ValueError):
         sc.TransitionSpec(sc.N_DEFAULT, on_axis, -0.5, 1.5, 0.0)
     with pytest.raises(ValueError):
@@ -230,7 +227,7 @@ def test_transition_spec_validation():
     with pytest.raises(ValueError):
         sc.TransitionSpec(sc.N_DEFAULT, on_axis, -0.5, 0.5, 0.25)
     with pytest.raises(ValueError):
-        sc.Orientation("bogus", 1.0, 1)
+        sc.Orientation("bogus", 1.0)
 
 
 def test_default_instances():
