@@ -333,6 +333,8 @@ def jacobian_check(
 
 def _echo_evaluate(p, x):
     a, t2 = p
+    if not 0 < t2 < math.inf:  # a pinned value; fitted ones stay inside
+        raise ValueError(f"T2 must be positive and finite, got {t2}")
     return a * np.exp(-2.0 * x / t2)
 
 
@@ -350,6 +352,8 @@ def _echo_guess(x, y):
 
 def _recovery_evaluate(p, x):
     y0, a, t1 = p
+    if not 0 < t1 < math.inf:
+        raise ValueError(f"T1 must be positive and finite, got {t1}")
     return y0 - a * np.exp(-x / t1)
 
 

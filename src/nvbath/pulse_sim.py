@@ -20,14 +20,16 @@ run at each temperature alone. Flipping the initial signs of a whole source
 group leaves the law of Phi unchanged, so each realization contributes the
 exact mean of cos(Phi) over those flips.
 
-Random numbers come from counter-based Philox streams keyed by (seed, key)
-(stream v4). Realization r's bath is words [n r, n (r + 1)) of the seed's
-geometry stream (key ``_GEOMETRY``), one per source: its coupling uniform,
-the coupling's sign (bit 0) and its initial sign (bit 1). Realizations run
-in blocks, the unit of thread work, whose size the config and the delay grid
-alone set (:func:`_block_size`): block b reads its geometry words in one
-call and draws its Poisson counts and event uniforms, one call apiece, from
-the (seed, b) stream, so results are bit-identical for any worker count.
+Random numbers come from numpy's counter-based Philox generator, one stream
+per (seed, key) pair, the generator's 128-bit key (stream v4); each read
+builds a fresh generator at its starting counter. Realization r's bath is
+words [n r, n (r + 1)) of the seed's geometry stream (key ``_GEOMETRY``),
+one per source: its coupling uniform, the coupling's sign (bit 0) and its
+initial sign (bit 1). Realizations run in blocks, the unit of thread work,
+whose size the config and the delay grid alone set (:func:`_block_size`):
+block b reads its geometry words in one call and draws its Poisson counts
+and event uniforms, one call apiece, from the (seed, b) stream, so results
+are bit-identical for any worker count.
 Each block is filtered in one run, its events sorted once by source and time
 at the fastest rate of a call, and each realization's phases are its own
 ``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
@@ -170,29 +172,11 @@ def _refuse_over(cells: float, limit: float, what: str, *args) -> None:
         raise ValueError(f"{what.format(*args)}, over the limit of {limit:.3g}")
 
 
-def _stream(seed: int, key: int, rng: Optional[np.random.Generator] = None,
-            counter: int = 0) -> np.random.Generator:
-    """Counter-based generator of the (seed, key) stream, from word 4 counter.
-
-    ``rng`` (a new generator if None) is reset to that counter and key with
-    an empty buffer, the stream of a freshly built ``Generator(Philox(key=...,
-    counter=...))``; a reset costs about a tenth of building one, whose
-    constructor also gathers OS entropy that the key discards.
-    """
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": [counter >> shift & _UINT64_MASK for shift in (0, 64, 128, 192)],
-            "key": [seed & _UINT64_MASK, key & _UINT64_MASK],
-        },
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+def _stream(seed: int, key: int, counter: int = 0) -> np.random.Generator:
+    """Counter-based generator of the (seed, key) stream, from word 4 counter:
+    numpy's Philox with the 128-bit key (seed, key), each taken modulo 2**64."""
+    return np.random.Generator(np.random.Philox(
+        key=(seed & _UINT64_MASK) | (key & _UINT64_MASK) << 64, counter=counter))
 
 
 def effective_rate(cfg: BathNoiseConfig) -> float:
@@ -213,14 +197,14 @@ def sample_couplings(cfg: BathNoiseConfig, realization: int = 0) -> np.ndarray:
     return _bath(cfg, realization, realization + 1)[0][0]
 
 
-def _bath(cfg: BathNoiseConfig, lo: int, hi: int, rng=None) -> tuple[np.ndarray, np.ndarray]:
+def _bath(cfg: BathNoiseConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Couplings (one row if pinned) and initial signs of realizations lo ..
     hi - 1, from their geometry words read in one call. A source's word w
     gives its coupling uniform as numpy's Philox double, ``(w >> 11) 2**-53``,
     the coupling's sign from bit 0 and the initial sign from bit 1."""
     n = cfg.n_sources
     counter, skip = divmod(n * lo, 4)
-    rng = _stream(cfg.seed, _GEOMETRY, rng, counter)
+    rng = _stream(cfg.seed, _GEOMETRY, counter)
     words = rng.bit_generator.random_raw(skip + n * (hi - lo))[skip:].reshape(-1, n)
     bits = words.view(np.int64)
     s0 = (bits & 2) - 1
@@ -286,7 +270,8 @@ def _hahn_echoes(
     for rate in dict.fromkeys(rates):
         if rate * t_end < _NEGLIGIBLE_EVENTS:
             # Static noise refocuses exactly.
-            traces[rate] = _trace(np.ones((n_realizations, tau.size)), tau, cfg.seed)
+            traces[rate] = DecayTrace(SEQUENCE_HAHN, tau, np.ones(tau.size),
+                                      np.zeros(tau.size), n_realizations, cfg.seed)
         else:
             moving.append(rate)
     size = _block_size(cfg, tau)
@@ -372,7 +357,7 @@ def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
     i = int(np.argmax(events * width > _MAX_CELLS))
     _refuse_over(events[i] * width, _MAX_CELLS,
                  "realization {} has {} events in its window", lo + i, events[i])
-    couplings, s0 = _bath(cfg, lo, hi, rng)
+    couplings, s0 = _bath(cfg, lo, hi)
     signed = (couplings * s0).ravel()
     # Sort each slot's events by u, and so by time at every rate (slot is
     # sorted already): complex numbers sort by their real part, then their

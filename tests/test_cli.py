@@ -430,6 +430,40 @@ class TestFit:
         )
 
     @pytest.mark.parametrize(
+        "model, pin",
+        [
+            ("echo_decay", "T2=-1"),
+            ("echo_decay", "T2=0"),
+            ("echo_decay", "T2=inf"),
+            ("echo_decay", "T2=nan"),
+            ("inversion_recovery", "T1=-1"),
+            ("inversion_recovery", "T1=inf"),
+        ],
+    )
+    def test_pinned_time_constant_out_of_range_exits_2(self, tmp_path, capsys, model, pin):
+        sequence = "inversion" if model == "inversion_recovery" else "hahn"
+        out = ["--outdir", str(tmp_path)]
+        rc = cli.main(out + TestSimulate.ARGS + ["--sequence", sequence])
+        assert rc == 0
+        capsys.readouterr()
+        data = str(tmp_path / "trace.csv")
+        rc = cli.main(out + ["fit", "--model", model, "--data", data, "--fix", pin])
+        assert rc == 2
+        name = pin.partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {name} must be positive and finite")
+        assert not (tmp_path / "fit.csv").exists()
+
+    @pytest.mark.parametrize(
+        "model, pin", [("t1_model", "A=0"), ("t2_model", "Gamma_res=0")]
+    )
+    def test_pinned_zero_rate_coefficient_fits(self, tmp_path, model, pin):
+        data = tmp_path / "data.csv"
+        datasets.save_csv(datasets.bundled("NV", model[:2].upper()), data)
+        argv = ["--outdir", str(tmp_path), "fit", "--model", model, "--data", str(data)]
+        assert cli.main(argv + ["--fix", pin]) == 0
+        assert (tmp_path / "fit.csv").exists()
+
+    @pytest.mark.parametrize(
         "model, text",
         [
             ("t2_model", "temperature_K,value_s,error_s\n300,6.7e-6,0\n20,nan,0\n"),

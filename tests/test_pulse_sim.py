@@ -6,6 +6,7 @@ is statistical, not shared-code.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -85,26 +86,22 @@ class TestStream:
             gen.bit_generator.random_raw(odd),
         ]
 
-    def test_reset_stream_is_a_fresh_philox_stream(self):
-        rng = None
+    def test_stream_at_a_counter_is_an_advanced_fresh_stream(self):
         for seed in self.SEEDS:
             for key in (0, 5, -3, 2**64 + 1, ps._GEOMETRY):
                 # Counter c starts at word 4 c; 2**64 + 3 carries into the
                 # counter's second word.
                 for counter in (0, 1, 7, 2**64 + 3):
                     for odd in (1, 3, 101):
-                        # An odd uint32 count leaves half a word buffered;
-                        # each reset must drop it.
-                        rng = ps._stream(seed, key, rng, counter)
+                        rng = ps._stream(seed, key, counter)
                         fresh = echo_reference.stream(seed, key)
                         fresh.bit_generator.advance(counter)
                         for a, b in zip(self._draws(rng, odd), self._draws(fresh, odd)):
                             np.testing.assert_array_equal(a, b)
-                        rng.integers(0, 2**32, odd, dtype=np.uint32)
 
     def test_advance_skips_four_words_per_counter(self):
-        # The reset above is checked against advance(); this ties advance to
-        # the words of a fresh stream.
+        # The counter above is checked against advance(); this ties advance
+        # to the words of a fresh stream.
         for counter in (1, 7):
             fresh = echo_reference.stream(3, 9)
             fresh.bit_generator.advance(counter)
@@ -255,6 +252,20 @@ class TestHahnEcho:
         cfg = ps.BathNoiseConfig(n_sources=30, temperature=0.01, seed=6)
         trace = ps.simulate_hahn_echo(cfg, np.linspace(0.0, 25e-6, 7), 40)
         np.testing.assert_array_equal(trace.amplitude, np.ones(7))
+
+    def test_static_bath_allocates_no_echo_array(self):
+        # 2e6 realizations x 2 delays of echo values would be 32 MB.
+        cfg = ps.BathNoiseConfig(temperature=0.05)
+        tracemalloc.start()
+        try:
+            trace = ps.simulate_hahn_echo(cfg, [0.0, 25e-6], 2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        np.testing.assert_array_equal(trace.amplitude, [1.0, 1.0])
+        np.testing.assert_array_equal(trace.std_error, [0.0, 0.0])
+        assert trace.n_realizations == 2_000_000
 
     def test_decoupled_bath_is_flat(self):
         cfg = ps.BathNoiseConfig(n_sources=30, coupling_scale=0.0, seed=6)

@@ -13,9 +13,10 @@ Every command goes through ``nvbath.cli.main`` in this process, so the
 temperatures up to 1e12 K, where the flip-flop factor is at its bound of
 1/4), ``spectrum`` (defaults and five INI files), Hahn-echo ``simulate``
 (seed 7 at one and two threads, seed 3 at 4 K, seed 1 at 797406919.621389
-K, in the hot limit, and seed 5 on 301 sources and 200 delays, whose blocks
+K, in the hot limit, seed 5 on 301 sources and 200 delays, whose blocks
 of 7 realizations start their geometry reads inside a Philox counter's four
-words), inversion recovery, the bundled NV T1/T2 and N T2
+words, a static bath at 0.05 K and seed -5, whose stream key wraps modulo
+2**64), inversion recovery, the bundled NV T1/T2 and N T2
 tables, a ``fit`` of each registry model, and ``model-eval`` of both rate
 laws. Each command's exit code and stdout (with the output directory written
 as ``OUT``) go to ``commands.txt``, which is hashed with the data files.
@@ -83,6 +84,9 @@ def commands(out: Path) -> list[list[str]]:
          "--output", "hahn_ulp.csv"],
         ["simulate", "--sources", "301", "--tau-points", "200", "--realizations", "30",
          "--seed", "5", "--output", "hahn_301.csv"],
+        ["simulate", "--temp", "0.05", "--realizations", "200",
+         "--output", "hahn_static.csv"],
+        ["simulate", "--seed", "-5", "--realizations", "50", "--output", "hahn_neg.csv"],
         ["simulate", "--sequence", "inversion", "--noise", "0.01",
          "--tau-max-s", "8e-3", "--output", "inv.csv"],
     ]
