@@ -25,16 +25,18 @@ per (seed, key) pair, the generator's 128-bit key (stream v4); each read
 builds a fresh generator at its starting counter. Realization r's bath is
 words [n r, n (r + 1)) of the seed's geometry stream (key ``_GEOMETRY``),
 one per source: its coupling uniform, the coupling's sign (bit 0) and its
-initial sign (bit 1). Realizations run in blocks, the unit of thread work,
-whose size the config and the delay grid alone set (:func:`_block_size`):
-block b reads its geometry words in one call and draws its Poisson counts
-and event uniforms, one call apiece, from the (seed, b) stream, so results
-are bit-identical for any worker count.
-Each block is filtered in one run, its events sorted once by source and time
-at the fastest rate of a call, and each realization's phases are its own
-``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
-stacked matmul per E: the echoes are bit-identical to a per-realization loop
-(tests/echo_reference.py), with far fewer numpy calls.
+initial sign (bit 1). Realizations are drawn in blocks, the unit of the
+streams, whose size the config and the delay grid alone set
+(:func:`_block_size`): block b reads its geometry words in one call and
+draws its Poisson counts and event uniforms, one call apiece, from the
+(seed, b) stream; its events are filtered once and sorted by source and time
+at the fastest rate of a call. Batches of consecutive blocks (at least one
+per worker, each expecting at most ``_BATCH_CELLS`` cells at that rate) are
+the unit of reduction and of thread work: each realization's phases are its
+own ``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
+stacked matmul per E and rate over a batch, so the echoes are bit-identical
+to a per-realization loop (tests/echo_reference.py) for any batch and worker
+count, with far fewer numpy calls.
 
 Couplings follow the dipolar ``b = coupling_scale / r**3`` law for sources
 placed uniformly in the unit ball, with random sign; by default each
@@ -79,12 +81,15 @@ _MAX_ECHO_CELLS = 50_000_000
 # but many make each realization's echo heavy-tailed where it has decayed, and
 # its sample standard error then stops falling as 1 / sqrt(realizations).
 _SIGN_GROUPS = 8
-# Realizations per block, the unit of thread work: at most _BLOCK, and as
+# Realizations per block, the unit of the streams: at most _BLOCK, and as
 # many as expect _BLOCK_CELLS cells (2 MiB) of draws and filter arrays, so a
-# block adds little beside the realization limit above; larger blocks
-# measured no faster.
+# block adds little beside the realization limit above.
 _BLOCK = 64
 _BLOCK_CELLS = 1 << 18
+# Cells (8 MiB) that a batch of blocks, the unit of reduction and of thread
+# work, expects at most at a call's fastest rate: 4 or 5 default blocks at
+# 300 K. Larger batches measured little faster and held more memory.
+_BATCH_CELLS = 1 << 20
 _GEOMETRY = _UINT64_MASK  # key word of the geometry stream; block b's is b
 
 
@@ -192,6 +197,8 @@ def sample_couplings(cfg: BathNoiseConfig, realization: int = 0) -> np.ndarray:
     of a dilute spin bath. The same (seed, realization) always returns the
     same array, matching what :func:`simulate_hahn_echo` uses internally.
     """
+    if not isinstance(realization, (int, np.integer)) or realization < 0:
+        raise ValueError(f"realization must be a non-negative integer, got {realization!r}")
     if cfg.fixed_couplings is not None:
         return np.asarray(cfg.fixed_couplings, dtype=float)
     return _bath(cfg, realization, realization + 1)[0][0]
@@ -246,8 +253,9 @@ def _hahn_echoes(
     drawn once per slice of moving rates whose echo arrays fit
     ``_MAX_ECHO_CELLS`` together, and filtered at each rate of the slice, so
     each trace is the one a run at that rate alone gives. One slice's echo
-    arrays exist at a time; its blocks of realizations fan out over at most
-    ``threads`` workers, no more than there are blocks or cores.
+    arrays exist at a time. Its blocks are reduced in batches of consecutive
+    blocks, which fan out over at most ``threads`` workers, no more than
+    there are blocks or cores; the batches' bounds do not reach the bytes.
     """
     tau = _delay_grid(tau_grid)
     if n_realizations < 1:
@@ -275,37 +283,44 @@ def _hahn_echoes(
         else:
             moving.append(rate)
     size = _block_size(cfg, tau)
-    blocks = range(-(-n_realizations // size))
-    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    blocks = -(-n_realizations // size)
+    workers = min(threads, blocks, os.cpu_count() or 1)
+    # Batches of consecutive blocks, as even as can be: at least one per
+    # worker, and none expecting over _BATCH_CELLS cells at the fastest rate.
+    most = max(1, int(_BATCH_CELLS // (size * _cells(cfg, max(moving, default=0.0), tau))))
+    batches = max(workers, -(-blocks // most))
+    edges = [blocks * i // batches * size for i in range(batches)] + [n_realizations]
     per_draw = _MAX_ECHO_CELLS // (n_realizations * tau.size)
     for i in range(0, len(moving), per_draw):
         group = moving[i:i + per_draw]
         echoes = np.empty((len(group), n_realizations, tau.size))
 
-        def run_block(block: int) -> None:
-            lo, hi = block * size, min(block * size + size, n_realizations)
-            echoes[:, lo:hi] = _echo_block(cfg, group, tau, lo, hi, block)
+        def run_batch(lo: int, hi: int) -> None:
+            _echo_batch(cfg, group, tau, lo, hi, size, echoes)
 
         if workers == 1:
-            for block in blocks:
-                run_block(block)
+            for lo, hi in zip(edges, edges[1:]):
+                run_batch(lo, hi)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_block, blocks))
+                list(pool.map(run_batch, edges, edges[1:]))
         traces.update(zip(group, (_trace(e, tau, cfg.seed) for e in echoes)))
     return [traces[rate] for rate in rates]
 
 
+def _cells(cfg: BathNoiseConfig, rate: float, tau: np.ndarray) -> float:
+    """Cells a realization expects with its events at ``rate``: 3 per source
+    (its geometry word, Poisson count and signed coupling) and 1 + delays + 8
+    per event (its uniform and filter row)."""
+    per_event = 1 + tau.size + _SIGN_GROUPS
+    return cfg.n_sources * (3 + rate * 2.0 * float(tau[-1]) * per_event)
+
+
 def _block_size(cfg: BathNoiseConfig, tau: np.ndarray) -> int:
     """Realizations per block, set by the config and the delay grid alone: as
-    many as expect ``_BLOCK_CELLS`` cells together, from 1 to ``_BLOCK``. A
-    realization expects 3 cells per source (its geometry word, Poisson count
-    and signed coupling) and 1 + delays + 8 per event drawn at the hot-limit
-    rate (its uniform and filter row).
-    """
-    per_event = 1 + tau.size + _SIGN_GROUPS
-    cells = cfg.n_sources * (3 + cfg.base_rate * 2.0 * float(tau[-1]) * per_event)
-    return max(1, min(_BLOCK, int(_BLOCK_CELLS // cells)))
+    many as expect ``_BLOCK_CELLS`` cells together with their events drawn at
+    the hot-limit rate, from 1 to ``_BLOCK``."""
+    return max(1, min(_BLOCK, int(_BLOCK_CELLS // _cells(cfg, cfg.base_rate, tau))))
 
 
 def _trace(echoes: np.ndarray, tau: np.ndarray, seed: int) -> DecayTrace:
@@ -327,17 +342,17 @@ def _trace(echoes: np.ndarray, tau: np.ndarray, seed: int) -> DecayTrace:
 
 
 def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
-                lo: int, hi: int, block: int) -> np.ndarray:
-    """Echoes of realizations lo .. hi - 1, block ``block``, at each rate,
-    as a (rates, realizations, delays) array.
+                lo: int, hi: int, block: int) -> tuple[np.ndarray, ...]:
+    """Events of realizations lo .. hi - 1, block ``block``, inside the fastest
+    rate's window, as their slots (realization x n + source, from lo) and
+    uniforms, sorted by slot and time; and the block's signed couplings.
 
     Its Poisson counts and event uniforms come from the (seed, block) stream,
     one call apiece. The first realization over the limit is refused, by name,
     on its drawn events before the uniforms exist, and on the events inside
-    the fastest rate's window before the filter arrays do. Those events are
-    sorted by slot (realization x n + source) and time once: a slower rate
-    keeps a subset of them and stretches their times by a positive factor,
-    which keeps their order.
+    the fastest rate's window before the filter arrays do. A slower rate
+    keeps a subset of the events and stretches their times by a positive
+    factor, which keeps their order.
     """
     n, m = cfg.n_sources, hi - lo
     t_end = 2.0 * tau[-1]
@@ -358,21 +373,35 @@ def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
     _refuse_over(events[i] * width, _MAX_CELLS,
                  "realization {} has {} events in its window", lo + i, events[i])
     couplings, s0 = _bath(cfg, lo, hi)
-    signed = (couplings * s0).ravel()
     # Sort each slot's events by u, and so by time at every rate (slot is
     # sorted already): complex numbers sort by their real part, then their
     # imaginary part.
     key = np.empty(slot.size, dtype=complex)
     key.real, key.imag = slot, u[inside]
     key.sort()
-    echoes = np.empty((len(rates), m, tau.size))
+    # A copy of the uniforms lets the keys go while the batch holds the block.
+    return slot, key.imag.copy(), (couplings * s0).ravel()
+
+
+def _echo_batch(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
+                lo: int, hi: int, size: int, echoes: np.ndarray) -> None:
+    """Echoes of realizations lo .. hi - 1 (blocks of ``size``) at each rate,
+    into ``echoes[:, lo:hi]``: the blocks' events joined, reduced per rate."""
+    n, t_end = cfg.n_sources, 2.0 * tau[-1]
+    hot, fastest = cfg.base_rate, max(rates)
+    joined = [_echo_block(cfg, rates, tau, a, min(a + size, hi), a // size)
+              for a in range(lo, hi, size)]
+    for a, (slot, _, _) in zip(range(lo, hi, size), joined):
+        slot += (a - lo) * n
+    slot, u, signed = (np.concatenate(parts) for parts in zip(*joined))
+    del joined
     for i, rate in enumerate(rates):
-        u, kept = key.imag, slot
+        t, kept = u, slot
         if rate < fastest:
             keep = u < rate / hot
-            u, kept = u[keep], slot[keep]
-        echoes[i] = _stacked_echoes(n, m, tau, kept, u * (hot / rate) * t_end, signed)
-    return echoes
+            t, kept = u[keep], slot[keep]
+        t = t * (hot / rate) * t_end
+        echoes[i, lo:hi] = _stacked_echoes(n, hi - lo, tau, kept, t, signed)
 
 
 def _stacked_echoes(
@@ -395,24 +424,24 @@ def _stacked_echoes(
     # s0 (-1)^(k+1): Phi = sum 2 b s0 (-1)^(k+1) h(tau, t), h = -min(t, (2 tau
     # - t)+). Over sign flips of whole groups, the mean of cos(Phi) is the
     # product of the groups' cosines.
-    k = np.arange(t.size) - np.searchsorted(slot, slot)
-    weight = np.where(k % 2 == 0, 2.0, -2.0) * signed[slot]
-    group = slot % n * _SIGN_GROUPS // n
+    weight = signed[slot]
+    weight *= 2 - 4 * (np.arange(t.size) - np.searchsorted(slot, slot) & 1)
     # Order the realizations by E, and their events to match, so that the
     # realizations with E events are one run of (E,) event rows.
     events = np.diff(np.searchsorted(slot, np.arange(0, (m + 1) * n, n)))
     rows = np.argsort(events, kind="stable")
     size = events[rows]
     start = np.cumsum(size) - size
-    first = np.repeat(start, size)  # of each event's realization, reordered
-    ordinal = np.arange(t.size)
-    order = ordinal - first + np.repeat((np.cumsum(events) - events)[rows], size)
-    t = t[order]
+    order = np.repeat((np.cumsum(events) - events)[rows] - start, size) + np.arange(t.size)
     # Row g of a realization's (8, E) left operand holds the weights of group
     # g's events and zeros elsewhere, whose signs cannot reach cos(Phi).
     g = _SIGN_GROUPS
+    at = slot[order] % n * g // n * np.repeat(size, size) + np.arange(t.size)
+    at += np.repeat((g - 1) * start, size)
     left = np.zeros(g * t.size)
-    left[(g - 1) * first + group[order] * np.repeat(size, size) + ordinal] = weight[order]
+    left[at] = weight[order]
+    t = t[order]
+    del weight, order, at
     two_tau = 2.0 * tau
     by_size = np.empty((m, tau.size))
     runs = np.flatnonzero(np.diff(size, prepend=-1)).tolist() + [m]

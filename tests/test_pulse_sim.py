@@ -72,6 +72,14 @@ class TestCouplings:
         )
         np.testing.assert_array_equal(ps.sample_couplings(cfg), [1e4, -3e4])
 
+    @pytest.mark.parametrize("realization", [-4, 1.5])
+    def test_rejects_a_realization_that_is_not_a_non_negative_integer(self, realization):
+        drawn = ps.BathNoiseConfig(n_sources=2)
+        pinned = replace(drawn, fixed_couplings=(1e4, -3e4))
+        for cfg in (drawn, pinned):
+            with pytest.raises(ValueError, match="realization"):
+                ps.sample_couplings(cfg, realization)
+
 
 class TestStream:
     SEEDS = [0, 1, -1, -(2**70) + 5, 2**64, 2**64 + 7, 3 * 2**66 - 1]
@@ -461,6 +469,85 @@ class TestBlockKernel:
         cells = 3 * self.FAST.n_sources * 10 + np.array(sizes) * (1 + tau.size + ps._SIGN_GROUPS)
         assert np.all(cells <= 1.05 * ps._BLOCK_CELLS)
         assert np.all(cells > 0.9 * ps._BLOCK_CELLS)
+
+    # 75 realizations in 8 blocks of 10 (the last one short), which the
+    # default batch budget cuts into batches of 4 and 4 blocks; and the same
+    # bath pinned, 2 blocks (64 and 11) in one batch.
+    @pytest.mark.parametrize(
+        "bath, batched",
+        [
+            (dict(base_rate=1e5, seed=9), [(0, 40), (40, 75)]),
+            (dict(base_rate=1e5, seed=9, **BATHS[3]), [(0, 75)]),
+        ],
+        ids=["drawn", "pinned"],
+    )
+    def test_batches_keep_the_bytes(self, monkeypatch, bath, batched):
+        cfg = ps.BathNoiseConfig(**bath)
+        tau = ps.default_tau_grid()
+        # A scan with a static temperature (0.11518 K) and a repeated one.
+        rates = [ps.effective_rate(replace(cfg, temperature=t))
+                 for t in TestTemperatureScan.SCAN]
+
+        def run(threads):
+            batches = []
+            echo_batch = ps._echo_batch
+            monkeypatch.setattr(
+                ps, "_echo_batch",
+                lambda *args: batches.append(args[3:5]) or echo_batch(*args))
+            traces = [ps.simulate_hahn_echo(cfg, tau, 75, threads),
+                      *ps._hahn_echoes(cfg, rates, tau, 75, threads)]
+            monkeypatch.setattr(ps, "_echo_batch", echo_batch)
+            return traces, sorted(set(batches))
+
+        default, edges = run(1)
+        size = ps._block_size(cfg, tau)
+        blocks = [(lo, min(lo + size, 75)) for lo in range(0, 75, size)]
+        assert edges == batched
+        # A budget of one cell makes each block its own batch; one of 2**60
+        # puts the whole run in one batch per worker.
+        for cells, alone in ((1, blocks), (1 << 60, [(0, 75)])):
+            monkeypatch.setattr(ps, "_BATCH_CELLS", cells)
+            for threads in (1, 2, 5):
+                traces, edges = run(threads)
+                if threads == 1:
+                    assert edges == alone
+                assert len(traces) == 1 + len(rates)
+                for trace, expected in zip(traces, default):
+                    assert np.array_equal(trace.amplitude, expected.amplitude)
+                    assert np.array_equal(trace.std_error, expected.std_error)
+
+    def test_batches_cut_the_reductions(self, monkeypatch):
+        # One reduction per moving rate and batch: the default scan's 16
+        # blocks make at most 4 batches, and 300 K's 32 blocks at most 8.
+        reduced = []
+        stacked = ps._stacked_echoes
+        monkeypatch.setattr(
+            ps, "_stacked_echoes", lambda n, m, *args: reduced.append(m) or stacked(n, m, *args)
+        )
+        cfg = ps.BathNoiseConfig(seed=11)
+        ps.effective_t2_scan(cfg, (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman), 1000)
+        assert len(reduced) <= 5 * 4
+        assert sum(reduced) == 5 * 1000
+        reduced.clear()
+        ps.simulate_hahn_echo(cfg, ps.default_tau_grid(), 2000)
+        assert len(reduced) <= 8
+        assert sum(reduced) == 2000
+
+    def test_batch_memory_does_not_grow_with_realizations(self):
+        # A batch expects at most _BATCH_CELLS cells of 8 bytes, plus 5 %
+        # Poisson headroom. Beside it the run holds its realizations x delays
+        # echo array, and the standard error one temporary of the same size.
+        cfg = ps.BathNoiseConfig()
+        tau = ps.default_tau_grid()
+        bound = 1.05 * 8 * ps._BATCH_CELLS
+        for n in (2000, 8000):
+            tracemalloc.start()
+            try:
+                ps.simulate_hahn_echo(cfg, tau, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - 2 * 8 * n * tau.size < bound
 
 
 class TestExactReference:

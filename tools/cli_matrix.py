@@ -15,14 +15,17 @@ temperatures up to 1e12 K, where the flip-flop factor is at its bound of
 (seed 7 at one and two threads, seed 3 at 4 K, seed 1 at 797406919.621389
 K, in the hot limit, seed 5 on 301 sources and 200 delays, whose blocks
 of 7 realizations start their geometry reads inside a Philox counter's four
-words, a static bath at 0.05 K and seed -5, whose stream key wraps modulo
-2**64), inversion recovery, the bundled NV T1/T2 and N T2
+words, a static bath at 0.05 K, seed -5, whose stream key wraps modulo
+2**64, and 1111 realizations at one and two threads: 17 blocks of 64 and
+one of 23, reduced in batches of 4, 5, 4 and 5 blocks, the last one short),
+inversion recovery, the bundled NV T1/T2 and N T2
 tables, a ``fit`` of each registry model, and ``model-eval`` of both rate
 laws. Each command's exit code and stdout (with the output directory written
 as ``OUT``) go to ``commands.txt``, which is hashed with the data files.
-No subcommand runs the quench scan, so ``quench_scan.txt`` holds
-``pulse_sim.effective_t2_scan`` of one small fixed scan, written here with
-``repr``-exact floats. Uses the standard library and nvbath only.
+No subcommand runs the quench scan, so ``quench_scan.txt`` and
+``quench_scan_1000.txt`` hold ``pulse_sim.effective_t2_scan`` of one fixed
+scan at 200 and at 1000 realizations (one batch, and four), written here
+with ``repr``-exact floats. Uses the standard library and nvbath only.
 """
 
 from __future__ import annotations
@@ -87,6 +90,10 @@ def commands(out: Path) -> list[list[str]]:
         ["simulate", "--temp", "0.05", "--realizations", "200",
          "--output", "hahn_static.csv"],
         ["simulate", "--seed", "-5", "--realizations", "50", "--output", "hahn_neg.csv"],
+        ["simulate", "--seed", "2", "--realizations", "1111", "--threads", "1",
+         "--output", "hahn_1111_t1.csv"],
+        ["simulate", "--seed", "2", "--realizations", "1111", "--threads", "2",
+         "--output", "hahn_1111_t2.csv"],
         ["simulate", "--sequence", "inversion", "--noise", "0.01",
          "--tau-max-s", "8e-3", "--output", "inv.csv"],
     ]
@@ -107,12 +114,12 @@ def commands(out: Path) -> list[list[str]]:
     return [["--outdir", str(out), *args] for args in runs]
 
 
-def write_quench_scan(path: Path) -> None:
-    """``effective_t2_scan`` at the bench's quench_scan temperatures (seed 11,
-    200 realizations), one ``repr(T) repr(T2)`` line per temperature."""
+def write_quench_scan(path: Path, realizations: int) -> None:
+    """``effective_t2_scan`` at the bench's quench_scan temperatures (seed 11),
+    one ``repr(T) repr(T2)`` line per temperature."""
     cfg = pulse_sim.BathNoiseConfig(seed=11)
     temperatures = (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman)
-    scan = pulse_sim.effective_t2_scan(cfg, temperatures, 200)
+    scan = pulse_sim.effective_t2_scan(cfg, temperatures, realizations)
     path.write_text("".join(f"{t!r} {t2!r}\n" for t, t2 in scan))
 
 
@@ -131,7 +138,8 @@ def run(out: Path) -> dict[str, str]:
         shown = " ".join(argv[2:]).replace(str(out), "OUT")
         log.append(f"{rc} {shown}\n  {stdout.getvalue().replace(str(out), 'OUT')}")
     (out / "commands.txt").write_text("".join(log))
-    write_quench_scan(out / "quench_scan.txt")
+    write_quench_scan(out / "quench_scan.txt", 200)
+    write_quench_scan(out / "quench_scan_1000.txt", 1000)
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
