@@ -36,7 +36,9 @@ the unit of reduction and of thread work: each realization's phases are its
 own ``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
 stacked matmul per E and rate over a batch, so the echoes are bit-identical
 to a per-realization loop (tests/echo_reference.py) for any batch and worker
-count, with far fewer numpy calls.
+count. No echo array is kept: each block's echoes are added to a running sum
+in realization order, and their squared deviations joined to the run's by
+Chan, Golub & LeVeque's update, so memory does not grow with realizations.
 
 Couplings follow the dipolar ``b = coupling_scale / r**3`` law for sources
 placed uniformly in the unit ball, with random sign; by default each
@@ -49,6 +51,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -73,10 +76,9 @@ _UINT64_MASK = (1 << 64) - 1
 _NEGLIGIBLE_EVENTS = 1e-12
 
 # Largest arrays of one realization, in 8-byte cells (events drawn at the
-# hot-limit rate; events in the window x (delays + sign groups)), and largest
-# echo array (realizations x delays): with temporaries about 0.4 GB apiece.
+# hot-limit rate; events in the window x (delays + sign groups)): with
+# temporaries about 0.4 GB apiece.
 _MAX_CELLS = 16_000_000
-_MAX_ECHO_CELLS = 50_000_000
 # One cosine per group of consecutive sources: more groups lower the variance,
 # but many make each realization's echo heavy-tailed where it has decayed, and
 # its sample standard error then stops falling as 1 / sqrt(realizations).
@@ -112,8 +114,8 @@ class BathNoiseConfig:
     fixed_couplings: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.n_sources < 1:
-            raise ValueError("n_sources must be >= 1")
+        _integer("n_sources", self.n_sources, 1)
+        _integer("seed", self.seed)
         # The couplings reach coupling_scale * 2**53 (1 - U is at least 2**-53).
         if not 0 <= self.coupling_scale * 2.0**53 < math.inf:
             raise ValueError("coupling_scale * 2**53 must be non-negative and finite")
@@ -171,6 +173,13 @@ def _delay_grid(delays: Sequence[float]) -> np.ndarray:
     return t
 
 
+def _integer(name: str, value, least: Optional[int] = None) -> None:
+    """Refuse a value that is not a Python or numpy integer, or is below least."""
+    if not isinstance(value, (int, np.integer)) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
 def _refuse_over(cells: float, limit: float, what: str, *args) -> None:
     """Refuse cells over limit, naming them by ``what.format(*args)``."""
     if cells > limit:
@@ -181,7 +190,7 @@ def _stream(seed: int, key: int, counter: int = 0) -> np.random.Generator:
     """Counter-based generator of the (seed, key) stream, from word 4 counter:
     numpy's Philox with the 128-bit key (seed, key), each taken modulo 2**64."""
     return np.random.Generator(np.random.Philox(
-        key=(seed & _UINT64_MASK) | (key & _UINT64_MASK) << 64, counter=counter))
+        key=(int(seed) & _UINT64_MASK) | (key & _UINT64_MASK) << 64, counter=counter))
 
 
 def effective_rate(cfg: BathNoiseConfig) -> float:
@@ -197,8 +206,7 @@ def sample_couplings(cfg: BathNoiseConfig, realization: int = 0) -> np.ndarray:
     of a dilute spin bath. The same (seed, realization) always returns the
     same array, matching what :func:`simulate_hahn_echo` uses internally.
     """
-    if not isinstance(realization, (int, np.integer)) or realization < 0:
-        raise ValueError(f"realization must be a non-negative integer, got {realization!r}")
+    _integer("realization", realization, 0)
     if cfg.fixed_couplings is not None:
         return np.asarray(cfg.fixed_couplings, dtype=float)
     return _bath(cfg, realization, realization + 1)[0][0]
@@ -249,19 +257,16 @@ def _hahn_echoes(
     """Hahn-echo traces of the bath at each switching rate, one per rate.
 
     Every rate is checked before anything is drawn. No rate exceeds the base
-    rate, so all of them share their draws: each block of realizations is
-    drawn once per slice of moving rates whose echo arrays fit
-    ``_MAX_ECHO_CELLS`` together, and filtered at each rate of the slice, so
-    each trace is the one a run at that rate alone gives. One slice's echo
-    arrays exist at a time. Its blocks are reduced in batches of consecutive
-    blocks, which fan out over at most ``threads`` workers, no more than
-    there are blocks or cores; the batches' bounds do not reach the bytes.
+    rate, so each block of realizations is drawn once and filtered at every
+    moving rate, and each trace is the one a run at that rate alone gives.
+    Blocks are reduced in batches of consecutive blocks, one per worker in
+    flight, over at most ``threads`` workers (no more than there are blocks
+    or cores), and folded in realization order (:func:`_fold`): memory does
+    not grow with ``n_realizations``, and no batch bound reaches the bytes.
     """
     tau = _delay_grid(tau_grid)
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    _integer("n_realizations", n_realizations, 1)
+    _integer("threads", threads, 1)
     # Checked in Python floats (which overflow to inf quietly) before numpy
     # sees the Poisson mean; each realization checks its own draw exactly.
     t_end = 2.0 * float(tau[-1])
@@ -271,41 +276,54 @@ def _hahn_echoes(
     _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
                  "a realization would filter {:.3g} events x {} delays",
                  in_window, tau.size)
-    _refuse_over(n_realizations * tau.size, _MAX_ECHO_CELLS,
-                 "{} realizations x {} delays of echo values", n_realizations, tau.size)
-    traces: dict[float, DecayTrace] = {}
-    moving = []
-    for rate in dict.fromkeys(rates):
-        if rate * t_end < _NEGLIGIBLE_EVENTS:
-            # Static noise refocuses exactly.
-            traces[rate] = DecayTrace(SEQUENCE_HAHN, tau, np.ones(tau.size),
-                                      np.zeros(tau.size), n_realizations, cfg.seed)
-        else:
-            moving.append(rate)
-    size = _block_size(cfg, tau)
-    blocks = -(-n_realizations // size)
-    workers = min(threads, blocks, os.cpu_count() or 1)
-    # Batches of consecutive blocks, as even as can be: at least one per
-    # worker, and none expecting over _BATCH_CELLS cells at the fastest rate.
-    most = max(1, int(_BATCH_CELLS // (size * _cells(cfg, max(moving, default=0.0), tau))))
-    batches = max(workers, -(-blocks // most))
-    edges = [blocks * i // batches * size for i in range(batches)] + [n_realizations]
-    per_draw = _MAX_ECHO_CELLS // (n_realizations * tau.size)
-    for i in range(0, len(moving), per_draw):
-        group = moving[i:i + per_draw]
-        echoes = np.empty((len(group), n_realizations, tau.size))
+    # Static noise refocuses exactly.
+    columns = {rate: (np.ones(tau.size), np.zeros(tau.size)) for rate in rates}
+    moving = [rate for rate in columns if rate * t_end >= _NEGLIGIBLE_EVENTS]
+    if moving:
+        size = _block_size(cfg, tau)
+        blocks = -(-n_realizations // size)
+        workers = min(threads, blocks, os.cpu_count() or 1)
+        # Batches of consecutive blocks, as even as can be: at least one per
+        # worker, and none expecting over _BATCH_CELLS cells at the fastest rate.
+        most = max(1, int(_BATCH_CELLS // (size * _cells(cfg, max(moving), tau))))
+        batches = max(workers, -(-blocks // most))
 
-        def run_batch(lo: int, hi: int) -> None:
-            _echo_batch(cfg, group, tau, lo, hi, size, echoes)
+        def batch(i: int) -> np.ndarray:
+            lo, hi = (min(blocks * j // batches * size, n_realizations) for j in (i, i + 1))
+            return _echo_batch(cfg, moving, tau, lo, hi, size)
 
-        if workers == 1:
-            for lo, hi in zip(edges, edges[1:]):
-                run_batch(lo, hi)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_batch, edges, edges[1:]))
-        traces.update(zip(group, (_trace(e, tau, cfg.seed) for e in echoes)))
-    return [traces[rate] for rate in rates]
+        moments = 0, *np.zeros((2, len(moving), tau.size))
+        with ExitStack() as stack:
+            run = map
+            if workers > 1:
+                run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+            # Rounds of one batch per worker; map yields a round in order.
+            for first in range(0, batches, workers):
+                for echoes in run(batch, range(first, min(first + workers, batches))):
+                    for a in range(0, echoes.shape[1], size):
+                        moments = _fold(moments, echoes[:, a:a + size])
+        count, total, m2 = moments
+        # One realization's M2 is exactly 0.
+        std_error = np.sqrt(m2 / max(count - 1, 1)) / math.sqrt(count)
+        columns.update(zip(moving, zip(total / count, std_error)))
+    return [DecayTrace(SEQUENCE_HAHN, tau, *columns[rate], n_realizations, cfg.seed)
+            for rate in rates]
+
+
+def _fold(moments: tuple, echoes: np.ndarray) -> tuple:
+    """Moments ``(count, sum, M2)`` per rate and delay of a run's echoes, with
+    one block's ``(rates, realizations, delays)`` echoes folded in after them.
+    The sum adds rows strictly in realization order, as numpy's mean over two
+    or more delays does; the block's M2 about its own mean joins by Chan,
+    Golub & LeVeque's pairwise update."""
+    count, total, m2 = moments
+    m = echoes.shape[1]
+    mean = echoes.mean(axis=1)
+    block_m2 = ((echoes - mean[:, None]) ** 2).sum(axis=1)
+    if count:
+        block_m2 += (mean - total / count) ** 2 * (count * m / (count + m))
+    total = np.add.accumulate(np.concatenate((total[:, None], echoes), axis=1), axis=1)
+    return count + m, total[:, -1], m2 + block_m2
 
 
 def _cells(cfg: BathNoiseConfig, rate: float, tau: np.ndarray) -> float:
@@ -321,24 +339,6 @@ def _block_size(cfg: BathNoiseConfig, tau: np.ndarray) -> int:
     many as expect ``_BLOCK_CELLS`` cells together with their events drawn at
     the hot-limit rate, from 1 to ``_BLOCK``."""
     return max(1, min(_BLOCK, int(_BLOCK_CELLS // _cells(cfg, cfg.base_rate, tau))))
-
-
-def _trace(echoes: np.ndarray, tau: np.ndarray, seed: int) -> DecayTrace:
-    """The trace of a (realizations, delays) echo array: mean and standard error."""
-    n_realizations = echoes.shape[0]
-    amplitude = echoes.mean(axis=0)
-    if n_realizations > 1:
-        std_error = echoes.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-    else:
-        std_error = np.zeros_like(amplitude)
-    return DecayTrace(
-        sequence=SEQUENCE_HAHN,
-        delays=tau,
-        amplitude=amplitude,
-        std_error=std_error,
-        n_realizations=n_realizations,
-        seed=seed,
-    )
 
 
 def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
@@ -384,24 +384,22 @@ def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
 
 
 def _echo_batch(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
-                lo: int, hi: int, size: int, echoes: np.ndarray) -> None:
-    """Echoes of realizations lo .. hi - 1 (blocks of ``size``) at each rate,
-    into ``echoes[:, lo:hi]``: the blocks' events joined, reduced per rate."""
-    n, t_end = cfg.n_sources, 2.0 * tau[-1]
-    hot, fastest = cfg.base_rate, max(rates)
+                lo: int, hi: int, size: int) -> np.ndarray:
+    """Echoes ``(rates, realizations, delays)`` of realizations lo .. hi - 1
+    (blocks of ``size``): the blocks' events joined, reduced per rate."""
+    n, t_end, hot = cfg.n_sources, 2.0 * tau[-1], cfg.base_rate
     joined = [_echo_block(cfg, rates, tau, a, min(a + size, hi), a // size)
               for a in range(lo, hi, size)]
     for a, (slot, _, _) in zip(range(lo, hi, size), joined):
         slot += (a - lo) * n
     slot, u, signed = (np.concatenate(parts) for parts in zip(*joined))
     del joined
-    for i, rate in enumerate(rates):
-        t, kept = u, slot
-        if rate < fastest:
-            keep = u < rate / hot
-            t, kept = u[keep], slot[keep]
-        t = t * (hot / rate) * t_end
-        echoes[i, lo:hi] = _stacked_echoes(n, hi - lo, tau, kept, t, signed)
+
+    def echoes(rate: float) -> np.ndarray:
+        keep = u < rate / hot
+        return _stacked_echoes(n, hi - lo, tau, slot[keep], u[keep] * (hot / rate) * t_end, signed)
+
+    return np.stack([echoes(rate) for rate in rates])
 
 
 def _stacked_echoes(

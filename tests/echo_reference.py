@@ -93,15 +93,30 @@ def realization(cfg, rate: float, tau: np.ndarray, r: int, n_realizations: int,
 def hahn_echo(cfg, rate: float, tau: np.ndarray, n_realizations: int,
               size: int | None = None):
     """``(amplitude, std_error, couplings, in_window)`` over realizations
-    0 .. n - 1, reduced as ``simulate_hahn_echo`` reduces them."""
+    0 .. n - 1, reduced as ``simulate_hahn_echo`` reduces them: the mean from
+    a running sum that adds one realization at a time, in order, and the
+    standard error from each block's two-pass mean and sum of squared
+    deviations, joined to those of the blocks before it by Chan, Golub &
+    LeVeque's pairwise update."""
     runs = [realization(cfg, rate, tau, r, n_realizations, size)
             for r in range(n_realizations)]
     echoes = np.array([echo for echo, _, _ in runs])
-    amplitude = echoes.mean(axis=0)
-    if n_realizations > 1:
-        std_error = echoes.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-    else:
-        std_error = np.zeros_like(amplitude)
+    total = np.zeros(tau.size)
+    m2 = np.zeros(tau.size)
+    size = size or block_size(cfg, tau)
+    for lo in range(0, n_realizations, size):
+        block = echoes[lo:lo + size]
+        m = len(block)
+        mean = block.mean(axis=0)
+        block_m2 = ((block - mean) ** 2).sum(axis=0)
+        if lo:
+            block_m2 += (mean - total / lo) ** 2 * (lo * m / (lo + m))
+        m2 = m2 + block_m2
+        for echo in block:
+            total = total + echo
+    amplitude = total / n_realizations
+    # One realization's sum of squared deviations is exactly 0.
+    std_error = np.sqrt(m2 / max(n_realizations - 1, 1)) / math.sqrt(n_realizations)
     couplings = np.array([c for _, c, _ in runs])
     in_window = np.array([e for _, _, e in runs])
     return amplitude, std_error, couplings, in_window

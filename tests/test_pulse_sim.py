@@ -214,6 +214,11 @@ class TestHahnEcho:
         b = ps.simulate_hahn_echo(cfg, tau, 80)
         np.testing.assert_array_equal(a.amplitude, b.amplitude)
         np.testing.assert_array_equal(a.std_error, b.std_error)
+        # numpy integers are integers too.
+        c = ps.simulate_hahn_echo(replace(cfg, seed=np.int64(11), n_sources=np.int32(20)),
+                                  tau, np.int64(80), np.int8(1))
+        np.testing.assert_array_equal(a.amplitude, c.amplitude)
+        np.testing.assert_array_equal(a.std_error, c.std_error)
 
     def test_bit_identical_across_threads(self):
         cfg = ps.BathNoiseConfig(n_sources=20, seed=11)
@@ -314,6 +319,10 @@ class TestHahnEcho:
             ps.simulate_hahn_echo(cfg, [0.0, 1e-6], 0)
         with pytest.raises(ValueError):
             ps.simulate_hahn_echo(cfg, [0.0, 1e-6], 10, threads=0)
+        with pytest.raises(ValueError, match="n_realizations must be an integer"):
+            ps.simulate_hahn_echo(cfg, [0.0, 1e-6], 2.5)
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            ps.simulate_hahn_echo(cfg, [0.0, 1e-6], 10, threads=1.5)
         with pytest.raises(ValueError):
             ps.simulate_hahn_echo(cfg, [0.0, math.nan], 10)
         with pytest.raises(ValueError):
@@ -325,9 +334,6 @@ class TestHahnEcho:
         wide = ps.BathNoiseConfig(n_sources=1000)
         with pytest.raises(ValueError, match="would filter"):
             ps.simulate_hahn_echo(wide, np.linspace(0.0, 25e-6, 5_000_000), 1)
-        # Refused before the (10**12, 41) echo array, 298 TiB.
-        with pytest.raises(ValueError, match="realizations"):
-            ps.simulate_hahn_echo(cfg, np.linspace(0.0, 25e-6, 41), 10**12)
 
     def test_each_draw_is_checked_against_the_limit(self, monkeypatch):
         # With the limit lowered, the expected events plus one per source sit
@@ -533,21 +539,95 @@ class TestBlockKernel:
         assert len(reduced) <= 8
         assert sum(reduced) == 2000
 
+    CFG = ps.BathNoiseConfig()
+    # A batch expects at most _BATCH_CELLS cells of 8 bytes, plus 5 % Poisson
+    # headroom, and a run holds nothing per realization.
+    MEMORY_BOUND = 1.05 * 8 * ps._BATCH_CELLS
+
+    def _echo_and_scan(self):
+        """The rate of CFG, and the rates of the bench's quench scan, whose
+        last temperature is static."""
+        temperatures = (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * self.CFG.t_zeeman)
+        return [ps.effective_rate(self.CFG)], [
+            ps.effective_rate(replace(self.CFG, temperature=t)) for t in temperatures]
+
     def test_batch_memory_does_not_grow_with_realizations(self):
-        # A batch expects at most _BATCH_CELLS cells of 8 bytes, plus 5 %
-        # Poisson headroom. Beside it the run holds its realizations x delays
-        # echo array, and the standard error one temporary of the same size.
-        cfg = ps.BathNoiseConfig()
         tau = ps.default_tau_grid()
-        bound = 1.05 * 8 * ps._BATCH_CELLS
-        for n in (2000, 8000):
-            tracemalloc.start()
-            try:
-                ps.simulate_hahn_echo(cfg, tau, n)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak - 2 * 8 * n * tau.size < bound
+        echo, scan = self._echo_and_scan()
+        for threads in (1, 2):
+            for n, runs in ((2000, (echo, scan)), (8000, (echo, scan)), (32_000, (echo,))):
+                for rates in runs:
+                    tracemalloc.start()
+                    try:
+                        traces = ps._hahn_echoes(self.CFG, rates, tau, n, threads)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak < self.MEMORY_BOUND
+                    assert [trace.n_realizations for trace in traces] == [n] * len(rates)
+
+    def test_nothing_is_allocated_by_the_realization_count(self, monkeypatch):
+        # 10**12 realizations, of one rate and of the scan, stopped at the
+        # third batch: the run allocates nothing by the realization count.
+        class Stop(Exception):
+            pass
+
+        calls = []
+        echo_batch = ps._echo_batch
+
+        def third_stops(*args):
+            calls.append(args[3:5])
+            if len(calls) == 3:
+                raise Stop
+            return echo_batch(*args)
+
+        monkeypatch.setattr(ps, "_echo_batch", third_stops)
+        for threads in (1, 2):
+            for rates in self._echo_and_scan():
+                calls.clear()
+                tracemalloc.start()
+                try:
+                    with pytest.raises(Stop):
+                        ps._hahn_echoes(self.CFG, rates, ps.default_tau_grid(), 10**12, threads)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < self.MEMORY_BOUND
+                assert 3 <= len(calls) <= 2 + threads
+
+    # Blocks of 64 at 300 K (4 full ones and one of 44) and of 10 for FAST
+    # (30 blocks): the bound, 1e-12 relative, was fixed before the first run.
+    @pytest.mark.parametrize(
+        "bath", [dict(temperature=300.0), dict(temperature=4.0), dict(base_rate=1e5)],
+        ids=["300K", "4K", "fast"],
+    )
+    def test_std_error_is_the_two_pass_one(self, bath):
+        cfg = ps.BathNoiseConfig(seed=12, **bath)
+        tau = ps.default_tau_grid()
+        rate = ps.effective_rate(cfg)
+        n = 300
+        rows = np.array([echo_reference.realization(cfg, rate, tau, r, n)[0]
+                         for r in range(n)])
+        trace = ps.simulate_hahn_echo(cfg, tau, n)
+        assert np.array_equal(trace.amplitude, rows.mean(axis=0))
+        two_pass = rows.std(axis=0, ddof=1) / math.sqrt(n)
+        np.testing.assert_allclose(trace.std_error, two_pass, rtol=1e-12, atol=0)
+        assert trace.std_error[0] == 0.0 and np.all(trace.std_error[1:] > 0)
+
+    def test_one_delay_grid_keeps_the_bytes(self, monkeypatch):
+        # With one delay, numpy's sum over a column is pairwise, and its bytes
+        # would follow the batch bounds; the running sum adds rows in order.
+        # 75 realizations in blocks of 49 and 26.
+        tau = np.array([25e-6])
+        assert ps._block_size(self.FAST, tau) == 49
+        amplitude, std_error, _, _ = echo_reference.hahn_echo(
+            self.FAST, ps.effective_rate(self.FAST), tau, 75)
+        for cells in (ps._BATCH_CELLS, 1, 1 << 60):
+            monkeypatch.setattr(ps, "_BATCH_CELLS", cells)
+            for threads in (1, 2, 5):
+                trace = ps.simulate_hahn_echo(self.FAST, tau, 75, threads)
+                assert np.array_equal(trace.amplitude, amplitude)
+                assert np.array_equal(trace.std_error, std_error)
 
 
 class TestExactReference:
@@ -723,27 +803,6 @@ class TestTemperatureScan:
         assert np.all(traced[4].amplitude == 1.0)
         assert ps.effective_rate(replace(cfg, temperature=self.SCAN[-1])) == cfg.base_rate
 
-    # Four moving rates (20 K twice is one, and both hot temperatures are at
-    # the base rate); each slice of per_draw rates is drawn in two blocks.
-    @pytest.mark.parametrize(
-        "per_draw, rates_per_block",
-        [(1, [1] * 8), (2, [2, 2, 2, 2]), (4, [4, 4])],
-    )
-    def test_echo_cell_groups_keep_the_t2s(self, monkeypatch, per_draw, rates_per_block):
-        cfg = ps.BathNoiseConfig(n_sources=30, seed=2)
-        whole, _ = self._traced_scan(monkeypatch, cfg, self.SCAN, self.N)
-        blocks = []
-        echo_block = ps._echo_block
-        monkeypatch.setattr(
-            ps, "_echo_block", lambda cfg, rates, *args: blocks.append(len(rates))
-            or echo_block(cfg, rates, *args)
-        )
-        # Room for per_draw echo arrays of N x 41 cells at a time.
-        monkeypatch.setattr(ps, "_MAX_ECHO_CELLS", per_draw * self.N * 41)
-        split = ps.effective_t2_scan(cfg, self.SCAN, self.N)
-        assert [t2 for _, t2 in split] == whole
-        assert blocks == rates_per_block
-
     def test_default_scan_filters_each_block_once(self, monkeypatch):
         # Each block of 64 is filtered in one run, at every rate.
         runs = []
@@ -782,6 +841,10 @@ class TestConfigValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             ps.BathNoiseConfig(n_sources=0)
+        with pytest.raises(ValueError, match="n_sources must be an integer"):
+            ps.BathNoiseConfig(n_sources=2.5)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ps.BathNoiseConfig(seed=1.5)
         with pytest.raises(ValueError):
             ps.BathNoiseConfig(coupling_scale=-1.0)
         with pytest.raises(ValueError):

@@ -16,8 +16,10 @@ temperatures up to 1e12 K, where the flip-flop factor is at its bound of
 K, in the hot limit, seed 5 on 301 sources and 200 delays, whose blocks
 of 7 realizations start their geometry reads inside a Philox counter's four
 words, a static bath at 0.05 K, seed -5, whose stream key wraps modulo
-2**64, and 1111 realizations at one and two threads: 17 blocks of 64 and
-one of 23, reduced in batches of 4, 5, 4 and 5 blocks, the last one short),
+2**64, 1111 realizations at one and two threads: 17 blocks of 64 and one of
+23, reduced in batches of 4, 5, 4 and 5 blocks, the last one short; one
+realization, whose standard errors are all 0; and 65, whose last block holds
+one realization),
 inversion recovery, the bundled NV T1/T2 and N T2
 tables, a ``fit`` of each registry model, and ``model-eval`` of both rate
 laws. Each command's exit code and stdout (with the output directory written
@@ -94,6 +96,8 @@ def commands(out: Path) -> list[list[str]]:
          "--output", "hahn_1111_t1.csv"],
         ["simulate", "--seed", "2", "--realizations", "1111", "--threads", "2",
          "--output", "hahn_1111_t2.csv"],
+        ["simulate", "--realizations", "1", "--output", "hahn_one.csv"],
+        ["simulate", "--seed", "4", "--realizations", "65", "--output", "hahn_65.csv"],
         ["simulate", "--sequence", "inversion", "--noise", "0.01",
          "--tau-max-s", "8e-3", "--output", "inv.csv"],
     ]
