@@ -31,14 +31,15 @@ streams, whose size the config and the delay grid alone set
 draws its Poisson counts and event uniforms, one call apiece, from the
 (seed, b) stream; its events are filtered once and sorted by source and time
 at the fastest rate of a call. Batches of consecutive blocks (at least one
-per worker, each expecting at most ``_BATCH_CELLS`` cells at that rate) are
-the unit of reduction and of thread work: each realization's phases are its
-own ``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
-stacked matmul per E and rate over a batch, so the echoes are bit-identical
-to a per-realization loop (tests/echo_reference.py) for any batch and worker
-count. No echo array is kept: each block's echoes are added to a running sum
-in realization order, and their squared deviations joined to the run's by
-Chan, Golub & LeVeque's update, so memory does not grow with realizations.
+per worker, each expecting at most ``_BATCH_CELLS`` cells at that rate with
+its echo rows) are the unit of reduction and of thread work: each
+realization's phases are its own ``(8, E) @ (E, delays)`` matmul over its E
+in-window events, made as one stacked matmul per E and rate over a batch, so
+the echoes are bit-identical to a per-realization loop
+(tests/echo_reference.py) for any batch and worker count. No echo array is
+kept: each block's echoes are added to a running sum in realization order,
+and their squared deviations joined to the run's by Chan, Golub & LeVeque's
+update, so memory does not grow with realizations.
 
 Couplings follow the dipolar ``b = coupling_scale / r**3`` law for sources
 placed uniformly in the unit ball, with random sign; by default each
@@ -50,8 +51,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -79,6 +80,8 @@ _NEGLIGIBLE_EVENTS = 1e-12
 # hot-limit rate; events in the window x (delays + sign groups)): with
 # temporaries about 0.4 GB apiece.
 _MAX_CELLS = 16_000_000
+# Largest block with its echo rows, in cells (about 0.13 GB): see _hahn_echoes.
+_MAX_BLOCK_CELLS = 16_000_000
 # One cosine per group of consecutive sources: more groups lower the variance,
 # but many make each realization's echo heavy-tailed where it has decayed, and
 # its sample standard error then stops falling as 1 / sqrt(realizations).
@@ -283,26 +286,36 @@ def _hahn_echoes(
         size = _block_size(cfg, tau)
         blocks = -(-n_realizations // size)
         workers = min(threads, blocks, os.cpu_count() or 1)
+        # Cells a block expects at the fastest rate with each realization's
+        # echo rows: 8 of phases and their product at the rate in work, and
+        # per rate one kept and one of the fold's temporary. No batch is smaller.
+        cells = size * (_cells(cfg, max(moving), tau)
+                        + (_SIGN_GROUPS + 1 + 2 * len(moving)) * tau.size)
+        _refuse_over(cells, _MAX_BLOCK_CELLS, "a block of {} realizations would hold {:.3g} cells",
+                     size, cells)
         # Batches of consecutive blocks, as even as can be: at least one per
-        # worker, and none expecting over _BATCH_CELLS cells at the fastest rate.
-        most = max(1, int(_BATCH_CELLS // (size * _cells(cfg, max(moving), tau))))
-        batches = max(workers, -(-blocks // most))
+        # worker, and none expecting over _BATCH_CELLS cells unless one block does.
+        batches = max(workers, -(-blocks // max(1, int(_BATCH_CELLS // cells))))
 
         def batch(i: int) -> np.ndarray:
             lo, hi = (min(blocks * j // batches * size, n_realizations) for j in (i, i + 1))
             return _echo_batch(cfg, moving, tau, lo, hi, size)
 
-        moments = 0, *np.zeros((2, len(moving), tau.size))
-        with ExitStack() as stack:
-            run = map
-            if workers > 1:
-                run = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-            # Rounds of one batch per worker; map yields a round in order.
-            for first in range(0, batches, workers):
-                for echoes in run(batch, range(first, min(first + workers, batches))):
-                    for a in range(0, echoes.shape[1], size):
-                        moments = _fold(moments, echoes[:, a:a + size])
-        count, total, m2 = moments
+        count, total, m2 = 0, *np.zeros((2, len(moving), tau.size))
+        if workers == 1:
+            for i in range(batches):
+                count = _fold(count, total, m2, batch(i), size)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                # One batch per worker in flight: the oldest is taken, the
+                # next submitted and then the oldest folded, so at most
+                # workers + 1 batches exist at a time.
+                pending = deque(pool.submit(batch, i) for i in range(workers))
+                for i in range(workers, batches + workers):
+                    echoes = pending.popleft().result()
+                    if i < batches:
+                        pending.append(pool.submit(batch, i))
+                    count = _fold(count, total, m2, echoes, size)
         # One realization's M2 is exactly 0.
         std_error = np.sqrt(m2 / max(count - 1, 1)) / math.sqrt(count)
         columns.update(zip(moving, zip(total / count, std_error)))
@@ -310,20 +323,30 @@ def _hahn_echoes(
             for rate in rates]
 
 
-def _fold(moments: tuple, echoes: np.ndarray) -> tuple:
-    """Moments ``(count, sum, M2)`` per rate and delay of a run's echoes, with
-    one block's ``(rates, realizations, delays)`` echoes folded in after them.
-    The sum adds rows strictly in realization order, as numpy's mean over two
-    or more delays does; the block's M2 about its own mean joins by Chan,
-    Golub & LeVeque's pairwise update."""
-    count, total, m2 = moments
-    m = echoes.shape[1]
-    mean = echoes.mean(axis=1)
-    block_m2 = ((echoes - mean[:, None]) ** 2).sum(axis=1)
-    if count:
-        block_m2 += (mean - total / count) ** 2 * (count * m / (count + m))
-    total = np.add.accumulate(np.concatenate((total[:, None], echoes), axis=1), axis=1)
-    return count + m, total[:, -1], m2 + block_m2
+def _fold(count: int, total: np.ndarray, m2: np.ndarray, echoes: np.ndarray,
+          size: int) -> int:
+    """Fold a batch's ``(rates, realizations, delays)`` echoes, blocks of
+    ``size``, into the moments per rate and delay of the ``count``
+    realizations before it, in place, and return the new count. The sum
+    ``total`` adds rows strictly in realization order, as numpy's mean over
+    two or more delays does; each block's two-pass M2 about its own mean
+    joins ``m2`` by Chan, Golub & LeVeque's pairwise update. The echoes are
+    overwritten."""
+    for a in range(0, echoes.shape[1], size):
+        block = echoes[:, a:a + size]
+        m = block.shape[1]
+        mean = block.mean(axis=1)
+        deviation = block - mean[:, None]
+        deviation *= deviation
+        block_m2 = deviation.sum(axis=1)
+        if count:
+            block_m2 += (mean - total / count) ** 2 * (count * m / (count + m))
+        m2 += block_m2
+        block[:, 0] += total
+        np.add.accumulate(block, axis=1, out=block)
+        total[:] = block[:, -1]
+        count += m
+    return count
 
 
 def _cells(cfg: BathNoiseConfig, rate: float, tau: np.ndarray) -> float:
@@ -394,12 +417,11 @@ def _echo_batch(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
         slot += (a - lo) * n
     slot, u, signed = (np.concatenate(parts) for parts in zip(*joined))
     del joined
-
-    def echoes(rate: float) -> np.ndarray:
+    echoes = np.empty((len(rates), hi - lo, tau.size))
+    for rate, out in zip(rates, echoes):
         keep = u < rate / hot
-        return _stacked_echoes(n, hi - lo, tau, slot[keep], u[keep] * (hot / rate) * t_end, signed)
-
-    return np.stack([echoes(rate) for rate in rates])
+        _stacked_echoes(n, hi - lo, tau, slot[keep], u[keep] * (hot / rate) * t_end, signed, out)
+    return echoes
 
 
 def _stacked_echoes(
@@ -409,9 +431,10 @@ def _stacked_echoes(
     slot: np.ndarray,
     t: np.ndarray,
     signed: np.ndarray,
-) -> np.ndarray:
-    """Echoes of m realizations from their in-window events, sorted by slot
-    and then time.
+    out: np.ndarray,
+) -> None:
+    """Echoes of m realizations, written to ``out`` (m x delays), from their
+    in-window events, sorted by slot and then time.
 
     Each realization's phases are the ``(8, E) @ (E, delays)`` matmul of its
     E in-window events, as it would get alone: the realizations with E events
@@ -452,9 +475,7 @@ def _stacked_echoes(
         np.minimum(t_e, minus_h, out=minus_h)
         phases = left[g * a:g * b].reshape(j - i, g, e) @ minus_h
         np.multiply.reduce(np.cos(phases, out=phases), axis=1, out=by_size[i:j])
-    echoes = np.empty_like(by_size)
-    echoes[rows] = by_size
-    return echoes
+    out[rows] = by_size
 
 
 def simulate_inversion_recovery(

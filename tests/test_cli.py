@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -209,6 +210,25 @@ class TestSimulate:
         _, rows = _rows(tmp_path / "trace.csv", "delay_s,amplitude,std_error")
         assert all(row[1] == 1.0 for row in rows)
 
+    def test_cold_long_grid_runs_in_bounded_memory(self, tmp_path):
+        # Almost no event at 0.5 K, so the echo rows are all a realization
+        # holds: batches of 4 realizations expect at most _BATCH_CELLS cells,
+        # and 64 B per delay is left for the grid, the trace and its rows.
+        from nvbath import pulse_sim
+
+        argv = ["--outdir", str(tmp_path), "simulate", "--temp", "0.5",
+                "--tau-points", "20000", "--realizations", "40"]
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 1.05 * 8 * pulse_sim._BATCH_CELLS + 64 * 20_000
+        _, rows = _rows(tmp_path / "trace.csv", "delay_s,amplitude,std_error")
+        assert len(rows) == 20_000
+
     def test_inversion_sequence(self, tmp_path):
         rc = cli.main(
             [
@@ -249,6 +269,10 @@ class TestSimulate:
         # 5e6 delays.
         assert cli.main(base + ["--tau-points", "1000000000000"]) == 2
         sizes = "--realizations 1 --sources 1000 --tau-points 5000000"
+        assert cli.main(base + sizes.split()) == 2
+        # Refused before a block of 64 one-source realizations holds 7e7
+        # cells of echo rows on 100 000 delays.
+        sizes = "--realizations 2 --sources 1 --base-rate 100 --tau-points 100000"
         assert cli.main(base + sizes.split()) == 2
         # The couplings, up to coupling_scale * 2**53, would overflow.
         sizes = "--realizations 2 --tau-points 3 --sources 2"

@@ -566,6 +566,39 @@ class TestBlockKernel:
                     assert peak < self.MEMORY_BOUND
                     assert [trace.n_realizations for trace in traces] == [n] * len(rates)
 
+    def test_cold_long_grid_memory_is_bounded_by_the_batches(self):
+        # At 0.5 K almost no event falls in the window, so each realization's
+        # memory is its echo rows: 8 rows of phases, their product, the kept
+        # echo and the fold's temporary, 11 x 20 000 cells. Batches hold 4
+        # realizations; with more threads one batch per worker is in flight
+        # beside the one folded. 64 B per delay is left for the grid and the
+        # traces.
+        cfg = ps.BathNoiseConfig(temperature=0.5)
+        tau = np.linspace(0.0, 25e-6, 20_000)
+        traces = []
+        for threads, n in ((1, 40), (1, 160), (2, 40)):
+            tracemalloc.start()
+            try:
+                trace = ps.simulate_hahn_echo(cfg, tau, n, threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            workers = 1 if threads == 1 else threads + 1
+            assert peak < workers * self.MEMORY_BOUND + 64 * tau.size
+            assert trace.n_realizations == n
+            traces.append(trace)
+        assert np.array_equal(traces[0].amplitude, traces[2].amplitude)
+        assert np.array_equal(traces[0].std_error, traces[2].std_error)
+
+    def test_block_over_the_limit_is_refused(self):
+        # One source at a slow base rate keeps blocks of 64 realizations,
+        # whose echo rows on 100 000 delays would be 7e7 cells.
+        cfg = ps.BathNoiseConfig(n_sources=1, base_rate=100.0)
+        tau = np.linspace(0.0, 25e-6, 100_000)
+        assert ps._block_size(cfg, tau) == 64
+        with pytest.raises(ValueError, match="a block of 64 realizations"):
+            ps.simulate_hahn_echo(cfg, tau, 2)
+
     def test_nothing_is_allocated_by_the_realization_count(self, monkeypatch):
         # 10**12 realizations, of one rate and of the scan, stopped at the
         # third batch: the run allocates nothing by the realization count.

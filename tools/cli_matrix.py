@@ -17,7 +17,7 @@ K, in the hot limit, seed 5 on 301 sources and 200 delays, whose blocks
 of 7 realizations start their geometry reads inside a Philox counter's four
 words, a static bath at 0.05 K, seed -5, whose stream key wraps modulo
 2**64, 1111 realizations at one and two threads: 17 blocks of 64 and one of
-23, reduced in batches of 4, 5, 4 and 5 blocks, the last one short; one
+23, reduced in batches of 3, 4, 3, 4 and 4 blocks, the last one short; one
 realization, whose standard errors are all 0; and 65, whose last block holds
 one realization),
 inversion recovery, the bundled NV T1/T2 and N T2
