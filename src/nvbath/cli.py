@@ -271,8 +271,8 @@ def _cmd_polarization(args) -> int:
     flip_flop = bath_model.flip_flop_factor(temps, t_zeeman)
     path = _resolve(args, args.output)
     header = ("temperature_K", "polarization", "flip_flop_factor")
-    rows = zip(temps, point.polarization, flip_flop)
-    table.write(path, [_provenance(config)], header, rows)
+    columns = (temps, point.polarization, flip_flop)
+    table.write(path, [_provenance(config)], header, columns)
     print(f"wrote {path}")
     return 0
 
@@ -495,7 +495,7 @@ def _cmd_fit(args) -> int:
         csv_path,
         [provenance],
         ("parameter", "value", "stderr", "fixed"),
-        zip(result.param_names, result.params, result.stderr, result.fixed),
+        (result.param_names, result.params, result.stderr, result.fixed),
     )
     with open(txt_path, "w", newline="\n") as fh:
         fh.write(f"# {provenance}\n")
@@ -542,7 +542,7 @@ def _cmd_model_eval(args) -> int:
     # Rates are >= 0, so this also refuses a zero rate (an infinite time).
     if not np.all(np.isfinite(rates) & np.isfinite(times)):
         raise ValueError(f"{args.model} rate or time is 0 or overflows on this grid")
-    rows = zip(temps, rates, times)
+    columns = (temps, rates, times)
     config = {
         "command": "model-eval",
         "model": args.model,
@@ -551,7 +551,7 @@ def _cmd_model_eval(args) -> int:
     }
     path = _resolve(args, args.output)
     table.write(
-        path, [_provenance(config)], ("temperature_K", "rate", "value_time"), rows
+        path, [_provenance(config)], ("temperature_K", "rate", "value_time"), columns
     )
     print(f"wrote {path}")
     return 0

@@ -110,7 +110,7 @@ def save_csv(dataset: RelaxationDataset, path) -> None:
         path,
         dataset.comments,
         _COLUMNS,
-        ((r.temperature_k, r.value_s, r.error_s) for r in dataset.rows),
+        (dataset.temperatures(), dataset.values(), dataset.errors()),
     )
 
 

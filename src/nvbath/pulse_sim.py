@@ -557,7 +557,7 @@ def write_trace_csv(trace: DecayTrace, path, header_lines: Sequence[str] = ()) -
         path,
         [*header_lines, meta],
         _TRACE_COLUMNS,
-        zip(trace.delays, trace.amplitude, trace.std_error),
+        (trace.delays, trace.amplitude, trace.std_error),
     )
 
 

@@ -322,15 +322,20 @@ def write_spectrum_csv(spectrum: Spectrum, path, header_lines: Sequence[str] = (
         path,
         [*header_lines, meta],
         ("field_T", "amplitude"),
-        zip(spectrum.field_t, spectrum.amplitude),
+        (spectrum.field_t, spectrum.amplitude),
     )
 
 
 def write_peaks_csv(report: PeakReport, path, header_lines: Sequence[str] = ()) -> None:
     """Write one row per located peak."""
+    peaks = report.peaks
     table.write(
         path,
         header_lines,
         ("center_field_T", "pp_width_T", "pp_amplitude"),
-        ((p.center_field_t, p.pp_width_t, p.pp_amplitude) for p in report.peaks),
+        (
+            [p.center_field_t for p in peaks],
+            [p.pp_width_t for p in peaks],
+            [p.pp_amplitude for p in peaks],
+        ),
     )

@@ -4,12 +4,14 @@
 LF endings, UTF-8. Text cells are written as they are and numbers as
 ``%.17g``, which reads back bit-identical. A row read back must hold exactly
 one finite number per header column; blank lines are skipped.
+
+:func:`write` takes the table as columns, the form every caller holds, and
+formats a block of rows with one ``%``, so the per-cell loop runs in C.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 
 class TableFormatError(ValueError):
@@ -25,20 +27,41 @@ def cell(value) -> str:
     return _spec(value) % (value,)
 
 
-def write(path, comments, header, rows) -> None:
-    """Write comment lines, the header and one line per row tuple.
+# Rows formatted per ``%``: a block's cells, tuple and text take about 0.5 MB.
+_BLOCK_ROWS = 4096
 
-    Rows are streamed; each column's format follows from its value in the
-    first row.
+
+def write(path, comments, header, columns) -> None:
+    """Write comment lines, the header and one line per row of ``columns``.
+
+    ``columns`` holds one sequence (a list, tuple or numpy array) per header
+    name, all of one length, or is empty for a table without rows; anything
+    else raises ``ValueError``. Each column's format follows from its first
+    value. Rows are written ``_BLOCK_ROWS`` at a time: the block's cells are
+    interleaved into one flat list and formatted by one ``%``, so memory
+    stays at one block.
     """
-    rows = iter(rows)
-    first = next(rows, None)
+    width = len(columns)
+    if width and width != len(header):
+        raise ValueError(f"{len(header)} header names but {width} columns")
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
+    n_rows = lengths[0] if lengths else 0
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.writelines(f"# {comment}\n" for comment in comments)
         fh.write(",".join(header) + "\n")
-        if first is not None:
-            line = ",".join(map(_spec, first)) + "\n"
-            fh.writelines(map(line.__mod__, chain((first,), rows)))
+        if not n_rows:
+            return
+        line = ",".join(_spec(column[0]) for column in columns) + "\n"
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n_rows - start)
+            flat = [None] * (rows * width)
+            for j, column in enumerate(columns):
+                part = column[start : start + rows]
+                # .tolist() hands dtoa plain Python scalars, not numpy ones.
+                flat[j::width] = part.tolist() if hasattr(part, "tolist") else part
+            fh.write((line * rows) % tuple(flat))
 
 
 def read(path, headers, record=lambda *values: values):

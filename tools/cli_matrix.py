@@ -11,7 +11,7 @@ Every command goes through ``nvbath.cli.main`` in this process, so the
 ``nvbath`` on the import path is the one measured. The matrix covers
 ``polarization`` (default, a 301-point grid at T_Ze = 14.7 K, and four
 temperatures up to 1e12 K, where the flip-flop factor is at its bound of
-1/4), ``spectrum`` (defaults and five INI files), Hahn-echo ``simulate``
+1/4), ``spectrum`` (defaults and four INI files), Hahn-echo ``simulate``
 (seed 7 at one and two threads, seed 3 at 4 K, seed 1 at 797406919.621389
 K, in the hot limit, seed 5 on 301 sources and 200 delays, whose blocks
 of 7 realizations start their geometry reads inside a Philox counter's four
