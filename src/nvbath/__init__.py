@@ -9,7 +9,7 @@ model fitting.
 
 from . import bath_model, datasets, fitkit, pulse_sim, spectra, spin_core
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",

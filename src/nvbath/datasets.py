@@ -8,6 +8,7 @@ with ``#`` comment lines preserved as dataset metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import table
@@ -30,12 +31,12 @@ class RelaxationRow:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if self.temperature_k <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature_k}")
-        if self.value_s <= 0:
-            raise ValueError(f"relaxation time must be positive, got {self.value_s}")
-        if self.error_s < 0:
-            raise ValueError(f"error must be non-negative, got {self.error_s}")
+        if not 0 < self.temperature_k < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature_k}")
+        if not 0 < self.value_s < math.inf:
+            raise ValueError(f"relaxation time must be positive and finite, got {self.value_s}")
+        if not 0 <= self.error_s < math.inf:
+            raise ValueError(f"error must be non-negative and finite, got {self.error_s}")
 
 
 @dataclass(frozen=True)

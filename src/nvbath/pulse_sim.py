@@ -21,25 +21,23 @@ group leaves the law of Phi unchanged, so each realization contributes the
 exact mean of cos(Phi) over those flips.
 
 Random numbers come from numpy's counter-based Philox generator, one stream
-per (seed, key) pair, the generator's 128-bit key (stream v4); each read
+per (seed, key) pair, the generator's 128-bit key (stream v5); each read
 builds a fresh generator at its starting counter. Realization r's bath is
 words [n r, n (r + 1)) of the seed's geometry stream (key ``_GEOMETRY``),
 one per source: its coupling uniform, the coupling's sign (bit 0) and its
-initial sign (bit 1). Realizations are drawn in blocks, the unit of the
-streams, whose size the config and the delay grid alone set
-(:func:`_block_size`): block b reads its geometry words in one call and
+initial sign (bit 1). Realizations run in blocks, the one unit of draws,
+reduction and thread work, whose size the config and the delay grid alone
+set (:func:`_block_size`): block b reads its geometry words in one call and
 draws its Poisson counts and event uniforms, one call apiece, from the
 (seed, b) stream; its events are filtered once and sorted by source and time
-at the fastest rate of a call. Batches of consecutive blocks (at least one
-per worker, each expecting at most ``_BATCH_CELLS`` cells at that rate with
-its echo rows) are the unit of reduction and of thread work: each
-realization's phases are its own ``(8, E) @ (E, delays)`` matmul over its E
-in-window events, made as one stacked matmul per E and rate over a batch, so
-the echoes are bit-identical to a per-realization loop
-(tests/echo_reference.py) for any batch and worker count. No echo array is
-kept: each block's echoes are added to a running sum in realization order,
-and their squared deviations joined to the run's by Chan, Golub & LeVeque's
-update, so memory does not grow with realizations.
+at the fastest rate of a call, and each realization's phases are its own
+``(8, E) @ (E, delays)`` matmul over its E in-window events, made as one
+stacked matmul per E and rate over the block, so the echoes are
+bit-identical to a per-realization loop (tests/echo_reference.py) for any
+worker count. No echo array is kept: each block's echoes are added to a
+running sum in realization order, and their squared deviations joined to
+the run's by Chan, Golub & LeVeque's update, so memory does not grow with
+realizations.
 
 Couplings follow the dipolar ``b = coupling_scale / r**3`` law for sources
 placed uniformly in the unit ball, with random sign; by default each
@@ -77,24 +75,19 @@ _UINT64_MASK = (1 << 64) - 1
 _NEGLIGIBLE_EVENTS = 1e-12
 
 # Largest arrays of one realization, in 8-byte cells (events drawn at the
-# hot-limit rate; events in the window x (delays + sign groups)): with
-# temporaries about 0.4 GB apiece.
+# hot-limit rate; events in the window x (delays + sign groups) with its echo
+# rows): with temporaries about 0.4 GB apiece.
 _MAX_CELLS = 16_000_000
-# Largest block with its echo rows, in cells (about 0.13 GB): see _hahn_echoes.
-_MAX_BLOCK_CELLS = 16_000_000
 # One cosine per group of consecutive sources: more groups lower the variance,
 # but many make each realization's echo heavy-tailed where it has decayed, and
 # its sample standard error then stops falling as 1 / sqrt(realizations).
 _SIGN_GROUPS = 8
-# Realizations per block, the unit of the streams: at most _BLOCK, and as
-# many as expect _BLOCK_CELLS cells (2 MiB) of draws and filter arrays, so a
-# block adds little beside the realization limit above.
-_BLOCK = 64
-_BLOCK_CELLS = 1 << 18
-# Cells (8 MiB) that a batch of blocks, the unit of reduction and of thread
-# work, expects at most at a call's fastest rate: 4 or 5 default blocks at
-# 300 K. Larger batches measured little faster and held more memory.
-_BATCH_CELLS = 1 << 20
+# A realization's echo rows per delay and rate: 8 of phases and their
+# product, the kept echo and the fold's temporary.
+_ECHO_ROWS = _SIGN_GROUPS + 3
+# Cells (4 MiB) that a block of realizations, the one unit of draws,
+# reduction and thread work, expects: 155 default realizations at 25 us.
+_BLOCK_CELLS = 1 << 19
 _GEOMETRY = _UINT64_MASK  # key word of the geometry stream; block b's is b
 
 
@@ -262,10 +255,10 @@ def _hahn_echoes(
     Every rate is checked before anything is drawn. No rate exceeds the base
     rate, so each block of realizations is drawn once and filtered at every
     moving rate, and each trace is the one a run at that rate alone gives.
-    Blocks are reduced in batches of consecutive blocks, one per worker in
-    flight, over at most ``threads`` workers (no more than there are blocks
-    or cores), and folded in realization order (:func:`_fold`): memory does
-    not grow with ``n_realizations``, and no batch bound reaches the bytes.
+    Blocks run over at most ``threads`` workers (no more than there are
+    blocks or cores), one per worker in flight, and are folded in
+    realization order (:func:`_fold`): memory does not grow with
+    ``n_realizations``, and the worker count never reaches the bytes.
     """
     tau = _delay_grid(tau_grid)
     _integer("n_realizations", n_realizations, 1)
@@ -276,9 +269,9 @@ def _hahn_echoes(
     drawn = cfg.n_sources * (cfg.base_rate * t_end + 1.0)
     in_window = cfg.n_sources * (max(rates, default=0.0) * t_end + 1.0)
     _refuse_over(drawn, _MAX_CELLS, "a realization would draw {:.3g} events", drawn)
-    _refuse_over(in_window * (tau.size + _SIGN_GROUPS), _MAX_CELLS,
-                 "a realization would filter {:.3g} events x {} delays",
-                 in_window, tau.size)
+    cells = in_window * (tau.size + _SIGN_GROUPS) + _ECHO_ROWS * tau.size
+    _refuse_over(cells, _MAX_CELLS, "a realization would filter {:.3g} events x {} delays"
+                 " ({:.3g} cells with its echo rows)", in_window, tau.size, cells)
     # Static noise refocuses exactly.
     columns = {rate: (np.ones(tau.size), np.zeros(tau.size)) for rate in rates}
     moving = [rate for rate in columns if rate * t_end >= _NEGLIGIBLE_EVENTS]
@@ -286,96 +279,76 @@ def _hahn_echoes(
         size = _block_size(cfg, tau)
         blocks = -(-n_realizations // size)
         workers = min(threads, blocks, os.cpu_count() or 1)
-        # Cells a block expects at the fastest rate with each realization's
-        # echo rows: 8 of phases and their product at the rate in work, and
-        # per rate one kept and one of the fold's temporary. No batch is smaller.
-        cells = size * (_cells(cfg, max(moving), tau)
-                        + (_SIGN_GROUPS + 1 + 2 * len(moving)) * tau.size)
-        _refuse_over(cells, _MAX_BLOCK_CELLS, "a block of {} realizations would hold {:.3g} cells",
-                     size, cells)
-        # Batches of consecutive blocks, as even as can be: at least one per
-        # worker, and none expecting over _BATCH_CELLS cells unless one block does.
-        batches = max(workers, -(-blocks // max(1, int(_BATCH_CELLS // cells))))
 
-        def batch(i: int) -> np.ndarray:
-            lo, hi = (min(blocks * j // batches * size, n_realizations) for j in (i, i + 1))
-            return _echo_batch(cfg, moving, tau, lo, hi, size)
+        def block(b: int) -> np.ndarray:
+            return _echo_block(cfg, moving, tau, b * size, min(b * size + size, n_realizations), b)
 
-        count, total, m2 = 0, *np.zeros((2, len(moving), tau.size))
+        total, m2 = np.zeros((2, len(moving), tau.size))
         if workers == 1:
-            for i in range(batches):
-                count = _fold(count, total, m2, batch(i), size)
+            for b in range(blocks):
+                _fold(total, m2, block(b), b * size)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                # One batch per worker in flight: the oldest is taken, the
+                # One block per worker in flight: the oldest is taken, the
                 # next submitted and then the oldest folded, so at most
-                # workers + 1 batches exist at a time.
-                pending = deque(pool.submit(batch, i) for i in range(workers))
-                for i in range(workers, batches + workers):
+                # workers + 1 blocks exist at a time.
+                pending = deque(pool.submit(block, b) for b in range(workers))
+                for b in range(blocks):
                     echoes = pending.popleft().result()
-                    if i < batches:
-                        pending.append(pool.submit(batch, i))
-                    count = _fold(count, total, m2, echoes, size)
+                    if b + workers < blocks:
+                        pending.append(pool.submit(block, b + workers))
+                    _fold(total, m2, echoes, b * size)
         # One realization's M2 is exactly 0.
-        std_error = np.sqrt(m2 / max(count - 1, 1)) / math.sqrt(count)
-        columns.update(zip(moving, zip(total / count, std_error)))
+        std_error = np.sqrt(m2 / max(n_realizations - 1, 1)) / math.sqrt(n_realizations)
+        columns.update(zip(moving, zip(total / n_realizations, std_error)))
     return [DecayTrace(SEQUENCE_HAHN, tau, *columns[rate], n_realizations, cfg.seed)
             for rate in rates]
 
 
-def _fold(count: int, total: np.ndarray, m2: np.ndarray, echoes: np.ndarray,
-          size: int) -> int:
-    """Fold a batch's ``(rates, realizations, delays)`` echoes, blocks of
-    ``size``, into the moments per rate and delay of the ``count``
-    realizations before it, in place, and return the new count. The sum
-    ``total`` adds rows strictly in realization order, as numpy's mean over
-    two or more delays does; each block's two-pass M2 about its own mean
-    joins ``m2`` by Chan, Golub & LeVeque's pairwise update. The echoes are
-    overwritten."""
-    for a in range(0, echoes.shape[1], size):
-        block = echoes[:, a:a + size]
-        m = block.shape[1]
-        mean = block.mean(axis=1)
-        deviation = block - mean[:, None]
-        deviation *= deviation
-        block_m2 = deviation.sum(axis=1)
-        if count:
-            block_m2 += (mean - total / count) ** 2 * (count * m / (count + m))
-        m2 += block_m2
-        block[:, 0] += total
-        np.add.accumulate(block, axis=1, out=block)
-        total[:] = block[:, -1]
-        count += m
-    return count
-
-
-def _cells(cfg: BathNoiseConfig, rate: float, tau: np.ndarray) -> float:
-    """Cells a realization expects with its events at ``rate``: 3 per source
-    (its geometry word, Poisson count and signed coupling) and 1 + delays + 8
-    per event (its uniform and filter row)."""
-    per_event = 1 + tau.size + _SIGN_GROUPS
-    return cfg.n_sources * (3 + rate * 2.0 * float(tau[-1]) * per_event)
+def _fold(total: np.ndarray, m2: np.ndarray, echoes: np.ndarray, count: int) -> None:
+    """Fold a block's ``(rates, realizations, delays)`` echoes into the
+    moments per rate and delay of the ``count`` realizations before it, in
+    place. The sum ``total`` adds rows strictly in realization order, as
+    numpy's mean over two or more delays does; the block's two-pass M2 about
+    its own mean joins ``m2`` by Chan, Golub & LeVeque's pairwise update. The
+    echoes are overwritten."""
+    m = echoes.shape[1]
+    mean = echoes.mean(axis=1)
+    deviation = echoes - mean[:, None]
+    deviation *= deviation
+    block_m2 = deviation.sum(axis=1)
+    if count:
+        block_m2 += (mean - total / count) ** 2 * (count * m / (count + m))
+    m2 += block_m2
+    echoes[:, 0] += total
+    np.add.accumulate(echoes, axis=1, out=echoes)
+    total[:] = echoes[:, -1]
 
 
 def _block_size(cfg: BathNoiseConfig, tau: np.ndarray) -> int:
     """Realizations per block, set by the config and the delay grid alone: as
-    many as expect ``_BLOCK_CELLS`` cells together with their events drawn at
-    the hot-limit rate, from 1 to ``_BLOCK``."""
-    return max(1, min(_BLOCK, int(_BLOCK_CELLS // _cells(cfg, cfg.base_rate, tau))))
+    many as expect ``_BLOCK_CELLS`` cells, at least 1. A realization expects
+    3 cells per source (its geometry word, Poisson count and signed
+    coupling), 1 + delays + 8 per event drawn at the hot-limit rate (its
+    uniform and filter row) and its echo rows at one rate."""
+    per_event = 1 + tau.size + _SIGN_GROUPS
+    cells = cfg.n_sources * (3 + cfg.base_rate * 2.0 * float(tau[-1]) * per_event)
+    return max(1, int(_BLOCK_CELLS // (cells + _ECHO_ROWS * tau.size)))
 
 
 def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
-                lo: int, hi: int, block: int) -> tuple[np.ndarray, ...]:
-    """Events of realizations lo .. hi - 1, block ``block``, inside the fastest
-    rate's window, as their slots (realization x n + source, from lo) and
-    uniforms, sorted by slot and time; and the block's signed couplings.
+                lo: int, hi: int, block: int) -> np.ndarray:
+    """Echoes ``(rates, realizations, delays)`` of realizations lo .. hi - 1,
+    block ``block``.
 
     Its Poisson counts and event uniforms come from the (seed, block) stream,
     one call apiece. The first realization over the limit is refused, by name,
     on its drawn events before the uniforms exist, and on the events inside
-    the fastest rate's window before the filter arrays do. A slower rate
-    keeps a subset of the events and stretches their times by a positive
-    factor, which keeps their order.
+    the fastest rate's window with its echo rows before the filter arrays do;
+    a block whose echoes at every rate would pass the limit is refused.
+    The events are sorted by slot (realization x n + source, from lo) and
+    time at the fastest rate; a slower rate keeps a subset of them and
+    stretches their times by a positive factor, which keeps their order.
     """
     n, m = cfg.n_sources, hi - lo
     t_end = 2.0 * tau[-1]
@@ -391,36 +364,27 @@ def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
     inside = u < fastest / hot
     slot = np.repeat(np.arange(m * n), counts.ravel())[inside]
     events = np.bincount(slot // n, minlength=m)  # left inside the window
-    width = tau.size + _SIGN_GROUPS
-    i = int(np.argmax(events * width > _MAX_CELLS))
-    _refuse_over(events[i] * width, _MAX_CELLS,
+    cells = events * (tau.size + _SIGN_GROUPS) + _ECHO_ROWS * tau.size
+    i = int(np.argmax(cells > _MAX_CELLS))
+    _refuse_over(cells[i], _MAX_CELLS,
                  "realization {} has {} events in its window", lo + i, events[i])
     couplings, s0 = _bath(cfg, lo, hi)
+    signed = (couplings * s0).ravel()
     # Sort each slot's events by u, and so by time at every rate (slot is
     # sorted already): complex numbers sort by their real part, then their
     # imaginary part.
     key = np.empty(slot.size, dtype=complex)
     key.real, key.imag = slot, u[inside]
     key.sort()
-    # A copy of the uniforms lets the keys go while the batch holds the block.
-    return slot, key.imag.copy(), (couplings * s0).ravel()
-
-
-def _echo_batch(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
-                lo: int, hi: int, size: int) -> np.ndarray:
-    """Echoes ``(rates, realizations, delays)`` of realizations lo .. hi - 1
-    (blocks of ``size``): the blocks' events joined, reduced per rate."""
-    n, t_end, hot = cfg.n_sources, 2.0 * tau[-1], cfg.base_rate
-    joined = [_echo_block(cfg, rates, tau, a, min(a + size, hi), a // size)
-              for a in range(lo, hi, size)]
-    for a, (slot, _, _) in zip(range(lo, hi, size), joined):
-        slot += (a - lo) * n
-    slot, u, signed = (np.concatenate(parts) for parts in zip(*joined))
-    del joined
-    echoes = np.empty((len(rates), hi - lo, tau.size))
+    u = key.imag
+    # The block size counts one rate's echo rows; the block keeps each rate's
+    # echoes and the fold's temporary.
+    _refuse_over(2 * len(rates) * m * tau.size, _MAX_CELLS, "block {} would keep {} rates x {}"
+                 " realizations x {} delays", block, len(rates), m, tau.size)
+    echoes = np.empty((len(rates), m, tau.size))
     for rate, out in zip(rates, echoes):
         keep = u < rate / hot
-        _stacked_echoes(n, hi - lo, tau, slot[keep], u[keep] * (hot / rate) * t_end, signed, out)
+        _stacked_echoes(n, m, tau, slot[keep], u[keep] * (hot / rate) * t_end, signed, out)
     return echoes
 
 
@@ -493,6 +457,7 @@ def simulate_inversion_recovery(
         raise ValueError(f"t1 must be positive and finite, got {t1}")
     if not 0 <= noise_amplitude < math.inf:
         raise ValueError("noise amplitude must be non-negative and finite")
+    _integer("seed", seed)
     t = _delay_grid(delays)
     # T/T1 may overflow to inf (exp gives 0); DecayTrace rejects inf amplitudes.
     with np.errstate(over="ignore"):

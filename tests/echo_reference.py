@@ -8,7 +8,7 @@ streams, so a test can require ``np.array_equal`` between the two: same
 draws, same elementwise arithmetic, same (8, E) @ (E, delays) matmul per
 realization.
 
-Stream v4. Realization r reads words [n r, n (r + 1)) of the geometry
+Stream v5. Realization r reads words [n r, n (r + 1)) of the geometry
 stream, key (seed, 2**64 - 1), one per source: numpy's ``random`` double of
 the word is its coupling uniform, bit 0 the coupling's sign (unused when the
 couplings are pinned) and bit 1 its initial sign, 1 for +1. Here the
@@ -40,12 +40,13 @@ def stream(seed: int, key: int) -> np.random.Generator:
 
 
 def block_size(cfg, tau: np.ndarray) -> int:
-    """Realizations per block: as many as expect 2**18 cells, 3 per source
-    (geometry word, Poisson count, signed coupling) and 1 + delays + 8 per
-    event drawn at the hot-limit rate (uniform and filter row), at least 1,
-    at most 64."""
+    """Realizations per block: as many as expect 2**19 cells, at least 1. A
+    realization expects 3 cells per source (geometry word, Poisson count,
+    signed coupling), 1 + delays + 8 per event drawn at the hot-limit rate
+    (uniform and filter row) and 11 per delay (8 rows of phases, their
+    product, the kept echo and the fold's temporary)."""
     per_source = 3 + cfg.base_rate * 2.0 * tau[-1] * (1 + tau.size + SIGN_GROUPS)
-    return max(1, min(64, int(2**18 // (cfg.n_sources * per_source))))
+    return max(1, int(2**19 // (cfg.n_sources * per_source + (SIGN_GROUPS + 3) * tau.size)))
 
 
 def realization(cfg, rate: float, tau: np.ndarray, r: int, n_realizations: int,

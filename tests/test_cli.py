@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvbath import bath_model, cli, datasets, fitkit, spectra
+from nvbath import bath_model, cli, datasets, fitkit, pulse_sim, spectra
 
 PROVENANCE = re.compile(r"^# nvbath \S+ config_sha256=[0-9a-f]{12}( seed=-?\d+)?$")
 
@@ -212,10 +212,8 @@ class TestSimulate:
 
     def test_cold_long_grid_runs_in_bounded_memory(self, tmp_path):
         # Almost no event at 0.5 K, so the echo rows are all a realization
-        # holds: batches of 4 realizations expect at most _BATCH_CELLS cells,
+        # holds: blocks of one realization expect at most _BLOCK_CELLS cells,
         # and 64 B per delay is left for the grid, the trace and its rows.
-        from nvbath import pulse_sim
-
         argv = ["--outdir", str(tmp_path), "simulate", "--temp", "0.5",
                 "--tau-points", "20000", "--realizations", "40"]
         tracemalloc.start()
@@ -225,7 +223,7 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert peak < 1.05 * 8 * pulse_sim._BATCH_CELLS + 64 * 20_000
+        assert peak < 1.05 * 8 * pulse_sim._BLOCK_CELLS + 64 * 20_000
         _, rows = _rows(tmp_path / "trace.csv", "delay_s,amplitude,std_error")
         assert len(rows) == 20_000
 
@@ -270,9 +268,9 @@ class TestSimulate:
         assert cli.main(base + ["--tau-points", "1000000000000"]) == 2
         sizes = "--realizations 1 --sources 1000 --tau-points 5000000"
         assert cli.main(base + sizes.split()) == 2
-        # Refused before a block of 64 one-source realizations holds 7e7
-        # cells of echo rows on 100 000 delays.
-        sizes = "--realizations 2 --sources 1 --base-rate 100 --tau-points 100000"
+        # Refused before one realization holds 1.65e7 cells of echo rows on
+        # 1.5e6 delays.
+        sizes = "--realizations 1 --sources 1 --base-rate 100 --tau-points 1500000"
         assert cli.main(base + sizes.split()) == 2
         # The couplings, up to coupling_scale * 2**53, would overflow.
         sizes = "--realizations 2 --tau-points 3 --sources 2"
@@ -283,6 +281,23 @@ class TestSimulate:
         # Finite noise whose draws overflow the amplitudes to inf.
         assert cli.main(inversion + ["--noise", "1.7976931348623157e308"]) == 2
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_long_grid_runs_in_blocks_of_one_realization(self, tmp_path):
+        # One source on 100 000 delays: a realization's echo rows are 1.1e6
+        # cells, over the block budget, so each block holds one realization
+        # and the run holds one block, or _BLOCK_CELLS if that is larger
+        # (5 % Poisson headroom), plus 64 B per delay for the grid, the
+        # moments and the trace.
+        sizes = "--realizations 2 --sources 1 --base-rate 100 --tau-points 100000"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["--outdir", str(tmp_path), "simulate", *sizes.split()])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        block = max(pulse_sim._BLOCK_CELLS, pulse_sim._ECHO_ROWS * 100_000)
+        assert peak < 8 * 1.05 * block + 64 * 100_000
 
     def test_cold_run_with_a_large_base_rate(self, tmp_path):
         # 5e4 events per source drawn at the hot-limit rate, of which about

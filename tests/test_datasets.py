@@ -1,5 +1,7 @@
 """Bundled relaxation tables and the CSV schema around them."""
 
+import math
+
 import pytest
 
 from nvbath import datasets as ds
@@ -50,12 +52,15 @@ class TestBundled:
 
 class TestRowValidation:
     def test_rejects_bad_rows(self):
-        with pytest.raises(ValueError, match="temperature"):
-            ds.RelaxationRow(0.0, 1e-6)
-        with pytest.raises(ValueError, match="relaxation time"):
-            ds.RelaxationRow(300.0, -1e-6)
-        with pytest.raises(ValueError, match="error"):
-            ds.RelaxationRow(300.0, 1e-6, -1e-7)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="temperature"):
+                ds.RelaxationRow(bad, 1e-6)
+        for bad in (-1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError, match="relaxation time"):
+                ds.RelaxationRow(300.0, bad)
+        for bad in (-1e-7, math.nan, math.inf):
+            with pytest.raises(ValueError, match="error"):
+                ds.RelaxationRow(300.0, 1e-6, bad)
 
     def test_error_defaults_to_zero(self):
         assert ds.RelaxationRow(300.0, 1e-6).error_s == 0.0

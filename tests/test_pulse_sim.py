@@ -20,7 +20,7 @@ import rtn_exact
 import rtn_oracle
 
 # First four couplings of realization 0 of the seed-1 geometry stream (stream
-# v4) with the default 2.0e4 rad/s scale.
+# v4 and v5) with the default 2.0e4 rad/s scale.
 COUPLINGS_SEED1 = [
     -43919.27280320355,
     -199023.5882457571,
@@ -165,21 +165,23 @@ class TestStream:
     )
     def test_couplings_do_not_depend_on_the_block_size(self, monkeypatch, bath):
         # A base rate of 1e6 / s draws 50 events per source in the window,
-        # so the block holds 53 realizations instead of 64: realizations 63,
-        # 64 and 65 sit in one block here and straddle two at the default.
+        # so a block holds 105 realizations instead of 4113: realizations 104
+        # and 105 sit in one block at the default and straddle two here, and
+        # block 1's geometry read starts inside a Philox counter (7 x 105 is
+        # 3 modulo 4).
         tau = np.linspace(0.0, 25e-6, 5)
         default = ps.BathNoiseConfig(seed=3, **bath)
         fast = replace(default, base_rate=1e6)
-        assert ps._block_size(default, tau) == 64
-        assert ps._block_size(fast, tau) == 53
-        n = 130
+        assert ps._block_size(default, tau) == 4113
+        assert ps._block_size(fast, tau) == 105
+        n = 230
         couplings, s0, sizes = self._kernel_baths(monkeypatch, default, tau, n)
-        assert sizes == [64, 64, 2]
+        assert sizes == [230]
         fast_couplings, fast_s0, sizes = self._kernel_baths(monkeypatch, fast, tau, n)
-        assert sizes == [53, 53, 24]
+        assert sizes == [105, 105, 20]
         np.testing.assert_array_equal(fast_couplings, couplings)
         np.testing.assert_array_equal(fast_s0, s0)
-        for r in (0, 52, 53, 63, 64, 65, 105, 106, 129):
+        for r in (0, 104, 105, 106, 209, 210, 229):
             np.testing.assert_array_equal(ps.sample_couplings(default, r), couplings[r])
             np.testing.assert_array_equal(ps.sample_couplings(fast, r), couplings[r])
         if default.fixed_couplings is None:
@@ -221,8 +223,11 @@ class TestHahnEcho:
         np.testing.assert_array_equal(a.std_error, c.std_error)
 
     def test_bit_identical_across_threads(self):
-        cfg = ps.BathNoiseConfig(n_sources=20, seed=11)
+        # 40 events per source in the window: 101 realizations are blocks of
+        # 36, 36 and 29.
+        cfg = ps.BathNoiseConfig(n_sources=20, base_rate=1e6, seed=11)
         tau = np.linspace(0.0, 20e-6, 9)
+        assert ps._block_size(cfg, tau) == 36
         serial = ps.simulate_hahn_echo(cfg, tau, 101, threads=1)
         pooled = ps.simulate_hahn_echo(cfg, tau, 101, threads=4)
         np.testing.assert_array_equal(serial.amplitude, pooled.amplitude)
@@ -236,14 +241,14 @@ class TestHahnEcho:
             ps, "ThreadPoolExecutor",
             lambda max_workers: asked.append(max_workers) or pool(min(max_workers, 2)),
         )
-        cfg = ps.BathNoiseConfig(n_sources=20, seed=11)
+        cfg = ps.BathNoiseConfig(n_sources=20, base_rate=1e6, seed=11)
         tau = np.linspace(0.0, 20e-6, 9)
-        serial = ps.simulate_hahn_echo(cfg, tau, 200)
+        serial = ps.simulate_hahn_echo(cfg, tau, 140)
         for cores, workers in ((64, 4), (3, 3), (None, 1), (1, 1)):
             monkeypatch.setattr(ps.os, "cpu_count", lambda: cores)
             asked.clear()
-            # 200 realizations are 4 blocks.
-            pooled = ps.simulate_hahn_echo(cfg, tau, 200, threads=10**6)
+            # 140 realizations are 4 blocks (36, 36, 36 and 32).
+            pooled = ps.simulate_hahn_echo(cfg, tau, 140, threads=10**6)
             assert asked == ([workers] if workers > 1 else [])
             np.testing.assert_array_equal(serial.amplitude, pooled.amplitude)
             np.testing.assert_array_equal(serial.std_error, pooled.std_error)
@@ -337,10 +342,10 @@ class TestHahnEcho:
 
     def test_each_draw_is_checked_against_the_limit(self, monkeypatch):
         # With the limit lowered, the expected events plus one per source sit
-        # exactly at it, so the pre-flight passes and each realization's own
-        # draw is over it about half the time.
+        # exactly at it (with the echo rows in the window), so the pre-flight
+        # passes and each realization's own draw is over it about half the time.
         tau = np.linspace(0.0, 25e-6, 10)
-        limit = (tau.size + ps._SIGN_GROUPS) * 100
+        limit = (tau.size + ps._SIGN_GROUPS) * 100 + ps._ECHO_ROWS * tau.size
         monkeypatch.setattr(ps, "_MAX_CELLS", limit)
         # Hot: about 99 events inside the window.
         hot = ps.BathNoiseConfig(n_sources=1, base_rate=99 / 50e-6, temperature=1e9)
@@ -381,8 +386,9 @@ class TestBlockKernel:
     """The block kernel against the per-realization kernel of
     tests/echo_reference.py: same draws, same bytes."""
 
-    # 70 realizations: one full block of 64 and a partial one.
-    N = 70
+    # 75 realizations: one block for most baths; 300 sources on 200 delays
+    # run five blocks of 14 and a short one of 5.
+    N = 75
     TEMPERATURES = [1e9, 300.0, 20.0, 8.0, 4.0, 2.0, 1.0, 0.115]
     BATHS = [
         dict(n_sources=1),
@@ -429,12 +435,12 @@ class TestBlockKernel:
         assert not np.array_equal(whole.amplitude, alone.amplitude)
 
     # A base rate of 1e5 / s: 5 events per source drawn at the hot limit, and
-    # 10 realizations of 100 sources per block on the default grid.
+    # 20 realizations of 100 sources per block on the default grid.
     FAST = ps.BathNoiseConfig(base_rate=1e5, seed=9)
 
     def test_block_size_does_not_depend_on_threads(self, monkeypatch):
         tau = ps.default_tau_grid()
-        assert ps._block_size(self.FAST, tau) == 10
+        assert ps._block_size(self.FAST, tau) == 20
         runs = {}
         echo_block = ps._echo_block
         for threads in (1, 2, 5):
@@ -443,17 +449,17 @@ class TestBlockKernel:
                 ps, "_echo_block", lambda *args: blocks.append(args[3:]) or echo_block(*args)
             )
             runs[threads] = ps.simulate_hahn_echo(self.FAST, tau, self.N, threads), sorted(blocks)
-        expected = [(lo, min(lo + 10, self.N), lo // 10) for lo in range(0, self.N, 10)]
+        expected = [(lo, min(lo + 20, self.N), lo // 20) for lo in range(0, self.N, 20)]
         for trace, blocks in runs.values():
             assert blocks == expected
             assert np.array_equal(trace.amplitude, runs[1][0].amplitude)
             assert np.array_equal(trace.std_error, runs[1][0].std_error)
 
     def test_block_draw_stays_under_the_cell_bound(self, monkeypatch):
-        # Each block expects at most _BLOCK_CELLS cells, 3 per source and
-        # 1 + delays + 8 per drawn event; its draws may exceed that only by
-        # their Poisson spread (sigma about 1.4 % of a block here). A fixed
-        # 64 realizations per block would draw 6.4 times as many events.
+        # Each block expects at most _BLOCK_CELLS cells: per realization 3 per
+        # source and 11 per delay, and 1 + delays + 8 per drawn event. Its
+        # draws may exceed that only by their Poisson spread (sigma about 1 %
+        # of a block here).
         tau = ps.default_tau_grid()
         sizes = []
 
@@ -471,60 +477,56 @@ class TestBlockKernel:
         stream = ps._stream
         monkeypatch.setattr(ps, "_stream", lambda *args: Counting(stream(*args)))
         ps.simulate_hahn_echo(self.FAST, tau, 200)
-        assert len(sizes) == 20
-        cells = 3 * self.FAST.n_sources * 10 + np.array(sizes) * (1 + tau.size + ps._SIGN_GROUPS)
+        assert len(sizes) == 10
+        per_realization = 3 * self.FAST.n_sources + ps._ECHO_ROWS * tau.size
+        cells = 20 * per_realization + np.array(sizes) * (1 + tau.size + ps._SIGN_GROUPS)
         assert np.all(cells <= 1.05 * ps._BLOCK_CELLS)
         assert np.all(cells > 0.9 * ps._BLOCK_CELLS)
 
-    # 75 realizations in 8 blocks of 10 (the last one short), which the
-    # default batch budget cuts into batches of 4 and 4 blocks; and the same
-    # bath pinned, 2 blocks (64 and 11) in one batch.
+    # 75 realizations in blocks of 6 for 301 sources at 5 events each (the
+    # last of 3; odd blocks start their geometry reads inside a Philox
+    # counter, 301 x 6 being 2 modulo 4), and of 29 (the last of 17) for a
+    # pinned bath at 50 events per source.
     @pytest.mark.parametrize(
-        "bath, batched",
-        [
-            (dict(base_rate=1e5, seed=9), [(0, 40), (40, 75)]),
-            (dict(base_rate=1e5, seed=9, **BATHS[3]), [(0, 75)]),
-        ],
+        "bath",
+        [dict(n_sources=301, base_rate=1e5, seed=9), dict(base_rate=1e6, seed=9, **BATHS[3])],
         ids=["drawn", "pinned"],
     )
-    def test_batches_keep_the_bytes(self, monkeypatch, bath, batched):
+    def test_blocks_are_the_thread_tasks(self, monkeypatch, bath):
         cfg = ps.BathNoiseConfig(**bath)
         tau = ps.default_tau_grid()
         # A scan with a static temperature (0.11518 K) and a repeated one.
         rates = [ps.effective_rate(replace(cfg, temperature=t))
                  for t in TestTemperatureScan.SCAN]
+        size = ps._block_size(cfg, tau)
+        blocks = [(lo, min(lo + size, 75), lo // size) for lo in range(0, 75, size)]
+        assert len(blocks) == (13 if cfg.fixed_couplings is None else 3)
 
         def run(threads):
-            batches = []
-            echo_batch = ps._echo_batch
+            tasks = []
+            echo_block = ps._echo_block
             monkeypatch.setattr(
-                ps, "_echo_batch",
-                lambda *args: batches.append(args[3:5]) or echo_batch(*args))
+                ps, "_echo_block", lambda *args: tasks.append(args[3:]) or echo_block(*args))
             traces = [ps.simulate_hahn_echo(cfg, tau, 75, threads),
                       *ps._hahn_echoes(cfg, rates, tau, 75, threads)]
-            monkeypatch.setattr(ps, "_echo_batch", echo_batch)
-            return traces, sorted(set(batches))
+            monkeypatch.setattr(ps, "_echo_block", echo_block)
+            return traces, tasks
 
-        default, edges = run(1)
-        size = ps._block_size(cfg, tau)
-        blocks = [(lo, min(lo + size, 75)) for lo in range(0, 75, size)]
-        assert edges == batched
-        # A budget of one cell makes each block its own batch; one of 2**60
-        # puts the whole run in one batch per worker.
-        for cells, alone in ((1, blocks), (1 << 60, [(0, 75)])):
-            monkeypatch.setattr(ps, "_BATCH_CELLS", cells)
-            for threads in (1, 2, 5):
-                traces, edges = run(threads)
-                if threads == 1:
-                    assert edges == alone
-                assert len(traces) == 1 + len(rates)
-                for trace, expected in zip(traces, default):
-                    assert np.array_equal(trace.amplitude, expected.amplitude)
-                    assert np.array_equal(trace.std_error, expected.std_error)
+        # One thread runs each call's blocks in order; more run each once.
+        serial, tasks = run(1)
+        assert tasks == blocks * 2
+        for threads in (2, 5):
+            traces, tasks = run(threads)
+            assert sorted(tasks) == sorted(blocks * 2)
+            assert len(traces) == 1 + len(rates)
+            for trace, expected in zip(traces, serial):
+                assert np.array_equal(trace.amplitude, expected.amplitude)
+                assert np.array_equal(trace.std_error, expected.std_error)
 
-    def test_batches_cut_the_reductions(self, monkeypatch):
-        # One reduction per moving rate and batch: the default scan's 16
-        # blocks make at most 4 batches, and 300 K's 32 blocks at most 8.
+    def test_each_block_is_reduced_once_per_rate(self, monkeypatch):
+        # One reduction per moving rate and block: the default scan's 1000
+        # realizations are six blocks of 155 and one of 70 at 5 moving
+        # rates, and 2000 at 300 K twelve blocks of 155 and one of 140.
         reduced = []
         stacked = ps._stacked_echoes
         monkeypatch.setattr(
@@ -532,17 +534,16 @@ class TestBlockKernel:
         )
         cfg = ps.BathNoiseConfig(seed=11)
         ps.effective_t2_scan(cfg, (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman), 1000)
-        assert len(reduced) <= 5 * 4
-        assert sum(reduced) == 5 * 1000
+        assert reduced == [155] * 5 * 6 + [70] * 5
         reduced.clear()
         ps.simulate_hahn_echo(cfg, ps.default_tau_grid(), 2000)
-        assert len(reduced) <= 8
-        assert sum(reduced) == 2000
+        assert reduced == [155] * 12 + [140]
 
     CFG = ps.BathNoiseConfig()
-    # A batch expects at most _BATCH_CELLS cells of 8 bytes, plus 5 % Poisson
-    # headroom, and a run holds nothing per realization.
-    MEMORY_BOUND = 1.05 * 8 * ps._BATCH_CELLS
+    # A block expects at most _BLOCK_CELLS cells of 8 bytes, plus 5 % Poisson
+    # headroom, and a run holds nothing per realization. Each worker has one
+    # block in work; a finished block keeps only its echoes until folded.
+    MEMORY_BOUND = 1.05 * 8 * ps._BLOCK_CELLS
 
     def _echo_and_scan(self):
         """The rate of CFG, and the rates of the bench's quench scan, whose
@@ -551,7 +552,7 @@ class TestBlockKernel:
         return [ps.effective_rate(self.CFG)], [
             ps.effective_rate(replace(self.CFG, temperature=t)) for t in temperatures]
 
-    def test_batch_memory_does_not_grow_with_realizations(self):
+    def test_block_memory_does_not_grow_with_realizations(self):
         tau = ps.default_tau_grid()
         echo, scan = self._echo_and_scan()
         for threads in (1, 2):
@@ -563,18 +564,20 @@ class TestBlockKernel:
                         peak = tracemalloc.get_traced_memory()[1]
                     finally:
                         tracemalloc.stop()
-                    assert peak < self.MEMORY_BOUND
+                    assert peak < threads * self.MEMORY_BOUND
                     assert [trace.n_realizations for trace in traces] == [n] * len(rates)
 
-    def test_cold_long_grid_memory_is_bounded_by_the_batches(self):
+    def test_cold_long_grid_memory_is_bounded_by_the_blocks(self):
         # At 0.5 K almost no event falls in the window, so each realization's
         # memory is its echo rows: 8 rows of phases, their product, the kept
-        # echo and the fold's temporary, 11 x 20 000 cells. Batches hold 4
-        # realizations; with more threads one batch per worker is in flight
-        # beside the one folded. 64 B per delay is left for the grid and the
-        # traces.
+        # echo and the fold's temporary, 11 x 20 000 cells. The block size
+        # counts them with the events drawn at the base rate, so blocks hold
+        # one realization; with more threads one block per worker is in
+        # flight beside the one folded. 64 B per delay is left for the grid
+        # and the traces.
         cfg = ps.BathNoiseConfig(temperature=0.5)
         tau = np.linspace(0.0, 25e-6, 20_000)
+        assert ps._block_size(cfg, tau) == 1
         traces = []
         for threads, n in ((1, 40), (1, 160), (2, 40)):
             tracemalloc.start()
@@ -591,30 +594,31 @@ class TestBlockKernel:
         assert np.array_equal(traces[0].std_error, traces[2].std_error)
 
     def test_block_over_the_limit_is_refused(self):
-        # One source at a slow base rate keeps blocks of 64 realizations,
-        # whose echo rows on 100 000 delays would be 7e7 cells.
+        # One source at a slow base rate: a realization's 11 echo rows on
+        # 1.5e6 delays are 1.65e7 cells, over the limit although its filter
+        # holds about 1.5e6, so its one-realization block is refused before
+        # anything is drawn. On 100 000 delays it runs (see test_cli).
         cfg = ps.BathNoiseConfig(n_sources=1, base_rate=100.0)
-        tau = np.linspace(0.0, 25e-6, 100_000)
-        assert ps._block_size(cfg, tau) == 64
-        with pytest.raises(ValueError, match="a block of 64 realizations"):
-            ps.simulate_hahn_echo(cfg, tau, 2)
+        assert ps._block_size(cfg, np.linspace(0.0, 25e-6, 100_000)) == 1
+        with pytest.raises(ValueError, match="would filter"):
+            ps.simulate_hahn_echo(cfg, np.linspace(0.0, 25e-6, 1_500_000), 1)
 
     def test_nothing_is_allocated_by_the_realization_count(self, monkeypatch):
         # 10**12 realizations, of one rate and of the scan, stopped at the
-        # third batch: the run allocates nothing by the realization count.
+        # third block: the run allocates nothing by the realization count.
         class Stop(Exception):
             pass
 
         calls = []
-        echo_batch = ps._echo_batch
+        echo_block = ps._echo_block
 
         def third_stops(*args):
             calls.append(args[3:5])
             if len(calls) == 3:
                 raise Stop
-            return echo_batch(*args)
+            return echo_block(*args)
 
-        monkeypatch.setattr(ps, "_echo_batch", third_stops)
+        monkeypatch.setattr(ps, "_echo_block", third_stops)
         for threads in (1, 2):
             for rates in self._echo_and_scan():
                 calls.clear()
@@ -625,11 +629,12 @@ class TestBlockKernel:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak < self.MEMORY_BOUND
+                assert peak < threads * self.MEMORY_BOUND
                 assert 3 <= len(calls) <= 2 + threads
 
-    # Blocks of 64 at 300 K (4 full ones and one of 44) and of 10 for FAST
-    # (30 blocks): the bound, 1e-12 relative, was fixed before the first run.
+    # Blocks of 155 at 300 K and 4 K (one of 155 and one of 145) and of 20
+    # for FAST (15 blocks): the bound, 1e-12 relative, was fixed before the
+    # first run.
     @pytest.mark.parametrize(
         "bath", [dict(temperature=300.0), dict(temperature=4.0), dict(base_rate=1e5)],
         ids=["300K", "4K", "fast"],
@@ -647,20 +652,18 @@ class TestBlockKernel:
         np.testing.assert_allclose(trace.std_error, two_pass, rtol=1e-12, atol=0)
         assert trace.std_error[0] == 0.0 and np.all(trace.std_error[1:] > 0)
 
-    def test_one_delay_grid_keeps_the_bytes(self, monkeypatch):
+    def test_one_delay_grid_keeps_the_bytes(self):
         # With one delay, numpy's sum over a column is pairwise, and its bytes
-        # would follow the batch bounds; the running sum adds rows in order.
-        # 75 realizations in blocks of 49 and 26.
+        # would follow the block bounds; the running sum adds rows in order.
+        # 150 realizations in blocks of 98 and 52.
         tau = np.array([25e-6])
-        assert ps._block_size(self.FAST, tau) == 49
+        assert ps._block_size(self.FAST, tau) == 98
         amplitude, std_error, _, _ = echo_reference.hahn_echo(
-            self.FAST, ps.effective_rate(self.FAST), tau, 75)
-        for cells in (ps._BATCH_CELLS, 1, 1 << 60):
-            monkeypatch.setattr(ps, "_BATCH_CELLS", cells)
-            for threads in (1, 2, 5):
-                trace = ps.simulate_hahn_echo(self.FAST, tau, 75, threads)
-                assert np.array_equal(trace.amplitude, amplitude)
-                assert np.array_equal(trace.std_error, std_error)
+            self.FAST, ps.effective_rate(self.FAST), tau, 150)
+        for threads in (1, 2, 5):
+            trace = ps.simulate_hahn_echo(self.FAST, tau, 150, threads)
+            assert np.array_equal(trace.amplitude, amplitude)
+            assert np.array_equal(trace.std_error, std_error)
 
 
 class TestExactReference:
@@ -769,13 +772,18 @@ class TestInversionRecovery:
             ps.simulate_inversion_recovery(1e-3, [0.0, 1e-3], noise_amplitude=math.nan)
         with pytest.raises(ValueError):
             ps.simulate_inversion_recovery(1e-3, [0.0, math.inf])
+        # A float seed would be recorded as given but draw from int(seed).
+        for seed in (1.7, 2.0, "3"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ps.simulate_inversion_recovery(1e-3, [0.0, 1e-3], 0.05, seed=seed)
+        assert ps.simulate_inversion_recovery(1e-3, [0.0, 1e-3], 0.05, np.int64(-2)).seed == -2
 
 
 class TestTemperatureScan:
-    # 70 realizations: one full block of 64 and a partial one. A repeated
-    # temperature; a static one (0.01 T_Ze) that draws nothing; and one whose
-    # unbounded flip-flop factor would round to just over 1/4, one ulp over
-    # the base rate.
+    # 70 realizations: one block (TestBlockKernel runs a scan over several).
+    # A repeated temperature; a static one (0.01 T_Ze) that draws nothing; and
+    # one whose unbounded flip-flop factor would round to just over 1/4, one
+    # ulp over the base rate.
     N = 70
     SCAN = (1e9, 20.0, 4.0, 20.0, 0.11518, 2.0, 797406919.621389)
 
@@ -837,7 +845,7 @@ class TestTemperatureScan:
         assert ps.effective_rate(replace(cfg, temperature=self.SCAN[-1])) == cfg.base_rate
 
     def test_default_scan_filters_each_block_once(self, monkeypatch):
-        # Each block of 64 is filtered in one run, at every rate.
+        # Each block of 155 is filtered in one run, at every rate.
         runs = []
         echo_block = ps._echo_block
         monkeypatch.setattr(
@@ -845,12 +853,13 @@ class TestTemperatureScan:
             runs.append(hi - lo) or echo_block(cfg, rates, tau, lo, hi, *args)
         )
         cfg = ps.BathNoiseConfig(seed=11)
-        ps.effective_t2_scan(cfg, (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman), 128)
-        assert runs == [64, 64]
+        ps.effective_t2_scan(cfg, (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman), 310)
+        assert runs == [155, 155]
 
     def test_every_temperature_is_checked_before_any_draw(self, monkeypatch):
         # Lowered so that the hot limit would filter 152.5 events x 49 cells
-        # and is refused, while 2 K (100.7 x 49) is not.
+        # and is refused, while 2 K (100.7 x 49) is not, with 11 x 41 cells of
+        # echo rows each.
         monkeypatch.setattr(ps, "_MAX_CELLS", 6000)
         streams = []
         stream = ps._stream
@@ -859,12 +868,25 @@ class TestTemperatureScan:
             ps.effective_t2_scan(ps.BathNoiseConfig(), (2.0, 1e9), self.N)
         assert streams == []
 
+    def test_many_temperatures_are_refused_before_their_echoes(self):
+        # A block of 155 would keep 2 x 1500 rows of 41 delays per
+        # realization, 1.9e7 cells (0.15 GB): refused after its draws.
+        temperatures = np.linspace(5.0, 300.0, 1500)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="block 0 would keep 1500 rates x 155 real"):
+                ps.effective_t2_scan(ps.BathNoiseConfig(), temperatures, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < TestBlockKernel.MEMORY_BOUND
+
     def test_each_temperature_checks_each_draw(self, monkeypatch):
         # As TestHahnEcho.test_each_draw_is_checked_against_the_limit: the
         # hot limit's expected events plus one sit exactly at the lowered
         # limit, so its realizations pass the pre-flight and about half of
         # them are over it in the window; at 2 K almost none is.
-        monkeypatch.setattr(ps, "_MAX_CELLS", (41 + ps._SIGN_GROUPS) * 100)
+        monkeypatch.setattr(ps, "_MAX_CELLS", (41 + ps._SIGN_GROUPS) * 100 + ps._ECHO_ROWS * 41)
         cfg = ps.BathNoiseConfig(n_sources=1, base_rate=99 / 50e-6)
         with pytest.raises(ValueError, match="in its window"):
             ps.effective_t2_scan(cfg, (2.0, 1e9), 200)

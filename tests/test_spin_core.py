@@ -218,6 +218,26 @@ def test_center_params_validation():
     assert tweaked.g_parallel == sc.N_DEFAULT.g_parallel
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_refused(bad):
+    calls = [
+        lambda: sc.zeeman_temperature(bad),
+        lambda: sc.field_to_frequency(bad, 2.0),
+        lambda: sc.field_to_frequency(8.0, bad),
+        lambda: sc.frequency_to_field(bad, 2.0),
+        lambda: sc.frequency_to_field(240e9, bad),
+        lambda: sc.effective_g(2.0, bad, 0.5),
+        lambda: sc.effective_g(bad, 2.0, 0.5),
+        lambda: sc.resonance_field(_n_transition(0.0, sc.Orientation("o111", 1.0)), bad),
+    ]
+    fields = ("g_parallel", "g_perp", "zero_field_d", "hyperfine_111",
+              "hyperfine_other", "linewidth_pp")
+    calls += [lambda name=name: sc.N_DEFAULT.replace(**{name: bad}) for name in fields]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_transition_spec_validation():
     on_axis = sc.Orientation("o111", 1.0)
     with pytest.raises(ValueError):
