@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import astuple, dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -424,9 +425,9 @@ def _decay_time_guess(x, y_norm, factor):
     return 100.0 * span
 
 
-def registry() -> dict[str, ModelSpec]:
-    """Name -> ModelSpec mapping; names are stable for CLI lookup."""
-    return {
+# Built once at import and shared read-only.
+_REGISTRY: Mapping[str, ModelSpec] = MappingProxyType(
+    {
         "echo_decay": ModelSpec(
             name="echo_decay",
             param_names=("amplitude", "T2"),
@@ -464,18 +465,25 @@ def registry() -> dict[str, ModelSpec]:
             evaluate=_t2_evaluate,
             jacobian=_t2_jacobian,
             initial_guess=_t2_guess,
-            default_fixed={"Gamma_res": DEFAULT_T2_PARAMS.gamma_res_per_us},
+            default_fixed=MappingProxyType(
+                {"Gamma_res": DEFAULT_T2_PARAMS.gamma_res_per_us}
+            ),
             time_unit_s=1e-6,
             reference=astuple(DEFAULT_T2_PARAMS),
         ),
     }
+)
+
+
+def registry() -> Mapping[str, ModelSpec]:
+    """Name -> ModelSpec mapping, read-only; names are stable for CLI lookup."""
+    return _REGISTRY
 
 
 def get_model(name: str) -> ModelSpec:
     """Registry lookup; unknown names raise with the list of valid ones."""
-    models = registry()
-    if name not in models:
+    if name not in _REGISTRY:
         raise KeyError(
-            f"unknown model {name!r}; available: {', '.join(sorted(models))}"
+            f"unknown model {name!r}; available: {', '.join(sorted(_REGISTRY))}"
         )
-    return models[name]
+    return _REGISTRY[name]

@@ -36,8 +36,13 @@ DEFAULT_FIELD_START = 8.40
 DEFAULT_FIELD_STOP = 8.75
 DEFAULT_FIELD_STEP = 2e-6
 
-# Longest grid convolve allocates; the default window has 175 001 points.
+# Longest grid convolve allocates; the default window has 175 000 points
+# (8.40 to 8.749998 T).
 MAX_GRID_POINTS = 10_000_000
+
+# Grid points per block of the uniformity check: its temporaries take
+# about 0.8 MB, whatever the grid's length.
+_CHECK_BLOCK = 1 << 15
 
 # analyze_peaks ignores extrema below this fraction of the largest amplitude.
 MIN_RELATIVE_PEAK_AMPLITUDE = 1e-3
@@ -96,11 +101,17 @@ class Spectrum:
             raise ValueError("field and amplitude grids differ in length")
         if self.field_t.size < 2:
             raise ValueError("spectrum needs at least two grid points")
-        steps = np.diff(self.field_t)
-        # Uniform up to floating rounding of the grid construction.
-        tol = 1e-13 * max(1.0, float(np.max(np.abs(self.field_t))))
-        if np.any(np.abs(steps - steps[0]) > tol):
-            raise ValueError("field grid must be uniform")
+        field = self.field_t
+        step = field[1] - field[0]
+        # Uniform up to floating rounding of the grid construction. Max
+        # |field| without an |field| column: NaN makes max and min NaN, and
+        # max(1.0, nan) is 1.0.
+        tol = 1e-13 * max(1.0, float(field.max()), float(-field.min()))
+        # Blocks share their end points, so every step is checked once.
+        for start in range(0, field.size - 1, _CHECK_BLOCK):
+            steps = np.diff(field[start : start + _CHECK_BLOCK + 1])
+            if np.any(np.abs(steps - step) > tol):
+                raise ValueError("field grid must be uniform")
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,8 @@ def _population_difference(
     if not delta_p > 0:
         raise ValueError(
             f"temperature {temperature:g} K leaves no positive population "
-            f"difference across the {spec.center.label} line at {field:.6f} T"
+            f"difference across the {spec.center.label} line at {field:.6g} T; "
+            "the temperature or the line's field is out of range"
         )
     return delta_p
 
@@ -222,6 +234,11 @@ def convolve(
     proportional to ``weight / linewidth_pp**2``. Emits a warning and a
     truncated spectrum if the grid does not cover every stick by at least
     five linewidths. Refuses a grid of more than ``MAX_GRID_POINTS`` points.
+
+    The grid is ``field_start + k * field_step`` for k = 0, 1, ...: it stops
+    at the last whole step not past ``field_stop``, so rounding of
+    ``(field_stop - field_start) / field_step`` can drop ``field_stop``
+    itself (the default window ends at 8.749998 T).
     """
     if not all(map(math.isfinite, (field_start, field_stop, field_step))):
         raise ValueError("field grid start, stop and step must be finite")
@@ -237,7 +254,11 @@ def convolve(
             f"{MAX_GRID_POINTS:.0e}; raise the step or narrow the window"
         )
     n = int(math.floor(span)) + 1
-    grid = field_start + field_step * np.arange(n)
+    # Built in place: the same products and sums as
+    # field_start + field_step * np.arange(n), in one column.
+    grid = np.arange(n, dtype=float)
+    grid *= field_step
+    grid += field_start
     amplitude = np.zeros(n)
     for stick in sticks.sticks:
         width = stick.label.center.linewidth_pp
@@ -282,17 +303,25 @@ def analyze_peaks(spectrum: Spectrum) -> PeakReport:
     """
     a = spectrum.amplitude
     field = spectrum.field_t
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    # max |a| without an |a| column; NaN anywhere makes both NaN.
+    scale = max(float(a.max()), float(-a.min())) if a.size else 0.0
     if scale == 0.0:
         return PeakReport(())
     if not scale < 0.5 * sys.float_info.max:  # so a max - min difference is finite
         raise ValueError(f"amplitude {scale:.3g} overflows; lower the populations")
     threshold = MIN_RELATIVE_PEAK_AMPLITUDE * scale
-    diffs = np.diff(a)
-    before, after = diffs[:-1], diffs[1:]
-    large = np.abs(a[1:-1]) >= threshold
-    is_max = large & (before > 0) & (after <= 0)
-    is_min = large & (before < 0) & (after >= 0)
+    # With no overflow (checked above), x - y > 0 exactly when x > y, and
+    # |x| >= t exactly when x >= t or x <= -t: comparing neighbours finds
+    # the extrema of the differences' signs with boolean masks alone.
+    left, mid, right = a[:-2], a[1:-1], a[2:]
+    large = mid >= threshold
+    large |= mid <= -threshold
+    is_max = mid > left
+    is_max &= mid >= right
+    is_max &= large
+    is_min = mid < left
+    is_min &= mid <= right
+    is_min &= large
     extrema = np.flatnonzero(is_max | is_min)
     # A maximum directly followed by a minimum; two such pairs never share
     # an extremum.

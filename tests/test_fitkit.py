@@ -58,6 +58,15 @@ class TestRegistry:
             "T1",
         )
 
+    def test_registry_is_shared_and_read_only(self):
+        reg = fitkit.registry()
+        assert fitkit.registry() is reg
+        assert fitkit.get_model("t1_model") is reg["t1_model"]
+        with pytest.raises(TypeError):
+            reg["bogus"] = reg["t1_model"]
+        with pytest.raises(TypeError):
+            reg["t2_model"].default_fixed["Gamma_res"] = 0.0
+
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="t2_model"):
             fitkit.get_model("bogus")

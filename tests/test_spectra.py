@@ -1,10 +1,13 @@
 """Stick synthesis, derivative-Gaussian convolution, and peak recovery."""
 
 import math
+import re
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies
 
 from nvbath import spectra
@@ -30,10 +33,16 @@ def _dummy_label(field_ignored: float = 0.0) -> TransitionSpec:
     return TransitionSpec(N_DEFAULT, Orientation("o111", 1.0), -0.5, 0.5, 0.0)
 
 
-def _walked_peaks(field: np.ndarray, a: np.ndarray) -> list[tuple]:
+def _walked_peaks(field: np.ndarray, a: np.ndarray) -> list[tuple] | None:
     """Reference for analyze_peaks: walk the extrema one by one, taking a
-    maximum and the minimum right after it as a pair, else moving on by one."""
-    threshold = spectra.MIN_RELATIVE_PEAK_AMPLITUDE * float(np.max(np.abs(a)))
+    maximum and the minimum right after it as a pair, else moving on by one.
+    None where analyze_peaks must refuse the amplitudes."""
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        return []
+    if not scale < 0.5 * sys.float_info.max:
+        return None
+    threshold = spectra.MIN_RELATIVE_PEAK_AMPLITUDE * scale
     extrema = []
     for i in range(1, a.size - 1):
         before, after = a[i] - a[i - 1], a[i + 1] - a[i]
@@ -59,6 +68,23 @@ def _walked_peaks(field: np.ndarray, a: np.ndarray) -> list[tuple]:
         else:
             k += 1
     return peaks
+
+
+def _uniform_by_steps(field: np.ndarray) -> bool:
+    """Reference for Spectrum's grid check: every step of the whole grid
+    against the first, in one pass."""
+    steps = np.diff(field)
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(field))))
+    return not np.any(np.abs(steps - steps[0]) > tol)
+
+
+def _accepts(field: np.ndarray) -> bool:
+    try:
+        spectra.Spectrum(field, np.zeros(field.size), 240e9, 300.0, ())
+    except ValueError as exc:
+        assert "uniform" in str(exc)
+        return False
+    return True
 
 
 def _single_stick(field: float, weight: float = 1.0) -> spectra.StickSpectrum:
@@ -132,6 +158,14 @@ class TestBuildSticks:
         for temperature in (math.nan, math.inf, 2.2e-313, 1e-300, 1e300):
             with pytest.raises(ValueError, match="temperature"):
                 spectra.build_sticks([(N_DEFAULT, 1.0)], 240e9, temperature)
+        # A 1e300 Hz hyperfine puts an m_i = -1 line at 3.6e289 T, where its
+        # two levels cancel: the message names the field in %g, and the field.
+        absurd = N_DEFAULT.replace(hyperfine_111=1e300)
+        with pytest.raises(ValueError) as info:
+            spectra.build_sticks([(absurd, 1.0)], 240e9, 300.0)
+        message = str(info.value)
+        assert re.search(r" at 3\.56811e\+289 T; .*line's field", message), message
+        assert len(message) < 200
 
     def test_sticks_sorted_and_deterministic(self):
         a = spectra.build_sticks([(N_DEFAULT, 20.0), (NV_DEFAULT, 1.0)], 240e9, 300.0)
@@ -194,6 +228,47 @@ class TestConvolve:
         field = np.array([8.54, 8.55, 8.57])
         with pytest.raises(ValueError):
             spectra.Spectrum(field, np.zeros(3), 240e9, 300.0, ())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        strategies.integers(2, 30),
+        strategies.sampled_from([8.4, 0.0, -0.0, -3.0, 1e6]),
+        strategies.sampled_from([2e-6, 1.0, 1e-9]),
+        strategies.lists(
+            strategies.tuples(
+                strategies.integers(0, 29),
+                strategies.sampled_from(
+                    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-13, 5e-13, 1e-11]
+                ),
+            ),
+            max_size=3,
+        ),
+        strategies.integers(1, 6),
+    )
+    def test_grid_check_matches_the_one_pass_check(self, n, start, step, edits, block):
+        # Small blocks put block boundaries inside short grids. An edit
+        # below 1 (a shift) moves that point and every later one, so it
+        # bends exactly one step; the rest replace the point.
+        field = start + step * np.arange(n)
+        for index, value in edits:
+            if 0 < abs(value) < 1:
+                field[index % n :] += value
+            else:
+                field[index % n] = value
+        # A non-finite grid has NaN steps; only accept or refuse is compared.
+        with np.errstate(all="ignore"), mock.patch.object(spectra, "_CHECK_BLOCK", block):
+            assert _accepts(field) == _uniform_by_steps(field)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("shift", [1e-13, 1e-11])
+    def test_grid_check_sees_a_bent_step_at_a_block_boundary(self, offset, shift):
+        block = spectra._CHECK_BLOCK
+        field = 8.4 + 2e-6 * np.arange(2 * block + 2)
+        # Step k joins points k and k + 1; steps block - 1 and block are the
+        # last of the first block and the first of the second.
+        field[block + offset + 1 :] += shift
+        assert _uniform_by_steps(field) == (shift < 1e-12)
+        assert _accepts(field) == _uniform_by_steps(field)
 
     def test_grid_bounds_and_size_checked_before_allocating(self):
         st = _single_stick(8.55)
@@ -265,25 +340,49 @@ class TestAnalyzePeaks:
         assert peak.pp_width_t == pytest.approx(vertex(7) - vertex(5))
         assert peak.pp_amplitude == 4.0
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(
         strategies.lists(
             strategies.one_of(
-                strategies.integers(-3, 3).map(float), strategies.floats(-10.0, 10.0)
+                # Small integers give equal neighbours and exact zeros.
+                strategies.integers(-3, 3).map(float),
+                strategies.floats(-10.0, 10.0),
+                strategies.floats(-1e-306, 1e-306),  # subnormals among them
+                strategies.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
             ),
             min_size=2,
             max_size=40,
-        )
+        ),
+        strategies.lists(
+            strategies.tuples(
+                strategies.integers(0, 39),
+                strategies.sampled_from(
+                    [math.nan, math.inf, -math.inf, 1e308, -1e308, 8.9e307]
+                ),
+            ),
+            max_size=2,
+        ),
     )
-    def test_pairs_match_the_extremum_walk(self, values):
+    # Plateaus: a maximum on one's last point; a rise, a flat step and a
+    # rise. Extrema exactly at the threshold and at minus it.
+    @example([0.0, 2.0, 2.0, -1.0, 0.0], [])
+    @example([0.0, 1.0, 1.0, 2.0, 0.0], [])
+    @example([0.0, 1.0, 0.0, -1000.0, 0.0], [])
+    @example([0.0, 1000.0, 0.0, -1.0, 0.0], [])
+    def test_pairs_match_the_extremum_walk(self, values, edits):
         amplitude = np.array(values)
-        if not np.any(amplitude):
-            return
+        for index, value in edits:
+            amplitude[index % amplitude.size] = value
         field = 8.5 + 1e-6 * np.arange(amplitude.size)
         spectrum = spectra.Spectrum(field, amplitude, 240e9, 300.0, ())
+        want = _walked_peaks(field, amplitude)
+        if want is None:
+            with pytest.raises(ValueError, match="overflows"):
+                spectra.analyze_peaks(spectrum)
+            return
         peaks = spectra.analyze_peaks(spectrum).peaks
         got = [(p.center_field_t, p.pp_width_t, p.pp_amplitude) for p in peaks]
-        assert got == _walked_peaks(field, amplitude)
+        assert got == want
 
     def test_flat_spectrum_empty_report(self):
         field = 8.4 + 2e-6 * np.arange(1000)
