@@ -9,10 +9,13 @@ Exit codes: 0 success, 2 usage error, 3 fit non-convergence, 4 I/O error.
 Every out-of-domain flag, INI value or data cell raises ``ValueError`` in
 the code that checks it, and only :func:`main` turns that into exit code 2
 with one ``error:`` line.
-Every output file starts with a provenance comment carrying the tool
-version, a hash of the physics-relevant configuration, and the seed where
-one applies. Execution knobs (worker count, output paths) are excluded from
-the hash, so reruns of the same physics are byte-identical.
+Each command computes and returns its physics configuration and its
+outputs; :func:`main` then writes every output, in order, and prints one
+line. Outputs that resolve to one file are refused (exit 2) before any is
+written. Every output file starts with a provenance comment carrying the
+tool version, a hash of the physics-relevant configuration, and the seed
+where one applies. Execution knobs (worker count, output paths) are excluded
+from the hash, so reruns of the same physics are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +46,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        config, outputs, summary, code = args.handler(args)
+        config["command"] = args.command
+        comments = [_provenance(config)]
+        outdir = args.outdir or os.environ.get("NVBATH_OUTPUT_DIR") or "."
+        paths = [os.path.join(outdir, name) for name, _ in outputs]
+        if len({os.path.realpath(path) for path in paths}) < len(paths):
+            raise ValueError(f"outputs {' and '.join(paths)} name one file")
+        if not all(os.path.isabs(name) for name, _ in outputs):  # some land in outdir
+            os.makedirs(outdir, exist_ok=True)
+        for path, (_, write) in zip(paths, outputs):
+            write(path, comments)
+        print(summary(" and ".join(paths)))
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -181,23 +196,12 @@ def _sequence_name(text: str) -> str:
         )
 
 
-def _outdir(args) -> str:
-    """The output directory, created (with its parents) if it is missing."""
-    path = args.outdir or os.environ.get("NVBATH_OUTPUT_DIR") or "."
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _resolve(args, name: str) -> str:
-    return name if os.path.isabs(name) else os.path.join(_outdir(args), name)
-
-
-def _provenance(config: dict, seed=None) -> str:
+def _provenance(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, default=str)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
     line = f"nvbath {__version__} config_sha256={digest}"
-    if seed is not None:
-        line += f" seed={seed}"
+    if "seed" in config:
+        line += f" seed={config['seed']}"
     return line
 
 
@@ -212,9 +216,12 @@ def _parse_temps(text: str) -> np.ndarray:
             )
         try:
             lo, hi = float(parts[0]), float(parts[1])
-            n = int(parts[3]) if len(parts) == 4 else 101
         except ValueError:
             raise ValueError(f"non-numeric bound in temperature range {text!r}")
+        try:
+            n = int(parts[3]) if len(parts) == 4 else 101
+        except ValueError:
+            raise ValueError(f"non-integer point count in temperature range {text!r}")
         mode = parts[2]
         if mode not in ("log", "lin"):
             raise ValueError(f"range mode must be 'log' or 'lin', got {mode!r}")
@@ -252,29 +259,32 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
 
 
 # --- subcommands ------------------------------------------------------------
+#
+# Each returns (config, outputs, summary, exit code): the physics config to
+# hash, a list of (file name, write(path, comments)), and summary(paths), the
+# stdout line given the written paths joined by " and ".
+
+_WROTE = "wrote {}".format
 
 
-def _cmd_polarization(args) -> int:
+def _table(header, columns):
+    """The ``write(path, comments)`` of one ``table`` CSV file."""
+    return lambda path, comments: table.write(path, comments, header, columns)
+
+
+def _cmd_polarization(args):
     if not 0 < args.frequency_hz < math.inf:
         raise ValueError("frequency must be positive and finite")
     t_zeeman = args.t_zeeman_k
     if t_zeeman is None:
         t_zeeman = spin_core.zeeman_temperature(args.frequency_hz)
     temps = _parse_temps(args.temps)
-    config = {
-        "command": "polarization",
-        "frequency_hz": args.frequency_hz,
-        "t_zeeman_k": t_zeeman,
-        "temps": args.temps,
-    }
+    config = {"frequency_hz": args.frequency_hz, "t_zeeman_k": t_zeeman, "temps": args.temps}
     point = bath_model.polarization(temps, t_zeeman)
     flip_flop = bath_model.flip_flop_factor(temps, t_zeeman)
-    path = _resolve(args, args.output)
     header = ("temperature_K", "polarization", "flip_flop_factor")
-    columns = (temps, point.polarization, flip_flop)
-    table.write(path, [_provenance(config)], header, columns)
-    print(f"wrote {path}")
-    return 0
+    write = _table(header, (temps, point.polarization, flip_flop))
+    return config, [(args.output, write)], _WROTE, 0
 
 
 _SPECTRUM_DEFAULTS = {
@@ -351,7 +361,7 @@ def _config_float(path, section, key, raw) -> float:
     return value
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     settings, populations, center_params = _load_spectrum_config(args.config)
     centers = [
         (center_params[label], pop) for label, pop in populations.items() if pop > 0
@@ -372,21 +382,15 @@ def _cmd_spectrum(args) -> int:
         field_step=settings["field_step_t"],
     )
     report = spectra.analyze_peaks(spectrum)
-    config = {
-        "command": "spectrum",
-        **settings,
-        "populations": sorted(populations.items()),
-    }
-    provenance = _provenance(config)
-    spectrum_path = _resolve(args, args.output)
-    peaks_path = _resolve(args, args.peaks_output)
-    spectra.write_spectrum_csv(spectrum, spectrum_path, header_lines=[provenance])
-    spectra.write_peaks_csv(report, peaks_path, header_lines=[provenance])
-    print(f"wrote {spectrum_path} and {peaks_path} ({len(report.peaks)} peaks)")
-    return 0
+    config = {**settings, "populations": sorted(populations.items())}
+    outputs = [
+        (args.output, lambda path, lines: spectra.write_spectrum_csv(spectrum, path, lines)),
+        (args.peaks_output, lambda path, lines: spectra.write_peaks_csv(report, path, lines)),
+    ]
+    return config, outputs, f"wrote {{}} ({len(report.peaks)} peaks)".format, 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     inversion = args.sequence == pulse_sim.SEQUENCE_INVERSION
     if inversion and not 0 < args.t1_s < math.inf:
         raise ValueError("T1 must be positive and finite")
@@ -400,19 +404,17 @@ def _cmd_simulate(args) -> int:
     if not 0 < tau_max < math.inf:
         raise ValueError("delay maximum must be positive and finite")
     delays = np.linspace(0.0, tau_max, args.tau_points)
+    config = {
+        "sequence": args.sequence,
+        "tau_max_s": tau_max,
+        "tau_points": args.tau_points,
+        "seed": args.seed,
+    }
     if inversion:
         trace = pulse_sim.simulate_inversion_recovery(
             args.t1_s, delays, noise_amplitude=args.noise, seed=args.seed
         )
-        config = {
-            "command": "simulate",
-            "sequence": args.sequence,
-            "t1_s": args.t1_s,
-            "tau_max_s": tau_max,
-            "tau_points": args.tau_points,
-            "noise": args.noise,
-            "seed": args.seed,
-        }
+        config.update(t1_s=args.t1_s, noise=args.noise)
     else:
         cfg = pulse_sim.BathNoiseConfig(
             n_sources=args.sources,
@@ -425,28 +427,19 @@ def _cmd_simulate(args) -> int:
         trace = pulse_sim.simulate_hahn_echo(
             cfg, delays, args.realizations, threads=args.threads
         )
-        config = {
-            "command": "simulate",
-            "sequence": args.sequence,
-            "temperature_k": cfg.temperature,
-            "t_zeeman_k": cfg.t_zeeman,
-            "tau_max_s": tau_max,
-            "tau_points": args.tau_points,
-            "realizations": args.realizations,
-            "n_sources": cfg.n_sources,
-            "coupling_scale": cfg.coupling_scale,
-            "base_rate": cfg.base_rate,
-            "seed": args.seed,
-        }
-    path = _resolve(args, args.output)
-    pulse_sim.write_trace_csv(
-        trace, path, header_lines=[_provenance(config, seed=args.seed)]
-    )
-    print(f"wrote {path}")
-    return 0
+        config.update(
+            temperature_k=cfg.temperature,
+            t_zeeman_k=cfg.t_zeeman,
+            realizations=args.realizations,
+            n_sources=cfg.n_sources,
+            coupling_scale=cfg.coupling_scale,
+            base_rate=cfg.base_rate,
+        )
+    outputs = [(args.output, lambda path, lines: pulse_sim.write_trace_csv(trace, path, lines))]
+    return config, outputs, _WROTE, 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     model = fitkit.get_model(args.model)
     fix = _parse_assignments(args.fix, "--fix")
     init = _parse_assignments(args.init, "--init")
@@ -481,31 +474,30 @@ def _cmd_fit(args) -> int:
         raise ValueError(f"the data do not determine {', '.join(undetermined)}")
 
     config = {
-        "command": "fit",
         "model": model.name,
         "fixed": sorted(fixed.items()),
         "init": sorted(init.items()),
         "unweighted": bool(sigma is None),
         "max_iterations": args.max_iterations,
     }
-    provenance = _provenance(config)
-    csv_path = _resolve(args, args.output_prefix + ".csv")
-    txt_path = _resolve(args, args.output_prefix + ".txt")
-    table.write(
-        csv_path,
-        [provenance],
-        ("parameter", "value", "stderr", "fixed"),
-        (result.param_names, result.params, result.stderr, result.fixed),
-    )
-    with open(txt_path, "w", newline="\n") as fh:
-        fh.write(f"# {provenance}\n")
-        fh.write(_format_report(model, result))
+    header = ("parameter", "value", "stderr", "fixed")
+    columns = (result.param_names, result.params, result.stderr, result.fixed)
+
+    def write_report(path, comments):
+        with open(path, "w", newline="\n") as fh:
+            fh.writelines(f"# {comment}\n" for comment in comments)
+            fh.write(_format_report(model, result))
+
+    outputs = [
+        (args.output_prefix + ".csv", _table(header, columns)),
+        (args.output_prefix + ".txt", write_report),
+    ]
     status = "converged" if result.converged else "did not converge"
-    print(
+    summary = (
         f"{model.name}: {status} after {result.n_iterations} iterations, "
-        f"cost {result.cost:.6g}; wrote {csv_path} and {txt_path}"
+        f"cost {result.cost:.6g}; wrote {{}}"
     )
-    return 0 if result.converged else 3
+    return config, outputs, summary.format, 0 if result.converged else 3
 
 
 def _format_report(model: fitkit.ModelSpec, result: fitkit.FitResult) -> str:
@@ -526,7 +518,7 @@ def _format_report(model: fitkit.ModelSpec, result: fitkit.FitResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_model_eval(args) -> int:
+def _cmd_model_eval(args):
     temps = _parse_temps(args.temps)
     params = _parse_assignments(args.params.split(",") if args.params else [], "--params")
     model = fitkit.get_model(args.model)
@@ -542,19 +534,9 @@ def _cmd_model_eval(args) -> int:
     # Rates are >= 0, so this also refuses a zero rate (an infinite time).
     if not np.all(np.isfinite(rates) & np.isfinite(times)):
         raise ValueError(f"{args.model} rate or time is 0 or overflows on this grid")
-    columns = (temps, rates, times)
-    config = {
-        "command": "model-eval",
-        "model": args.model,
-        "params": sorted(merged.items()),
-        "temps": args.temps,
-    }
-    path = _resolve(args, args.output)
-    table.write(
-        path, [_provenance(config)], ("temperature_K", "rate", "value_time"), columns
-    )
-    print(f"wrote {path}")
-    return 0
+    config = {"model": args.model, "params": sorted(merged.items()), "temps": args.temps}
+    write = _table(("temperature_K", "rate", "value_time"), (temps, rates, times))
+    return config, [(args.output, write)], _WROTE, 0
 
 
 if __name__ == "__main__":

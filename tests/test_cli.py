@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvbath import bath_model, cli, datasets, fitkit, pulse_sim, spectra
+from nvbath import __version__, bath_model, cli, datasets, fitkit, pulse_sim, spectra
 
 PROVENANCE = re.compile(r"^# nvbath \S+ config_sha256=[0-9a-f]{12}( seed=-?\d+)?$")
 
@@ -89,6 +89,15 @@ class TestPolarization:
         # Recorded in the provenance hash even when T_Ze is given.
         assert cli.main(zeeman + ["14.7", "--frequency-hz", "nan"]) == 2
         assert not (tmp_path / "polarization.csv").exists()
+
+    @pytest.mark.parametrize(
+        "temps, cause",
+        [("warm:300:log:5", "non-numeric bound"), ("1:300:log:1e3", "non-integer point count")],
+    )
+    def test_range_error_names_its_cause(self, tmp_path, capsys, temps, cause):
+        rc = cli.main(["--outdir", str(tmp_path), "polarization", "--temps", temps])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cause} in temperature range {temps!r}\n"
 
 
 class TestSpectrum:
@@ -452,6 +461,21 @@ class TestFit:
         assert rc == 3
         assert "converged: False" in (tmp_path / "wild.txt").read_text()
 
+    def test_non_convergence_writes_both_files(self, tmp_path, capsys):
+        data = tmp_path / "nv_t2.csv"
+        datasets.save_csv(datasets.bundled("NV", "T2"), data)
+        argv = ["--outdir", str(tmp_path), "fit", "--model", "t2_model", "--data", str(data)]
+        rc = cli.main(argv + ["--init", "T_Ze=4000", "--max-iterations", "1"])
+        assert rc == 3
+        out = capsys.readouterr().out.replace(str(tmp_path), "OUT")
+        assert re.fullmatch(
+            r"t2_model: did not converge after 1 iterations, cost \S+; "
+            r"wrote OUT/fit\.csv and OUT/fit\.txt\n",
+            out,
+        )
+        for name in ("fit.csv", "fit.txt"):
+            assert PROVENANCE.match((tmp_path / name).read_text().splitlines()[0])
+
     @pytest.mark.parametrize("start", ["A=1e150", "B=1e140"])
     def test_parameter_run_off_to_zero_is_not_converged(self, tmp_path, start):
         # From these starts the log-space search drives the other rate
@@ -678,12 +702,67 @@ class TestOutputRouting:
         assert rc == 0
         assert (out / written).is_file()
 
+    @pytest.mark.parametrize("peaks", ["same.csv", "./same.csv", "ABS/same.csv"])
+    def test_outputs_naming_one_file_exit_2(self, tmp_path, capsys, peaks):
+        peaks = peaks.replace("ABS", str(tmp_path))
+        rc = cli.main(
+            ["--outdir", str(tmp_path), "spectrum", "--output", "same.csv",
+             "--peaks-output", peaks]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        first = str(tmp_path / "same.csv")
+        second = peaks if peaks.startswith("/") else f"{tmp_path}/{peaks}"
+        assert err == f"error: outputs {first} and {second} name one file\n"
+        assert not (tmp_path / "same.csv").exists()
+
     def test_outdir_under_a_file_exits_4(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         for out in (tmp_path / "file", tmp_path / "file" / "nested"):
             rc = cli.main(["--outdir", str(out), "polarization", "--temps", "2,300"])
             assert rc == 4
             assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+# Each command's provenance line per output file and its stdout (the output
+# directory written as OUT). The hash covers the "command" key that main adds
+# and simulate's one config dict, so these pin both. A case's earlier runs
+# make its inputs.
+PINNED = [
+    ([["polarization"]], {"polarization.csv": "74c74c76e974"},
+     re.escape("wrote OUT/polarization.csv")),
+    ([["spectrum"]], {"spectrum.csv": "4145ab4862ab", "peaks.csv": "4145ab4862ab"},
+     re.escape("wrote OUT/spectrum.csv and OUT/peaks.csv (5 peaks)")),
+    ([["simulate", "--sequence", "inversion", "--noise", "0.01", "--tau-max-s", "8e-3"]],
+     {"trace.csv": "a1b7f7831bc0 seed=1"}, re.escape("wrote OUT/trace.csv")),
+    ([["simulate", "--seed", "7"]], {"trace.csv": "1605bba53784 seed=7"},
+     re.escape("wrote OUT/trace.csv")),
+    ([["model-eval", "--model", "t1_model"]], {"model_eval.csv": "eec58946c119"},
+     re.escape("wrote OUT/model_eval.csv")),
+    ([["simulate", "--seed", "7", "--output", "echo.csv"],
+      ["fit", "--model", "echo_decay", "--data", "OUT/echo.csv"]],
+     {"fit.csv": "b428f60ee9ba", "fit.txt": "b428f60ee9ba"},
+     r"echo_decay: converged after \d+ iterations, cost \S+; "
+     r"wrote OUT/fit\.csv and OUT/fit\.txt"),
+]
+
+
+@pytest.mark.parametrize(
+    "runs, provenance, stdout",
+    PINNED,
+    ids=["polarization", "spectrum", "inversion", "hahn", "model-eval", "fit"],
+)
+def test_provenance_and_stdout_are_pinned(tmp_path, capsys, runs, provenance, stdout):
+    for argv in runs:
+        argv = [arg.replace("OUT", str(tmp_path)) for arg in argv]
+        rc = cli.main(["--outdir", str(tmp_path), *argv])
+        assert rc == 0
+        out = capsys.readouterr().out
+    assert re.fullmatch(stdout + "\n", out.replace(str(tmp_path), "OUT"))
+    for name, tail in provenance.items():
+        with open(tmp_path / name) as fh:
+            first = fh.readline()
+        assert first == f"# nvbath {__version__} config_sha256={tail}\n"
 
 
 class TestEntryPoint:
