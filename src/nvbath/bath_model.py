@@ -18,11 +18,11 @@ shape (a float for a scalar); fits, CLI tables and the simulator call them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import check
 from .spin_core import zeeman_temperature
 
 __all__ = [
@@ -50,12 +50,9 @@ class T2ModelParams:
     gamma_res_per_us: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.c_per_us < math.inf:
-            raise ValueError("flip-flop prefactor must be non-negative and finite")
-        if not 0 < self.t_zeeman_k < math.inf:
-            raise ValueError("Zeeman temperature must be positive and finite")
-        if not 0 <= self.gamma_res_per_us < math.inf:
-            raise ValueError("residual rate must be non-negative and finite")
+        check("flip-flop prefactor C", self.c_per_us, strict=False)
+        check("Zeeman temperature", self.t_zeeman_k)
+        check("residual rate Gamma_res", self.gamma_res_per_us, strict=False)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,8 @@ class T1ModelParams:
     b_per_s_k5: float
 
     def __post_init__(self) -> None:
-        if not (0 <= self.a_per_s_k < math.inf and 0 <= self.b_per_s_k5 < math.inf):
-            raise ValueError("phonon coefficients must be non-negative and finite")
+        check("phonon coefficient A", self.a_per_s_k, strict=False)
+        check("phonon coefficient B", self.b_per_s_k5, strict=False)
 
     @property
     def crossover_temperature_k(self) -> float:
@@ -142,7 +139,7 @@ def t2_time(temperature, params: T2ModelParams = DEFAULT_T2_PARAMS):
 
 def t1_rate(temperature, params: T1ModelParams = DEFAULT_T1_PARAMS):
     """Spin-lattice rate 1/T1 in 1/s: ``A*T + B*T**5``."""
-    t = _positive(temperature, "temperature")
+    t = check("temperature", np.asarray(temperature, dtype=float))
     return _out(params.a_per_s_k * t + params.b_per_s_k5 * t**5)
 
 
@@ -153,24 +150,11 @@ def t1_time(temperature, params: T1ModelParams = DEFAULT_T1_PARAMS):
     return 1.0 / t1_rate(temperature, params)
 
 
-def _positive(value, what: str) -> np.ndarray:
-    """``value`` as a float array; raises unless every entry is finite and > 0."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim:  # min and max propagate NaN, so they cover every entry
-        lo, hi = arr.min(initial=math.inf), arr.max(initial=-math.inf)
-    else:  # a float comparison skips two numpy reductions
-        lo = hi = float(arr)
-    if not (lo > 0 and hi < math.inf):
-        bad = arr[~((arr > 0) & (arr < math.inf))].flat[0]
-        raise ValueError(f"{what} must be positive and finite, got {bad}")
-    return arr
-
-
 def _zeeman_ratio(temperature, t_zeeman):
     # T_Ze / T past the largest float is inf, every formula's frozen limit.
-    t = _positive(temperature, "temperature")
+    t = check("temperature", np.asarray(temperature, dtype=float))
     with np.errstate(over="ignore"):
-        return t, _positive(t_zeeman, "Zeeman temperature") / t
+        return t, check("Zeeman temperature", np.asarray(t_zeeman, dtype=float)) / t
 
 
 def _out(value):

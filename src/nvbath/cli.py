@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__, bath_model, datasets, fitkit, pulse_sim, spectra
 from . import spin_core, table
+from ._domain import check
 
 
 # Default delay span of inversion recovery: enough T1 for a fit to see the
@@ -240,9 +241,9 @@ def _parse_temps(text: str) -> np.ndarray:
         values = np.array([float(v) for v in text.split(",") if v.strip()])
     except ValueError:
         raise ValueError(f"non-numeric temperature in {text!r}")
-    if values.size == 0 or np.any(values <= 0):
-        raise ValueError(f"temperatures must be positive, got {text!r}")
-    return values
+    if values.size == 0:
+        raise ValueError(f"no temperature in {text!r}")
+    return check("temperature", values)
 
 
 def _parse_assignments(pairs, what: str) -> dict[str, float]:
@@ -273,8 +274,7 @@ def _table(header, columns):
 
 
 def _cmd_polarization(args):
-    if not 0 < args.frequency_hz < math.inf:
-        raise ValueError("frequency must be positive and finite")
+    check("frequency", args.frequency_hz)
     t_zeeman = args.t_zeeman_k
     if t_zeeman is None:
         t_zeeman = spin_core.zeeman_temperature(args.frequency_hz)
@@ -333,9 +333,8 @@ def _load_spectrum_config(path):
                     raise ValueError(
                         f"{path}: unknown center {key!r} in [populations]"
                     )
-                populations[key] = _config_float(path, section, key, raw)
-                if populations[key] < 0:
-                    raise ValueError(f"{path}: [populations] {key} = {raw!r} is negative")
+                value = _config_float(path, section, key, raw)
+                populations[key] = check(f"{path}: [populations] {key}", value, strict=False)
         elif section.startswith("center."):
             label = section.split(".", 1)[1]
             if label not in center_params:
@@ -355,10 +354,8 @@ def _config_float(path, section, key, raw) -> float:
     try:
         value = float(raw)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{path}: [{section}] {key} = {raw!r} is not a finite number")
-    return value
+        raise ValueError(f"{path}: [{section}] {key} = {raw!r} is not a number") from None
+    return check(f"{path}: [{section}] {key}", value, -math.inf)
 
 
 def _cmd_spectrum(args):
@@ -392,8 +389,8 @@ def _cmd_spectrum(args):
 
 def _cmd_simulate(args):
     inversion = args.sequence == pulse_sim.SEQUENCE_INVERSION
-    if inversion and not 0 < args.t1_s < math.inf:
-        raise ValueError("T1 must be positive and finite")
+    if inversion:
+        check("T1", args.t1_s)
     tau_max = args.tau_max_s
     if tau_max is None:
         tau_max = (
@@ -401,8 +398,7 @@ def _cmd_simulate(args):
         )
     if not 2 <= args.tau_points <= spectra.MAX_GRID_POINTS:
         raise ValueError(f"need 2 to {spectra.MAX_GRID_POINTS} delay points")
-    if not 0 < tau_max < math.inf:
-        raise ValueError("delay maximum must be positive and finite")
+    check("delay maximum", tau_max)
     delays = np.linspace(0.0, tau_max, args.tau_points)
     config = {
         "sequence": args.sequence,

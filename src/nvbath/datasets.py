@@ -8,10 +8,10 @@ with ``#`` comment lines preserved as dataset metadata.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import table
+from ._domain import check
 
 CENTERS = ("NV", "N")
 QUANTITIES = ("T1", "T2")
@@ -31,12 +31,9 @@ class RelaxationRow:
     source: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 < self.temperature_k < math.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature_k}")
-        if not 0 < self.value_s < math.inf:
-            raise ValueError(f"relaxation time must be positive and finite, got {self.value_s}")
-        if not 0 <= self.error_s < math.inf:
-            raise ValueError(f"error must be non-negative and finite, got {self.error_s}")
+        check("temperature", self.temperature_k)
+        check("relaxation time", self.value_s)
+        check("error", self.error_s, strict=False)
 
 
 @dataclass(frozen=True)

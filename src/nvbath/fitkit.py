@@ -26,6 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._domain import check
 from .bath_model import DEFAULT_T1_PARAMS, DEFAULT_T2_PARAMS, T1ModelParams
 from .bath_model import T2ModelParams, flip_flop_factor, polarization, t1_rate, t2_rate
 from .spin_core import DEFAULT_FREQUENCY_HZ, zeeman_temperature
@@ -108,8 +109,9 @@ def fit(
         Name -> value mapping of parameters to pin. ``None`` applies the
         model's ``default_fixed``; pass ``{}`` to free everything.
     max_iterations:
-        Iteration limit, >= 0; the search also stops on a relative cost change
-        below ``COST_TOLERANCE`` or a gradient below ``GRADIENT_TOLERANCE``.
+        Iteration limit, an integer >= 0; the search also stops on a relative
+        cost change below ``COST_TOLERANCE`` or a gradient below
+        ``GRADIENT_TOLERANCE``.
 
     Returns a :class:`FitResult`; non-convergence is reported through the
     ``converged`` flag and ``message``, never raised. Converged means the
@@ -127,15 +129,12 @@ def fit(
     if sigma is None:
         sig_arr = np.ones_like(x_arr)
     else:
-        sig_arr = np.asarray(sigma, dtype=float)
+        sig_arr = check("sigma", np.asarray(sigma, dtype=float))
         if sig_arr.shape != x_arr.shape:
             raise ValueError("sigma length mismatch")
-        if np.any(sig_arr <= 0):
-            raise ValueError("sigma values must be positive")
-    if not (np.all(np.isfinite(x_arr)) and np.all(np.isfinite(y_arr))):
-        raise ValueError("data contains non-finite values")
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+    check("x", x_arr, -math.inf)
+    check("y", y_arr, -math.inf)
+    check("max_iterations", max_iterations, 0, integer=True)
     # Fixed summation order regardless of input ordering.
     order = np.lexsort((sig_arr, y_arr, x_arr))
     x_arr, y_arr, sig_arr = x_arr[order], y_arr[order], sig_arr[order]
@@ -334,9 +333,7 @@ def jacobian_check(
 
 def _echo_evaluate(p, x):
     a, t2 = p
-    if not 0 < t2 < math.inf:  # a pinned value; fitted ones stay inside
-        raise ValueError(f"T2 must be positive and finite, got {t2}")
-    return a * np.exp(-2.0 * x / t2)
+    return a * np.exp(-2.0 * x / check("T2", t2))  # a pinned T2; fitted ones stay inside
 
 
 def _echo_jacobian(p, x):
@@ -353,9 +350,7 @@ def _echo_guess(x, y):
 
 def _recovery_evaluate(p, x):
     y0, a, t1 = p
-    if not 0 < t1 < math.inf:
-        raise ValueError(f"T1 must be positive and finite, got {t1}")
-    return y0 - a * np.exp(-x / t1)
+    return y0 - a * np.exp(-x / check("T1", t1))
 
 
 def _recovery_jacobian(p, x):

@@ -56,6 +56,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._domain import check
 from .bath_model import flip_flop_factor
 from . import fitkit, table
 
@@ -110,20 +111,17 @@ class BathNoiseConfig:
     fixed_couplings: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        _integer("n_sources", self.n_sources, 1)
-        _integer("seed", self.seed)
+        check("n_sources", self.n_sources, 1, integer=True)
+        check("seed", self.seed, -math.inf, integer=True)
         # The couplings reach coupling_scale * 2**53 (1 - U is at least 2**-53).
-        if not 0 <= self.coupling_scale * 2.0**53 < math.inf:
-            raise ValueError("coupling_scale * 2**53 must be non-negative and finite")
-        if not 0 <= self.base_rate < math.inf:
-            raise ValueError("base_rate must be non-negative and finite")
-        if not (0 < self.temperature < math.inf and 0 < self.t_zeeman < math.inf):
-            raise ValueError("temperatures must be positive and finite")
-        if self.fixed_couplings is not None and not (
-            len(self.fixed_couplings) == self.n_sources
-            and np.all(np.isfinite(self.fixed_couplings))
-        ):
-            raise ValueError("fixed_couplings must hold n_sources finite values")
+        check("coupling_scale * 2**53", self.coupling_scale * 2.0**53, strict=False)
+        check("base_rate", self.base_rate, strict=False)
+        check("temperature", self.temperature)
+        check("t_zeeman", self.t_zeeman)
+        if self.fixed_couplings is not None:
+            check("fixed_couplings", np.asarray(self.fixed_couplings, dtype=float), -math.inf)
+            if len(self.fixed_couplings) != self.n_sources:
+                raise ValueError("fixed_couplings must hold n_sources values")
 
 
 @dataclass(frozen=True)
@@ -150,12 +148,9 @@ class DecayTrace:
             self.delays.shape == self.amplitude.shape == self.std_error.shape
         ):
             raise ValueError("delay, amplitude and std_error lengths differ")
-        if not np.all(np.isfinite(self.amplitude)):
-            raise ValueError("amplitudes must be finite")
-        if not np.all((self.std_error >= 0) & (self.std_error < math.inf)):
-            raise ValueError("standard errors must be non-negative and finite")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be >= 1")
+        check("amplitude", self.amplitude, -math.inf)
+        check("std_error", self.std_error, strict=False)
+        check("n_realizations", self.n_realizations, 1, integer=True)
 
 
 def _delay_grid(delays: Sequence[float]) -> np.ndarray:
@@ -164,16 +159,9 @@ def _delay_grid(delays: Sequence[float]) -> np.ndarray:
     t = np.asarray(delays, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("delays must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(t)) or t[0] < 0 or np.any(np.diff(t) <= 0):
-        raise ValueError("delays must be finite, >= 0 and strictly increasing")
+    if np.any(np.diff(check("delays", t, strict=False)) <= 0):
+        raise ValueError("delays must be strictly increasing")
     return t
-
-
-def _integer(name: str, value, least: Optional[int] = None) -> None:
-    """Refuse a value that is not a Python or numpy integer, or is below least."""
-    if not isinstance(value, (int, np.integer)) or least is not None and value < least:
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def _refuse_over(cells: float, limit: float, what: str, *args) -> None:
@@ -202,7 +190,7 @@ def sample_couplings(cfg: BathNoiseConfig, realization: int = 0) -> np.ndarray:
     of a dilute spin bath. The same (seed, realization) always returns the
     same array, matching what :func:`simulate_hahn_echo` uses internally.
     """
-    _integer("realization", realization, 0)
+    check("realization", realization, 0, integer=True)
     if cfg.fixed_couplings is not None:
         return np.asarray(cfg.fixed_couplings, dtype=float)
     return _bath(cfg, realization, realization + 1)[0][0]
@@ -261,8 +249,8 @@ def _hahn_echoes(
     ``n_realizations``, and the worker count never reaches the bytes.
     """
     tau = _delay_grid(tau_grid)
-    _integer("n_realizations", n_realizations, 1)
-    _integer("threads", threads, 1)
+    check("n_realizations", n_realizations, 1, integer=True)
+    check("threads", threads, 1, integer=True)
     # Checked in Python floats (which overflow to inf quietly) before numpy
     # sees the Poisson mean; each realization checks its own draw exactly.
     t_end = 2.0 * float(tau[-1])
@@ -453,11 +441,9 @@ def simulate_inversion_recovery(
     Gaussian noise of the given amplitude is added per point from the
     (seed, 0) stream; the trace's std_error column reports that amplitude.
     """
-    if not 0 < t1 < math.inf:
-        raise ValueError(f"t1 must be positive and finite, got {t1}")
-    if not 0 <= noise_amplitude < math.inf:
-        raise ValueError("noise amplitude must be non-negative and finite")
-    _integer("seed", seed)
+    check("t1", t1)
+    check("noise amplitude", noise_amplitude, strict=False)
+    check("seed", seed, -math.inf, integer=True)
     t = _delay_grid(delays)
     # T/T1 may overflow to inf (exp gives 0); DecayTrace rejects inf amplitudes.
     with np.errstate(over="ignore"):

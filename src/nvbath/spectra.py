@@ -30,6 +30,7 @@ from .spin_core import (
     DEFAULT_TILT_AZIMUTH_DEG,
 )
 from . import table
+from ._domain import check
 
 # Default scan window and step around the 240 GHz resonances.
 DEFAULT_FIELD_START = 8.40
@@ -74,8 +75,7 @@ class StickSpectrum:
         fields = [s.field_t for s in self.sticks]
         if any(b < a for a, b in zip(fields, fields[1:])):
             raise ValueError("sticks must be sorted by field")
-        if not all(s.weight > 0 for s in self.sticks):
-            raise ValueError("stick weights must be positive")
+        check("stick weight", self.weights)
 
     @property
     def fields(self) -> np.ndarray:
@@ -158,12 +158,9 @@ def build_sticks(
     """
     if not centers:
         raise ValueError("at least one center is required")
-    # k_B T must not underflow to 0 either: it divides the level energies.
-    if not 0 < CONSTANTS.boltzmann_k * temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    check("temperature", temperature)
     for params, population in centers:
-        if population <= 0:
-            raise ValueError(f"population for {params.label} must be positive")
+        check(f"population for {params.label}", population)
     orientations = tetrahedral_orientations(tilt_deg, tilt_azimuth_deg)
     orientation_fraction = 1.0 / len(orientations)
     raw: list[Stick] = []
@@ -204,13 +201,14 @@ def _population_difference(
     resonance field. For spin 1/2 this reduces to the bath polarization.
     """
     energies = level_energies(spec, field)
-    beta = 1.0 / (CONSTANTS.boltzmann_k * temperature)
+    k_t = CONSTANTS.boltzmann_k * temperature
+    beta = 1.0 / k_t if k_t else math.inf
     e_min = min(energies.values())
     boltzmann = {m: math.exp(-beta * (e - e_min)) for m, e in energies.items()}
     z = sum(boltzmann.values())
     delta_p = boltzmann[spec.m_s_low] / z - boltzmann[spec.m_s_high] / z
-    # k_B T near the subnormal range makes beta inf (nan here); a huge one
-    # leaves every Boltzmann factor at exactly 1.
+    # k_B T subnormal, or 0 below 1.8e-301 K, makes beta inf (nan here); a
+    # huge one leaves every Boltzmann factor at exactly 1.
     if not delta_p > 0:
         raise ValueError(
             f"temperature {temperature:g} K leaves no positive population "
@@ -240,10 +238,9 @@ def convolve(
     ``(field_stop - field_start) / field_step`` can drop ``field_stop``
     itself (the default window ends at 8.749998 T).
     """
-    if not all(map(math.isfinite, (field_start, field_stop, field_step))):
-        raise ValueError("field grid start, stop and step must be finite")
-    if field_step <= 0:
-        raise ValueError(f"field step must be positive, got {field_step}")
+    check("field_start", field_start, -math.inf)
+    check("field_stop", field_stop, -math.inf)
+    check("field_step", field_step)
     if field_stop <= field_start:
         raise ValueError("field_stop must exceed field_start")
     # Checked in floating point, before any allocation or int conversion.

@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._domain import check
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -82,14 +84,10 @@ class CenterParams:
             raise ValueError(f"unknown center label {self.label!r}")
         if self.spin not in (0.5, 1.0):
             raise ValueError(f"electron spin must be 0.5 or 1.0, got {self.spin}")
-        if not (0 < self.g_parallel < math.inf and 0 < self.g_perp < math.inf):
-            raise ValueError("g-factors must be positive and finite")
-        if not 0 <= self.zero_field_d < math.inf:
-            raise ValueError("zero-field splitting must be non-negative and finite")
-        if not (0 <= self.hyperfine_111 < math.inf and 0 <= self.hyperfine_other < math.inf):
-            raise ValueError("hyperfine splittings must be non-negative and finite")
-        if not 0 < self.linewidth_pp < math.inf:
-            raise ValueError("peak-to-peak linewidth must be positive and finite")
+        for name in ("g_parallel", "g_perp", "linewidth_pp"):
+            check(name, getattr(self, name))
+        for name in ("zero_field_d", "hyperfine_111", "hyperfine_other"):
+            check(name, getattr(self, name), strict=False)
         if self.nuclear_spin < 0 or (2 * self.nuclear_spin) % 1:
             raise ValueError(f"bad nuclear spin {self.nuclear_spin}")
 
@@ -178,35 +176,27 @@ def zeeman_temperature(frequency: float) -> float:
     ``h * frequency / k_B``; 240 GHz maps to 11.52 K, which is why the
     nitrogen bath polarizes at liquid-helium temperatures.
     """
-    if not 0 < frequency < math.inf:
-        raise ValueError(f"frequency must be positive and finite, got {frequency}")
-    return CONSTANTS.planck_h * frequency / CONSTANTS.boltzmann_k
+    return CONSTANTS.planck_h * check("frequency", frequency) / CONSTANTS.boltzmann_k
 
 
 def field_to_frequency(field: float, g: float) -> float:
     """Zeeman resonance frequency (Hz) of a free spin with g-factor g."""
-    if not 0 <= field < math.inf:
-        raise ValueError(f"field must be non-negative and finite, got {field}")
-    if not 0 < g < math.inf:
-        raise ValueError(f"g must be positive and finite, got {g}")
-    return g * CONSTANTS.bohr_magneton * field / CONSTANTS.planck_h
+    check("field", field, strict=False)
+    return check("g", g) * CONSTANTS.bohr_magneton * field / CONSTANTS.planck_h
 
 
 def frequency_to_field(frequency: float, g: float) -> float:
     """Inverse of :func:`field_to_frequency`."""
-    if not 0 <= frequency < math.inf:
-        raise ValueError(f"frequency must be non-negative and finite, got {frequency}")
-    if not 0 < g < math.inf:
-        raise ValueError(f"g must be positive and finite, got {g}")
-    return CONSTANTS.planck_h * frequency / (g * CONSTANTS.bohr_magneton)
+    check("frequency", frequency, strict=False)
+    return CONSTANTS.planck_h * frequency / (check("g", g) * CONSTANTS.bohr_magneton)
 
 
 def effective_g(g_parallel: float, g_perp: float, cos_theta: float) -> float:
     """Orientation-dependent g for an axial center."""
     if not -1.0 <= cos_theta <= 1.0:
         raise ValueError(f"cos_theta outside [-1, 1]: {cos_theta}")
-    if not (0 < g_parallel < math.inf and 0 < g_perp < math.inf):
-        raise ValueError(f"g-factors must be positive and finite, got {g_parallel}, {g_perp}")
+    check("g_parallel", g_parallel)
+    check("g_perp", g_perp)
     c2 = cos_theta * cos_theta
     return math.sqrt(g_parallel * g_parallel * c2 + g_perp * g_perp * (1.0 - c2))
 
@@ -246,8 +236,7 @@ def resonance_field(transition: TransitionSpec, frequency: float) -> float:
         If the requested frequency is at or below the combined zero-field
         and hyperfine offset, which has no positive-field solution.
     """
-    if not 0 < frequency < math.inf:
-        raise ValueError(f"frequency must be positive and finite, got {frequency}")
+    check("frequency", frequency)
     center = transition.center
     orient = transition.orientation
     g = effective_g(center.g_parallel, center.g_perp, orient.cos_theta)

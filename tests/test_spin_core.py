@@ -12,6 +12,8 @@ import pytest
 
 from nvbath import spin_core as sc
 
+import spin_exact
+
 # hnu/(g mu_B) at 240 GHz, g = 2.0024
 B0_N = 8.563452064487786
 # hyperfine field offsets at the same g
@@ -116,6 +118,40 @@ def test_nv_branch_ordering():
     assert b_on == pytest.approx(8.664125930470803, rel=1e-12)
     assert b_off == pytest.approx(8.527613714495446, rel=1e-12)
     assert b_on > b_off
+
+
+# (A_par, A_perp) of the 14N hyperfine tensor of each center. The nitrogen
+# center's first-order constant on an inclined axis, sqrt(A_par**2 / 9 +
+# A_perp**2 8 / 9), is N_DEFAULT's hyperfine_other of 86 MHz.
+HYPERFINE_TENSORS = {"N": (114e6, 81.8e6), "NV": (2.2e6, 2.2e6)}
+
+
+def test_exact_reference_gives_the_free_spin_line():
+    free = sc.N_DEFAULT.replace(hyperfine_111=0.0)
+    fields = spin_exact.line_fields(240e9, -0.5, 0.5, 0.5, 2.0024, 2.0024, 0.0, 0.0, 0.0, 1.0)
+    assert fields == pytest.approx([B0_N] * 3, abs=1e-12)
+    o111 = sc.Orientation("o111", 1.0)
+    assert sc.resonance_field(sc.TransitionSpec(free, o111, -0.5, 0.5, 1.0), 240e9) == B0_N
+
+
+@pytest.mark.parametrize(
+    "center, orientation",
+    [(sc.N_DEFAULT, 0), (sc.N_DEFAULT, 1), (sc.NV_DEFAULT, 0)],
+    ids=["N-o111", "N-inclined", "NV-o111"],
+)
+def test_first_order_lines_match_the_exact_hamiltonian(center, orientation):
+    # Every N line, and the NV lines on the axis, within 2 uT (the default
+    # grid step) of the exact field; 1.6 uT is the largest offset.
+    orient = sc.tetrahedral_orientations()[orientation]
+    (m_lo, m_hi), = sc.observed_transitions(center)
+    first = sorted(
+        sc.resonance_field(sc.TransitionSpec(center, orient, m_lo, m_hi, m_i), 240e9)
+        for m_i in (-1.0, 0.0, 1.0)
+    )
+    exact = spin_exact.line_fields(
+        240e9, m_lo, m_hi, center.spin, center.g_parallel, center.g_perp,
+        center.zero_field_d, *HYPERFINE_TENSORS[center.label], orient.cos_theta)
+    assert np.abs(np.subtract(exact, first)).max() < 2e-6
 
 
 def test_resonance_field_monotonicity():
