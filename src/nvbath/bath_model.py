@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._domain import check
-from .spin_core import zeeman_temperature
 
 __all__ = [
     "DEFAULT_T1_PARAMS",
@@ -37,7 +36,6 @@ __all__ = [
     "t1_time",
     "t2_rate",
     "t2_time",
-    "zeeman_temperature",
 ]
 
 

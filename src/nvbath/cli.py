@@ -108,7 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="stochastic pulse-sequence traces")
     p.add_argument(
         "--sequence",
-        type=_sequence_name,
+        # A sequence also answers to its first word: hahn, inversion.
+        type=lambda name: {s.split("_")[0]: s for s in pulse_sim.SEQUENCES}.get(name, name),
+        choices=pulse_sim.SEQUENCES,
+        metavar="SEQUENCE",
         default=pulse_sim.SEQUENCE_HAHN,
         help=f"'{pulse_sim.SEQUENCE_HAHN}' (or 'hahn') | '{pulse_sim.SEQUENCE_INVERSION}'",
     )
@@ -180,21 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # --- helpers ---------------------------------------------------------------
-
-
-def _sequence_name(text: str) -> str:
-    aliases = {
-        "hahn": pulse_sim.SEQUENCE_HAHN,
-        pulse_sim.SEQUENCE_HAHN: pulse_sim.SEQUENCE_HAHN,
-        "inversion": pulse_sim.SEQUENCE_INVERSION,
-        pulse_sim.SEQUENCE_INVERSION: pulse_sim.SEQUENCE_INVERSION,
-    }
-    try:
-        return aliases[text]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"unknown sequence {text!r} (want one of {sorted(set(aliases))})"
-        )
 
 
 def _provenance(config: dict) -> str:

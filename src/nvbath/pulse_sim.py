@@ -62,6 +62,7 @@ from . import fitkit, table
 
 SEQUENCE_HAHN = "hahn_echo"
 SEQUENCE_INVERSION = "inversion_recovery"
+SEQUENCES = (SEQUENCE_HAHN, SEQUENCE_INVERSION)
 
 _TRACE_COLUMNS = ("delay_s", "amplitude", "std_error")
 
@@ -141,7 +142,7 @@ class DecayTrace:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.sequence not in (SEQUENCE_HAHN, SEQUENCE_INVERSION):
+        if self.sequence not in SEQUENCES:
             raise ValueError(f"unknown sequence {self.sequence!r}")
         _delay_grid(self.delays)
         if not (
@@ -513,7 +514,11 @@ def write_trace_csv(trace: DecayTrace, path, header_lines: Sequence[str] = ()) -
 
 
 def read_trace_csv(path) -> DecayTrace:
-    """Inverse of :func:`write_trace_csv`; metadata comes from the comments."""
+    """Inverse of :func:`write_trace_csv`; metadata comes from the comments.
+
+    A bad cell or metadata value raises :class:`table.TableFormatError`
+    naming the file.
+    """
     comments, _, rows = table.read(path, (_TRACE_COLUMNS,))
     meta = dict(
         token.partition("=")[::2]
@@ -522,11 +527,14 @@ def read_trace_csv(path) -> DecayTrace:
         if "=" in token
     )
     columns = np.array(rows)
-    return DecayTrace(
-        sequence=meta.get("sequence", SEQUENCE_HAHN),
-        delays=columns[:, 0],
-        amplitude=columns[:, 1],
-        std_error=columns[:, 2],
-        n_realizations=int(meta.get("n_realizations", "1")),
-        seed=int(meta.get("seed", "0")),
-    )
+    try:
+        return DecayTrace(
+            sequence=meta.get("sequence", SEQUENCE_HAHN),
+            delays=columns[:, 0],
+            amplitude=columns[:, 1],
+            std_error=columns[:, 2],
+            n_realizations=int(meta.get("n_realizations", "1")),
+            seed=int(meta.get("seed", "0")),
+        )
+    except ValueError as exc:
+        raise table.TableFormatError(f"{path}: {exc}") from None

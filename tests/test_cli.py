@@ -320,6 +320,36 @@ class TestSimulate:
         assert cli.main(inversion + ["--noise", "1.7976931348623157e308"]) == 2
         assert not (tmp_path / "trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "short, full", [("hahn", "hahn_echo"), ("inversion", "inversion_recovery")]
+    )
+    def test_short_sequence_name_is_the_full_one(self, tmp_path, capsys, short, full):
+        runs = {}
+        for name in (short, full):
+            argv = ["--outdir", str(tmp_path / name), "simulate", "--sequence", name]
+            assert cli.main(argv + ["--realizations", "20", "--seed", "3"]) == 0
+            stdout = capsys.readouterr().out.replace(str(tmp_path / name), "OUT")
+            runs[name] = stdout, (tmp_path / name / "trace.csv").read_bytes()
+        assert runs[short] == runs[full]
+        assert f"sequence={full} ".encode() in runs[short][1]
+
+    def test_unknown_sequence_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["--outdir", str(tmp_path), "simulate", "--sequence", "ramsey"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "argument --sequence: invalid choice: 'ramsey'" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_help_names_the_sequences(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.main(["simulate", "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "usage: nvbath simulate [-h] [--sequence SEQUENCE] [--seed SEED]"
+        assert (
+            "  --sequence SEQUENCE   'hahn_echo' (or 'hahn') | 'inversion_recovery'"
+            in lines
+        )
+
     def test_long_grid_runs_in_blocks_of_one_realization(self, tmp_path):
         # One source on 100 000 delays: a realization's echo rows are 1.1e6
         # cells, over the block budget, so each block holds one realization

@@ -6,6 +6,7 @@ is statistical, not shared-code.
 """
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from nvbath import pulse_sim as ps
+from nvbath import table
 from nvbath.bath_model import flip_flop_factor
 
 import echo_reference
@@ -990,3 +992,12 @@ class TestTraceCsv:
         empty.write_text("delay_s,amplitude,std_error\n")
         with pytest.raises(ValueError, match="no data"):
             ps.read_trace_csv(empty)
+
+    @pytest.mark.parametrize(
+        "token", ["n_realizations=many", "seed=x", "sequence=ramsey"]
+    )
+    def test_bad_metadata_names_the_file(self, tmp_path, token):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"# {token}\ndelay_s,amplitude,std_error\n0.0,1.0,0.0\n")
+        with pytest.raises(table.TableFormatError, match=f"^{re.escape(str(path))}: "):
+            ps.read_trace_csv(path)
