@@ -1,6 +1,7 @@
 """The one domain check: every "positive / non-negative and finite", "finite"
 and "integer >= k" refusal in nvbath raises its ``ValueError`` here, in one
-message shape. Imports nothing from nvbath."""
+message shape, and every "a name outside its set" refusal in a second.
+Imports nothing from nvbath."""
 
 import math
 
@@ -44,3 +45,13 @@ def check(name: str, value, low=0.0, *, strict: bool = True, integer: bool = Fal
     if isinstance(bad, np.generic):  # shown as nan, not np.float64(nan)
         bad = bad.item()
     raise ValueError(f"{name} must be {bound}, got {bad!r}")
+
+
+def one_of(name: str, allowed, *values) -> None:
+    """``ValueError`` "{name} must be one of A, B, got {value!r}" for the first
+    of ``values`` that ``allowed`` (a tuple, or a dict's keys) does not hold;
+    the message lists ``allowed`` in its own order."""
+    for value in values:
+        if value not in allowed:
+            listed = ", ".join(map(str, allowed))
+            raise ValueError(f"{name} must be one of {listed}, got {value!r}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__, bath_model, datasets, fitkit, pulse_sim, spectra
 from . import spin_core, table
-from ._domain import check
+from ._domain import check, one_of
 
 
 # Default delay span of inversion recovery: enough T1 for a fit to see the
@@ -105,15 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectrum)
 
     bath = pulse_sim.BathNoiseConfig()
+    # A sequence also answers to its first word: hahn, inversion.
+    short = {s.split("_")[0]: s for s in pulse_sim.SEQUENCES}
     p = sub.add_parser("simulate", help="stochastic pulse-sequence traces")
     p.add_argument(
         "--sequence",
-        # A sequence also answers to its first word: hahn, inversion.
-        type=lambda name: {s.split("_")[0]: s for s in pulse_sim.SEQUENCES}.get(name, name),
+        type=lambda name: short.get(name, name),
         choices=pulse_sim.SEQUENCES,
         metavar="SEQUENCE",
         default=pulse_sim.SEQUENCE_HAHN,
-        help=f"'{pulse_sim.SEQUENCE_HAHN}' (or 'hahn') | '{pulse_sim.SEQUENCE_INVERSION}'",
+        help=" | ".join(f"'{s}' (or '{word}')" for word, s in short.items()),
     )
     p.add_argument("--seed", type=int, default=bath.seed)
     p.add_argument("--output", default="trace.csv")
@@ -212,8 +213,7 @@ def _parse_temps(text: str) -> np.ndarray:
         except ValueError:
             raise ValueError(f"non-integer point count in temperature range {text!r}")
         mode = parts[2]
-        if mode not in ("log", "lin"):
-            raise ValueError(f"range mode must be 'log' or 'lin', got {mode!r}")
+        one_of("range mode", ("log", "lin"), mode)
         if not 0 < lo < hi < math.inf or n < 2:  # before numpy sees an inf
             raise ValueError(f"bad temperature range {text!r}")
         if n > spectra.MAX_GRID_POINTS:  # refused before allocating the grid
@@ -298,44 +298,31 @@ _CENTER_FIELDS = (
 
 
 def _load_spectrum_config(path):
-    settings = dict(_SPECTRUM_DEFAULTS)
-    populations = {"n": 1.0, "nv": 0.0}
-    center_params = {k: v for k, v in _CENTER_DEFAULTS.items()}
-    if path is None:
-        return settings, populations, center_params
-    parser = configparser.ConfigParser()
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:  # its messages span several lines
-        raise ValueError(f"{path}: {' '.join(str(exc).split())}")
-    for section in parser.sections():
-        if section == "spectrum":
+    """The INI file at ``path`` (defaults if None) read into one table,
+    ``{section: {key: value}}``; returns its settings, its populations and
+    each center's ``CenterParams``."""
+    config = {"spectrum": dict(_SPECTRUM_DEFAULTS), "populations": {"n": 1.0, "nv": 0.0}}
+    for label, params in _CENTER_DEFAULTS.items():
+        config[f"center.{label}"] = {key: getattr(params, key) for key in _CENTER_FIELDS}
+    if path is not None:
+        parser = configparser.ConfigParser()
+        try:
+            with open(path) as fh:
+                parser.read_file(fh)
+        except configparser.Error as exc:  # its messages span several lines
+            raise ValueError(f"{path}: {' '.join(str(exc).split())}")
+        for section in parser.sections():
+            one_of(f"{path}: section", config, section)
             for key, raw in parser.items(section):
-                if key not in settings:
-                    raise ValueError(f"{path}: unknown [spectrum] key {key!r}")
-                settings[key] = _config_float(path, section, key, raw)
-        elif section == "populations":
-            for key, raw in parser.items(section):
-                if key not in populations:
-                    raise ValueError(
-                        f"{path}: unknown center {key!r} in [populations]"
-                    )
-                value = _config_float(path, section, key, raw)
-                populations[key] = check(f"{path}: [populations] {key}", value, strict=False)
-        elif section.startswith("center."):
-            label = section.split(".", 1)[1]
-            if label not in center_params:
-                raise ValueError(f"{path}: unknown center section [{section}]")
-            overrides = {}
-            for key, raw in parser.items(section):
-                if key not in _CENTER_FIELDS:
-                    raise ValueError(f"{path}: unknown [{section}] key {key!r}")
-                overrides[key] = _config_float(path, section, key, raw)
-            center_params[label] = center_params[label].replace(**overrides)
-        else:
-            raise ValueError(f"{path}: unknown section [{section}]")
-    return settings, populations, center_params
+                one_of(f"{path}: [{section}] key", config[section], key)
+                value = config[section][key] = _config_float(path, section, key, raw)
+                if section == "populations":
+                    check(f"{path}: [populations] {key}", value, strict=False)
+    center_params = {
+        label: params.replace(**config[f"center.{label}"])
+        for label, params in _CENTER_DEFAULTS.items()
+    }
+    return config["spectrum"], config["populations"], center_params
 
 
 def _config_float(path, section, key, raw) -> float:
@@ -427,13 +414,7 @@ def _cmd_fit(args):
     model = fitkit.get_model(args.model)
     fix = _parse_assignments(args.fix, "--fix")
     init = _parse_assignments(args.init, "--init")
-    known = set(model.param_names)
-    for name in list(fix) + list(init) + list(args.free):
-        if name not in known:
-            raise ValueError(
-                f"model {model.name} has no parameter {name!r}; "
-                f"parameters: {', '.join(model.param_names)}"
-            )
+    one_of(f"{model.name} parameter", model.param_names, *fix, *init, *args.free)
     fixed = dict(model.default_fixed)
     fixed.update(fix)
     for name in args.free:
@@ -506,11 +487,8 @@ def _cmd_model_eval(args):
     temps = _parse_temps(args.temps)
     params = _parse_assignments(args.params.split(",") if args.params else [], "--params")
     model = fitkit.get_model(args.model)
-    defaults = dict(zip(model.param_names, model.reference))
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ValueError(f"{args.model} has no parameter(s) {sorted(unknown)}")
-    merged = {**defaults, **params}
+    one_of(f"{model.name} parameter", model.param_names, *params)
+    merged = {**dict(zip(model.param_names, model.reference)), **params}
     # value_time is always seconds; the rate keeps the model's native unit.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rates = model.evaluate(np.array(list(merged.values())), temps)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import table
-from ._domain import check
+from ._domain import check, one_of
 
 CENTERS = ("NV", "N")
 QUANTITIES = ("T1", "T2")
@@ -44,12 +44,8 @@ class RelaxationDataset:
     comments: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.center not in CENTERS:
-            raise ValueError(f"center must be one of {CENTERS}, got {self.center!r}")
-        if self.quantity not in QUANTITIES:
-            raise ValueError(
-                f"quantity must be one of {QUANTITIES}, got {self.quantity!r}"
-            )
+        one_of("center", CENTERS, self.center)
+        one_of("quantity", QUANTITIES, self.quantity)
         if not self.rows:
             raise ValueError("dataset has no rows")
 

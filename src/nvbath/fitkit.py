@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._domain import check
+from ._domain import check, one_of
 from .bath_model import DEFAULT_T1_PARAMS, DEFAULT_T2_PARAMS, T1ModelParams
 from .bath_model import T2ModelParams, flip_flop_factor, polarization, t1_rate, t2_rate
 from .spin_core import DEFAULT_FREQUENCY_HZ, zeeman_temperature
@@ -141,17 +141,9 @@ def fit(
 
     if fixed is None:
         fixed = dict(model.default_fixed)
-    unknown = set(fixed) - set(model.param_names)
-    if unknown:
-        raise ValueError(
-            f"unknown fixed parameter(s) {sorted(unknown)}; "
-            f"model {model.name} has {list(model.param_names)}"
-        )
-    theta0 = np.asarray(model.initial_guess(x_arr, y_arr), dtype=float)
     init = init or {}
-    unknown = set(init) - set(model.param_names)
-    if unknown:
-        raise ValueError(f"unknown init parameter(s) {sorted(unknown)}")
+    one_of(f"{model.name} parameter", model.param_names, *fixed, *init)
+    theta0 = np.asarray(model.initial_guess(x_arr, y_arr), dtype=float)
     fixed_mask = np.array([name in fixed for name in model.param_names])
     for j, name in enumerate(model.param_names):
         theta0[j] = float(fixed.get(name, init.get(name, theta0[j])))

@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._domain import check
+from ._domain import check, one_of
 from .bath_model import flip_flop_factor
 from . import fitkit, table
 
@@ -142,8 +142,7 @@ class DecayTrace:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.sequence not in SEQUENCES:
-            raise ValueError(f"unknown sequence {self.sequence!r}")
+        one_of("sequence", SEQUENCES, self.sequence)
         _delay_grid(self.delays)
         if not (
             self.delays.shape == self.amplitude.shape == self.std_error.shape

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._domain import check
+from ._domain import check, one_of
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ class CenterParams:
     nuclear_spin: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.label not in ("N", "NV"):
-            raise ValueError(f"unknown center label {self.label!r}")
-        if self.spin not in (0.5, 1.0):
-            raise ValueError(f"electron spin must be 0.5 or 1.0, got {self.spin}")
+        one_of("center label", ("N", "NV"), self.label)
+        one_of("electron spin", (0.5, 1.0), self.spin)
         for name in ("g_parallel", "g_perp", "linewidth_pp"):
             check(name, getattr(self, name))
         for name in ("zero_field_d", "hyperfine_111", "hyperfine_other"):
@@ -131,8 +129,7 @@ class Orientation:
     cos_theta: float
 
     def __post_init__(self) -> None:
-        if self.axis_label not in ORIENTATION_LABELS:
-            raise ValueError(f"unknown axis label {self.axis_label!r}")
+        one_of("axis label", ORIENTATION_LABELS, self.axis_label)
         if not -1.0 <= self.cos_theta <= 1.0:
             raise ValueError(f"cos_theta outside [-1, 1]: {self.cos_theta}")
 

@@ -345,10 +345,10 @@ class TestSimulate:
         assert cli.main(["simulate", "--help"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "usage: nvbath simulate [-h] [--sequence SEQUENCE] [--seed SEED]"
-        assert (
-            "  --sequence SEQUENCE   'hahn_echo' (or 'hahn') | 'inversion_recovery'"
-            in lines
+        i = lines.index(
+            "  --sequence SEQUENCE   'hahn_echo' (or 'hahn') | 'inversion_recovery' (or"
         )
+        assert lines[i + 1] == "                        'inversion')"
 
     def test_long_grid_runs_in_blocks_of_one_realization(self, tmp_path):
         # One source on 100 000 delays: a realization's echo rows are 1.1e6

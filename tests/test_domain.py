@@ -1,5 +1,6 @@
 """The one domain check, `nvbath._domain.check`, against the hand-written
-expressions it replaced, and the refusals that only it makes."""
+expressions it replaced, and the refusals that only it makes; and the one
+membership check, `nvbath._domain.one_of`, in every refusal it makes."""
 
 import math
 from dataclasses import replace
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import nvbath
-from nvbath import fitkit, pulse_sim, spectra
-from nvbath._domain import check
-from nvbath.spin_core import N_DEFAULT
+from nvbath import cli, datasets, fitkit, pulse_sim, spectra
+from nvbath._domain import check, one_of
+from nvbath.spin_core import N_DEFAULT, Orientation
 
 
 # --- the refusal expressions `check` replaced, as they were written ---------
@@ -208,3 +209,119 @@ def test_build_sticks_refuses_a_population_out_of_its_domain(population):
 def test_pinned_couplings_refuse_a_non_finite_value():
     with pytest.raises(ValueError, match="fixed_couplings must be finite, got nan"):
         replace(CFG, fixed_couplings=(1e4, math.nan))
+
+
+# --- one_of: a name outside its set ------------------------------------------
+
+ECHO = fitkit.get_model("echo_decay")
+ROWS = (datasets.RelaxationRow(4.0, 1e-3),)
+SECTIONS = "spectrum, populations, center.n, center.nv"
+CENTER_KEYS = "g_parallel, g_perp, zero_field_d, hyperfine_111, hyperfine_other, linewidth_pp"
+
+# Every refusal of a name outside its set, as the code that makes it is called.
+MEMBERSHIP_REFUSALS = {
+    "center label": (lambda: N_DEFAULT.replace(label="P1"),
+                     "center label must be one of N, NV, got 'P1'"),
+    "electron spin": (lambda: N_DEFAULT.replace(spin=1.5),
+                      "electron spin must be one of 0.5, 1.0, got 1.5"),
+    "axis label": (lambda: Orientation("o222", 1.0),
+                   "axis label must be one of o111, oA, oB, oC, got 'o222'"),
+    "sequence": (lambda: pulse_sim.DecayTrace("ramsey", np.array([0.0, 1e-6]),
+                                              np.ones(2), np.zeros(2), 1, 0),
+                 "sequence must be one of hahn_echo, inversion_recovery, got 'ramsey'"),
+    "dataset center": (lambda: datasets.RelaxationDataset("P1", "T1", ROWS),
+                       "center must be one of NV, N, got 'P1'"),
+    "dataset quantity": (lambda: datasets.RelaxationDataset("NV", "T3", ROWS),
+                         "quantity must be one of T1, T2, got 'T3'"),
+    "fit fixed": (lambda: fitkit.fit(ECHO, *DATA, fixed={"T1": 1.0}),
+                  "echo_decay parameter must be one of amplitude, T2, got 'T1'"),
+    "fit init": (lambda: fitkit.fit(ECHO, *DATA, init={"T2": 1e-6, "tau": 1.0}),
+                 "echo_decay parameter must be one of amplitude, T2, got 'tau'"),
+}
+
+# The same through `nvbath`'s command line: argv and the one stderr line, with
+# the INI file (which holds the text in front of the argv) written as F.
+MISSING = "no-such-data.csv"  # a name is refused before any file is read
+CLI_REFUSALS = {
+    "--temps range mode": (None, ["polarization", "--temps", "1:10:cubic:5"],
+                           "range mode must be one of log, lin, got 'cubic'"),
+    "fit --fix": (None, ["fit", "--model", "t1_model", "--data", MISSING, "--fix", "C=1"],
+                  "t1_model parameter must be one of A, B, got 'C'"),
+    "fit --init": (None, ["fit", "--model", "t2_model", "--data", MISSING, "--init", "T=1"],
+                   "t2_model parameter must be one of C, T_Ze, Gamma_res, got 'T'"),
+    "fit --free": (None, ["fit", "--model", "echo_decay", "--data", MISSING, "--free", "n"],
+                   "echo_decay parameter must be one of amplitude, T2, got 'n'"),
+    "model-eval --params": (None, ["model-eval", "--model", "t1_model", "--params", "A=1,D=1"],
+                            "t1_model parameter must be one of A, B, got 'D'"),
+    "INI section": ("[sample]\nx = 1\n", ["spectrum"],
+                    f"F: section must be one of {SECTIONS}, got 'sample'"),
+    "INI center section": ("[center.p1]\ng_perp = 2\n", ["spectrum"],
+                           f"F: section must be one of {SECTIONS}, got 'center.p1'"),
+    "INI [spectrum] key": (
+        "[spectrum]\nfield_units = mT\n", ["spectrum"],
+        "F: [spectrum] key must be one of frequency_hz, temperature_k, field_start_t, "
+        "field_stop_t, field_step_t, tilt_deg, tilt_azimuth_deg, got 'field_units'"),
+    "INI [populations] key": ("[populations]\nn = 1\np1 = 1\n", ["spectrum"],
+                              "F: [populations] key must be one of n, nv, got 'p1'"),
+    "INI [center.*] key": ("[center.nv]\ng = 2\n", ["spectrum"],
+                           f"F: [center.nv] key must be one of {CENTER_KEYS}, got 'g'"),
+}
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_REFUSALS)
+def test_membership_refusal_has_the_one_shape(name):
+    call, message = MEMBERSHIP_REFUSALS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", CLI_REFUSALS)
+def test_cli_membership_refusal_exits_2_with_the_one_shape(name, tmp_path, capsys):
+    ini, argv, message = CLI_REFUSALS[name]
+    config = tmp_path / "config.ini"
+    if ini is not None:
+        config.write_text(ini)
+        argv = argv + ["--config", str(config)]
+    assert cli.main(["--outdir", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.replace(str(config), "F") == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["config.ini"] if ini else [])
+
+
+@pytest.mark.parametrize(
+    "value, allowed",
+    [
+        (math.nan, (0.5, 1.0)),
+        (np.float64(math.nan), (0.5, 1.0)),
+        (True, (0.5, 1.0)),
+        (False, (0.5, 1.0)),
+        (1, (0.5, 1.0)),
+        (np.float64(0.5), (0.5, 1.0)),
+        (np.float32(0.5), (0.5, 1.0)),
+        (np.int64(1), (0.5, 1.0)),
+        (np.float64(0.25), (0.5, 1.0)),
+        ("", ("N", "NV")),
+        ("", {"n": 1.0, "nv": 0.0}),
+        (np.str_("NV"), ("N", "NV")),
+        ("n", ("N", "NV")),
+        ("NV ", ("N", "NV")),
+        ("nv", {"n": 1.0, "nv": 0.0}),
+    ],
+)
+def test_membership_decision_is_the_replaced_not_in(value, allowed):
+    assert accepts(lambda: one_of("x", allowed, value)) == (value in allowed)
+
+
+def test_one_of_names_the_first_value_outside_the_set():
+    assert one_of("x", ("a", "b")) is None
+    assert one_of("x", {"b": 0, "a": 1}, "a", "b", "a") is None
+    with pytest.raises(ValueError) as info:
+        one_of("x", {"b": 0, "a": 1}, "a", "c", "d")
+    assert str(info.value) == "x must be one of b, a, got 'c'"
+
+
+def test_must_be_one_of_has_one_home():
+    src = Path(nvbath.__file__).parent
+    homes = [p.name for p in sorted(src.glob("*.py")) if "must be one of" in p.read_text()]
+    assert homes == ["_domain.py"]
