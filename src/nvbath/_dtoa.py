@@ -1,0 +1,154 @@
+"""Exact ``%.17g`` of a block of doubles in numpy, for the CSV tables.
+
+:func:`format_block` returns the same bytes as ``"%.17g" %`` on every cell,
+with "," between the cells of a row and LF after it. For 1e-4 <= |v| <
+1e16, ``%.17g`` is fixed notation, and the kernel needs the 17 significant
+digits D = round_half_even(|v| * 10**(16 - X)), X the decimal exponent.
+10**k is a double for k <= 22, so Dekker's two-product gives |v| * 10**k
+exactly as p + err. In that range p >= 1e16 > 2**53 is an even integer, so
+D = p + rint(err) rounds half to even exactly, and the same pair tests |v|
+against 10**X without rounding, which corrects X where ``floor(log10)``
+missed. No double in the range lies within 5e-18 relative below a power of
+ten, so D never rounds up to 10**17. Zeros are ``0`` and ``-0``; every
+other cell (|v| < 1e-4 or >= 1e16, nan, +-inf) is formatted by
+``"%.17g" %``.
+
+:mod:`nvbath.table` imports this module when it first writes a long table,
+so its lookup tables cost import time only to a run that needs them.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+
+# The kernel lays each cell into a 32-byte slot of NUL bytes and deletes the
+# NULs when the block is written. Bytes 3-23 hold "0000" and the 17 digits
+# of D, the leading digit at byte 7. The integer digits stay in place; the
+# fraction digits move up one byte to make room for the '.'. A '-' goes to
+# byte 2 and the separator to byte 31. The masks act on a slot as four
+# native uint64 lanes. Row X + 4 of _KEEP_INT serves exponent X, and row 20
+# (X = 16, all NUL) a cell outside the fast range. Row 32 * (X + 4) + c of
+# _POINT and _KEEP_FRAC serves the same and also drops every byte from c
+# on, which cuts the fraction's trailing zeros.
+_SLOT = np.arange(32)
+_X = np.arange(-4, 17)[:, None]
+_FAST = _X < 16
+_BEFORE = _SLOT < _SLOT[:, None]  # row c: the bytes before c
+
+
+def _lanes(mask, byte=255):
+    """(rows, 32) byte masks as one contiguous uint64 array per lane."""
+    return (mask * np.uint8(byte)).view(np.uint64).T.copy()
+
+
+def _cut(mask):
+    return (mask[:, None] & _BEFORE).reshape(-1, 32)
+
+
+_KEEP_INT = _lanes((_SLOT >= 7 + np.minimum(_X, 0)) & (_SLOT <= 7 + _X) & _FAST)
+_POINT = _lanes(_cut((_SLOT == 8 + _X) & _FAST), ord("."))
+_KEEP_FRAC = _lanes(_cut((_SLOT >= 9 + _X) & _FAST))
+# Moving a lane's bytes one address up is a shift toward the high end of the
+# number on a little-endian machine and toward the low end on a big-endian one.
+_UP, _DOWN = (
+    (np.left_shift, np.right_shift)
+    if sys.byteorder == "little"
+    else (np.right_shift, np.left_shift)
+)
+# Four ASCII digits of 0-9999 as one native uint32, first digit first, and
+# the number of trailing zeros among them.
+_QUADS = np.stack(np.indices((10,) * 4, np.uint8).reshape(4, -1), axis=1)
+_DIGITS4 = (_QUADS + ord("0")).view(np.uint32).ravel()
+_ZEROS4 = np.logical_and.accumulate(_QUADS[:, ::-1] == 0, axis=1).sum(1, np.int8)
+_POW10 = np.array([float(10**k) for k in range(22)])
+
+
+def _split(a):
+    """Veltkamp's split of doubles into two halves of at most 26 bits."""
+    t = a * 134217729.0
+    high = t - (t - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _scaled(a, x):
+    """``a * 10**(16 - x)`` exactly, as Dekker's pair (rounded product, error)."""
+    k = (16 - x).astype(np.intp)
+    p = a * _POW10.take(k)
+    a_high, a_low = _split(a)
+    err = a_high * _POW10_HIGH.take(k)
+    err -= p
+    err += a_high * _POW10_LOW.take(k)
+    err += a_low * _POW10_HIGH.take(k)
+    err += a_low * _POW10_LOW.take(k)
+    return p, err
+
+
+def format_block(block: np.ndarray) -> str:
+    """A float64 block as CSV rows of ``%.17g`` cells, each row ending in LF."""
+    rows, width = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    x = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int8)
+    p, err = _scaled(a, x)
+    above = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    below = (p < 1e16) | ((p == 1e16) & (err < 0))
+    if above.any() or below.any():
+        x += above
+        x -= below
+        p, err = _scaled(a, x)
+    # The dels hold a block's peak memory under 90 bytes per cell.
+    del a
+    d = p.astype(np.int64)
+    d += np.rint(err).astype(np.int64)
+    del p, err
+    # The slots live in a bytearray, so the NULs are deleted without a copy.
+    slots = bytearray(32 * v.size)
+    text = np.frombuffer(slots, np.uint32).reshape(v.size, 8)
+    text[:, 0] = _DIGITS4[0]
+    # D's four-digit groups, last first, then its leading digit. A group's
+    # trailing zeros count while every group after it is 0.
+    trailing = np.zeros_like(x)
+    zero_after = np.ones(v.size, bool)
+    for i in range(5, 1, -1):
+        quotient = d // 10_000
+        group = d - quotient * 10_000
+        d = quotient
+        text[:, i] = _DIGITS4.take(group)
+        trailing += zero_after * _ZEROS4.take(group)
+        zero_after &= group == 0
+    text[:, 1] = _DIGITS4.take(d)
+    del d, quotient, group, zero_after
+    # The fraction loses its trailing zeros, and its '.' if none is left.
+    places = 16 - x
+    end = 25 - np.minimum(trailing, places) - (trailing >= places)
+    row = np.where(fast, x + 4, 20).astype(np.intp)
+    cut = row * 32 + end
+    del trailing, places, x, end
+    lanes = text.view(np.uint64)
+    for i in range(3, -1, -1):
+        lane = lanes[:, i]
+        frac = _UP(lane, 8)
+        if i:
+            frac |= _DOWN(lanes[:, i - 1], 56)
+        frac &= _KEEP_FRAC[i].take(cut)
+        lane &= _KEEP_INT[i].take(row)
+        lane |= frac
+        lane |= _POINT[i].take(cut)
+    del frac, row, cut
+    chars = text.view(np.uint8)
+    chars[:, 2] = np.signbit(v) * ord("-")
+    chars[v == 0, 3] = ord("0")
+    other = np.flatnonzero(~fast & (v != 0))
+    spelled = np.array(["%.17g" % value for value in v[other].tolist()], "S31")
+    chars[other, :31] = spelled.view(np.uint8).reshape(-1, 31)
+    separators = chars.reshape(rows, width, 32)[:, :, 31]
+    separators[:] = ord(",")
+    separators[:, -1] = ord("\n")
+    return slots.translate(None, b"\0").decode()

@@ -169,31 +169,22 @@ class TestSpectrum:
     def test_long_grid_runs_in_bounded_memory(self, tmp_path):
         # 10^6 points: the run holds its field and amplitude columns, the
         # four boolean masks of analyze_peaks (1/8 column each) and a block
-        # of the grid check, under 1 MiB. Tracing stops where the spectrum
-        # CSV is written: test_table bounds that write to one block, and
-        # traced, its 2e6 cells would take about 13 s.
+        # of the grid check or of the CSV write, under 1 MiB. The whole run
+        # is traced, the write of its 2e6 cells included.
         config = tmp_path / "long.ini"
         config.write_text("[spectrum]\nfield_start_t = 8.0\nfield_stop_t = 10.0\n")
         argv = ["--outdir", str(tmp_path), "spectrum", "--config", str(config)]
-        write, seen = spectra.write_spectrum_csv, []
-
-        def write_untraced(spectrum, *args, **kwargs):
-            seen.append((spectrum.field_t.size, tracemalloc.get_traced_memory()[1]))
-            tracemalloc.stop()
-            write(spectrum, *args, **kwargs)
-
         tracemalloc.start()
         try:
-            with mock.patch.object(spectra, "write_spectrum_csv", write_untraced):
-                rc = cli.main(argv)
+            rc = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert rc == 0
-        ((n, peak),) = seen
+        with open(tmp_path / "spectrum.csv") as fh:
+            n = sum(1 for line in fh if line[0].isdigit())
         assert n >= 1_000_000
         assert peak < (2 * 8 + 4 * 1) * n + 2**20
-        with open(tmp_path / "spectrum.csv") as fh:
-            assert sum(1 for line in fh if line[0].isdigit()) == n
 
 
 class TestSimulate:

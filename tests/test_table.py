@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nvbath import table
+from nvbath import _dtoa, table
 
 HEADER = ("x", "y")
 
@@ -54,23 +54,88 @@ def test_header_only_when_no_rows(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n_rows", [0, 1, table._BLOCK_ROWS, 2 * table._BLOCK_ROWS + 3]
+    "n_rows, text",
+    [
+        pytest.param(n, True, id=str(n))
+        for n in (0, 1, table._BLOCK_ROWS, 2 * table._BLOCK_ROWS + 3)
+    ]
+    # All numeric: every block goes through the kernel, the last one short.
+    + [pytest.param(2 * table._BLOCK_ROWS + 3, False, id="numeric")],
 )
-def test_blocks_match_row_by_row_formatting(tmp_path, n_rows):
+def test_blocks_match_row_by_row_formatting(tmp_path, n_rows, text):
     specials = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1]
     floats = np.resize(np.array(specials), n_rows) * np.resize([1.0, -1.0], n_rows)
     columns = (
-        tuple(f"c{i}" for i in range(n_rows)),
         tuple(i % 3 == 0 for i in range(n_rows)),
         np.arange(n_rows, dtype=np.int64) - 7,
         floats,
     )
+    header = ("flag", "index", "value")
+    if text:
+        columns = (tuple(f"c{i}" for i in range(n_rows)), *columns)
+        header = ("name", *header)
+    else:
+        columns += (np.linspace(-3e4, 1e-4, n_rows, dtype=np.float32),)
+        header += ("single",)
     path = tmp_path / "t.csv"
-    table.write(path, ["blocks"], ("name", "flag", "index", "value"), columns)
-    expected = "# blocks\nname,flag,index,value\n" + "".join(
-        "%s,%.17g,%.17g,%.17g\n" % row for row in zip(*columns)
+    table.write(path, ["blocks"], header, columns)
+    specs = ["%s" if text and j == 0 else "%.17g" for j in range(len(columns))]
+    line = ",".join(specs) + "\n"
+    expected = f"# blocks\n{','.join(header)}\n" + "".join(
+        line % row for row in zip(*columns)
     )
-    assert path.read_text() == expected
+    # Compared as lines: pytest reports a mismatch between lists at once.
+    assert path.read_text().split("\n") == expected.split("\n")
+
+
+def _percent(block) -> str:
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist())
+
+
+def _assert_kernel_matches(block):
+    got, want = _dtoa.format_block(block).split("\n"), _percent(block).split("\n")
+    assert len(got) == len(want)
+    assert [pair for pair in zip(got, want) if pair[0] != pair[1]][:3] == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=50))
+def test_kernel_matches_percent_on_any_double(rows):
+    _assert_kernel_matches(np.array(rows, dtype=np.float64))
+
+
+_RNG = np.random.default_rng(2026)
+_POWERS = np.array([float(f"1e{k}") for k in range(-5, 18)])
+_POWERS_AND_NEIGHBOURS = np.concatenate(
+    [_POWERS, np.nextafter(_POWERS, 0), np.nextafter(_POWERS, np.inf)]
+)
+_EDGES = np.array([1e-4, 1e16])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # Odd M / 4 in [2**50, 2**51): ten times it ends in .5, a tie that
+        # must round half to even.
+        (_RNG.integers(2**52, 2**53, 20_000) | 1) / 4.0,
+        _POWERS_AND_NEIGHBOURS,
+        np.concatenate([_EDGES, np.nextafter(_EDGES, 0), np.nextafter(_EDGES, np.inf)]),
+        np.array([0.0, -0.0]),
+        _RNG.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),
+    ],
+    ids=["ties", "powers_of_ten", "range_edges", "zeros", "random_bits"],
+)
+def test_kernel_matches_percent_on_crafted_values(values):
+    _assert_kernel_matches(np.concatenate([values, -values]).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_kernel_corrects_a_log10_one_ulp_off(monkeypatch, direction):
+    # At and next to a power of ten, floor(log10) then misses the exponent
+    # by one, below or above; the exact comparison must repair it.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
+    _assert_kernel_matches(_POWERS_AND_NEIGHBOURS.reshape(-1, 1))
 
 
 @pytest.mark.parametrize(

@@ -9,25 +9,28 @@ diff the two listings.
 
 Every command goes through ``nvbath.cli.main`` in this process, so the
 ``nvbath`` on the import path is the one measured. The matrix covers
-``polarization`` (default, a 301-point grid at T_Ze = 14.7 K, and four
+``polarization`` (default, a 301-point grid at T_Ze = 14.7 K, four
 temperatures up to 1e12 K, where the flip-flop factor is at its bound of
-1/4), ``spectrum`` (defaults and four INI files), Hahn-echo ``simulate``
-(seed 7 at one and two threads: 12 blocks of 155 realizations and a short
-one of 140; seed 3 at 4 K, seed 1 at 797406919.621389 K, in the hot limit,
-seed 5 on 301 sources and 200 delays, in blocks of 14, 14 and 2, the second
-of which starts its geometry read inside a Philox counter's four words
-(301 x 14 is 2 modulo 4), a static bath at 0.05 K, seed -5, whose stream
-key wraps modulo 2**64, 1111 realizations at one and two threads: 7 blocks
-of 155 and a short one of 26; one realization, whose standard errors are
-all 0; and 156, whose last block holds one realization), inversion
-recovery, the bundled NV T1/T2 and N T2
-tables, a ``fit`` of each registry model, and ``model-eval`` of both rate
-laws. Each command's exit code and stdout (with the output directory written
-as ``OUT``) go to ``commands.txt``, which is hashed with the data files.
-No subcommand runs the quench scan, so ``quench_scan.txt`` and
-``quench_scan_1000.txt`` hold ``pulse_sim.effective_t2_scan`` of one fixed
-scan at 200 and at 1000 realizations (2 blocks, and 7), written here
-with ``repr``-exact floats. Uses the standard library and nvbath only.
+1/4, and 5000 temperatures from 0.02 K at T_Ze = 11.5 K, whose flip-flop
+column runs from 1.9e-250 into fixed notation, through the kernel's per-cell
+fallback), ``spectrum`` (defaults and four INI files), Hahn-echo
+``simulate`` (seed 7 at one and two threads: 12 blocks of 155 realizations
+and a short one of 140; seed 3 at 4 K, seed 1 at 797406919.621389 K, in the
+hot limit, seed 5 on 301 sources and 200 delays, in blocks of 14, 14 and 2,
+the second of which starts its geometry read inside a Philox counter's four
+words (301 x 14 is 2 modulo 4), a static bath at 0.05 K, seed -5, whose
+stream key wraps modulo 2**64, 1111 realizations at one and two threads: 7
+blocks of 155 and a short one of 26; one realization, whose standard errors
+are all 0; 156, whose last block holds one realization; and 4500 delays,
+whose 3-column trace goes through the numpy kernel, ``nvbath._dtoa``),
+inversion recovery, the bundled NV T1/T2 and N T2 tables, a ``fit`` of each
+registry model, and ``model-eval`` of both rate laws. Each command's exit
+code and stdout (with the output directory written as ``OUT``) go to
+``commands.txt``, which is hashed with the data files. No subcommand runs
+the quench scan, so ``quench_scan.txt`` and ``quench_scan_1000.txt`` hold
+``pulse_sim.effective_t2_scan`` of one fixed scan at 200 and at 1000
+realizations (2 blocks, and 7), written here with ``repr``-exact floats.
+Uses the standard library and nvbath only.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ def commands(out: Path) -> list[list[str]]:
          "--output", "pol_147.csv"],
         ["polarization", "--temps", "300,1e9,797406919.621389,1e12",
          "--output", "pol_hot.csv"],
+        ["polarization", "--t-zeeman-k", "11.5", "--temps", "0.02:1e6:log:5000",
+         "--output", "pol_5000.csv"],
         ["spectrum"],
     ]
     for name in SPECTRUM_CONFIGS:
@@ -98,6 +103,8 @@ def commands(out: Path) -> list[list[str]]:
          "--output", "hahn_1111_t2.csv"],
         ["simulate", "--realizations", "1", "--output", "hahn_one.csv"],
         ["simulate", "--seed", "4", "--realizations", "156", "--output", "hahn_156.csv"],
+        ["simulate", "--tau-points", "4500", "--realizations", "20",
+         "--output", "hahn_4500.csv"],
         ["simulate", "--sequence", "inversion", "--noise", "0.01",
          "--tau-max-s", "8e-3", "--output", "inv.csv"],
     ]
