@@ -3,40 +3,27 @@
 The bath spins are two-level systems with Zeeman splitting ``T_Ze`` kelvin
 (``h nu / k_B``, about 11.5 K at 240 GHz). Cooling below that scale freezes
 the bath into its ground state, which quenches the energy-conserving
-flip-flop dynamics responsible for decoherence of a probe spin. Two closed
+flip-flop dynamics responsible for decoherence of a probe spin. Closed
 forms capture the temperature dependence:
 
+* polarization ``p = tanh(T_Ze / 2T)``, the lower level's population minus
+  the upper's;
 * decoherence rate ``1/T2 = C * P_down * P_up + Gamma_res`` (per microsecond),
   where ``P_down * P_up`` is the probability factor for a bath pair to
   flip-flop and ``Gamma_res`` is the residual rate from the 13C nuclear bath;
 * spin-lattice rate ``1/T1 = A*T + B*T**5`` (per second), a direct phonon
   term plus a two-phonon Raman term.
 
-Each function takes a temperature or an array of them and returns the same
-shape (a float for a scalar); fits, CLI tables and the simulator call them.
+Each function takes a temperature or an array of them and returns its value
+in the same shape (a float for a scalar); fits, CLI tables and the simulator
+call them.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._domain import check
-
-__all__ = [
-    "DEFAULT_T1_PARAMS",
-    "DEFAULT_T2_PARAMS",
-    "PolarizationPoint",
-    "T1ModelParams",
-    "T2ModelParams",
-    "flip_flop_factor",
-    "polarization",
-    "t1_rate",
-    "t1_time",
-    "t2_rate",
-    "t2_time",
-]
 
 
 @dataclass(frozen=True)
@@ -81,32 +68,13 @@ DEFAULT_T2_PARAMS = T2ModelParams(
 DEFAULT_T1_PARAMS = T1ModelParams(a_per_s_k=8.0e-3, b_per_s_k5=3.5e-10)
 
 
-@dataclass(frozen=True)
-class PolarizationPoint:
-    """Thermal state of the two-level bath at one temperature or an array of them."""
-
-    temperature_k: float | np.ndarray
-    t_zeeman_k: float
-    polarization: float | np.ndarray
-    p_lower: float | np.ndarray
-    p_upper: float | np.ndarray
-
-
-def polarization(temperature, t_zeeman: float) -> PolarizationPoint:
-    """Boltzmann polarization of the bath, ``tanh(T_Ze / 2T)``.
+def polarization(temperature, t_zeeman: float):
+    """Boltzmann polarization of the bath, ``tanh(T_Ze / 2T)``: 0 in the hot
+    limit, 1 for a frozen bath.
 
     ``temperature`` (lattice, K) and ``t_zeeman`` (Zeeman splitting, K) are > 0.
     """
-    t, x = _zeeman_ratio(temperature, t_zeeman)
-    # exp(-x) keeps both level populations finite for arbitrarily cold baths.
-    e = np.exp(-x)
-    return PolarizationPoint(
-        temperature_k=_out(t),
-        t_zeeman_k=t_zeeman,
-        polarization=_out(np.tanh(0.5 * x)),
-        p_lower=_out(1.0 / (1.0 + e)),
-        p_upper=_out(e / (1.0 + e)),
-    )
+    return _out(np.tanh(0.5 * _zeeman_ratio(temperature, t_zeeman)))
 
 
 def flip_flop_factor(temperature, t_zeeman: float):
@@ -116,9 +84,8 @@ def flip_flop_factor(temperature, t_zeeman: float):
     exponentially small once the bath freezes out. The bound 1/4 is exact:
     near the hot limit the rounded quotient would exceed it by one ulp.
     """
-    _, x = _zeeman_ratio(temperature, t_zeeman)
     # e^-x form is overflow-safe for any positive x.
-    e = np.exp(-x)
+    e = np.exp(-_zeeman_ratio(temperature, t_zeeman))
     return _out(np.minimum(e / ((1.0 + e) * (1.0 + e)), 0.25))
 
 
@@ -152,7 +119,7 @@ def _zeeman_ratio(temperature, t_zeeman):
     # T_Ze / T past the largest float is inf, every formula's frozen limit.
     t = check("temperature", np.asarray(temperature, dtype=float))
     with np.errstate(over="ignore"):
-        return t, check("Zeeman temperature", np.asarray(t_zeeman, dtype=float)) / t
+        return check("Zeeman temperature", np.asarray(t_zeeman, dtype=float)) / t
 
 
 def _out(value):

@@ -268,10 +268,10 @@ def _cmd_polarization(args):
         t_zeeman = spin_core.zeeman_temperature(args.frequency_hz)
     temps = _parse_temps(args.temps)
     config = {"frequency_hz": args.frequency_hz, "t_zeeman_k": t_zeeman, "temps": args.temps}
-    point = bath_model.polarization(temps, t_zeeman)
+    polarization = bath_model.polarization(temps, t_zeeman)
     flip_flop = bath_model.flip_flop_factor(temps, t_zeeman)
     header = ("temperature_K", "polarization", "flip_flop_factor")
-    write = _table(header, (temps, point.polarization, flip_flop))
+    write = _table(header, (temps, polarization, flip_flop))
     return config, [(args.output, write)], _WROTE, 0
 
 

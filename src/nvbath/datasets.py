@@ -84,16 +84,13 @@ _BUNDLED: dict[tuple[str, str], tuple[RelaxationRow, ...]] = {
 
 
 def bundled(center: str, quantity: str) -> RelaxationDataset:
-    """The packaged measurement table for one (center, quantity) pair."""
-    key = (center, quantity)
-    if key not in _BUNDLED:
-        raise KeyError(
-            f"no bundled dataset for {key}; available: {sorted(_BUNDLED)}"
-        )
+    """The packaged measurement table for one (center, quantity) pair; any
+    other pair raises ``ValueError`` listing the bundled ones."""
+    one_of("bundled dataset", _BUNDLED, (center, quantity))
     return RelaxationDataset(
         center=center,
         quantity=quantity,
-        rows=_BUNDLED[key],
+        rows=_BUNDLED[(center, quantity)],
         comments=(f"bundled {center} {quantity} reference points",),
     )
 

@@ -390,7 +390,7 @@ def _t2_jacobian(p, x):
     c, t_ze, _ = p
     ff = flip_flop_factor(x, t_ze)
     # d ff / d T_Ze = -p * ff / T, with p = tanh(T_Ze / 2T) the polarization.
-    d_ff = -polarization(x, t_ze).polarization * ff / x
+    d_ff = -polarization(x, t_ze) * ff / x
     return np.column_stack([ff, c * d_ff, np.ones_like(ff)])
 
 
@@ -468,9 +468,6 @@ def registry() -> Mapping[str, ModelSpec]:
 
 
 def get_model(name: str) -> ModelSpec:
-    """Registry lookup; unknown names raise with the list of valid ones."""
-    if name not in _REGISTRY:
-        raise KeyError(
-            f"unknown model {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        )
+    """Registry lookup; an unknown name raises ``ValueError`` listing the valid ones."""
+    one_of("model", _REGISTRY, name)
     return _REGISTRY[name]

@@ -21,6 +21,7 @@ import numpy as np
 
 from .spin_core import (
     CONSTANTS,
+    NUCLEAR_PROJECTIONS,
     CenterParams,
     TransitionSpec,
     level_energies,
@@ -163,21 +164,17 @@ def build_sticks(
         check(f"population for {params.label}", population)
     orientations = tetrahedral_orientations(tilt_deg, tilt_azimuth_deg)
     orientation_fraction = 1.0 / len(orientations)
+    nuclear_fraction = 1.0 / len(NUCLEAR_PROJECTIONS)
     raw: list[Stick] = []
     for params, population in centers:
-        n_nuclear = int(round(2 * params.nuclear_spin)) + 1
-        m_i_values = [-params.nuclear_spin + k for k in range(n_nuclear)]
         for orient in orientations:
             for m_lo, m_hi in observed_transitions(params):
-                for m_i in m_i_values:
+                for m_i in NUCLEAR_PROJECTIONS:
                     spec = TransitionSpec(params, orient, m_lo, m_hi, m_i)
                     field = resonance_field(spec, frequency)
                     delta_p = _population_difference(spec, field, temperature)
                     weight = (
-                        population
-                        * orientation_fraction
-                        * (1.0 / n_nuclear)
-                        * delta_p
+                        population * orientation_fraction * nuclear_fraction * delta_p
                     )
                     raw.append(Stick(field, weight, spec))
     raw.sort(key=lambda s: s.field_t)

@@ -36,6 +36,9 @@ DEFAULT_FREQUENCY_HZ = 240e9
 
 ORIENTATION_LABELS = ("o111", "oA", "oB", "oC")
 
+# Projections m_i of the 14N nucleus (I = 1) hyperfine-coupled to both centers.
+NUCLEAR_PROJECTIONS = (-1.0, 0.0, 1.0)
+
 # Unit axes of the four <111> defect orientations, cubic crystal frame.
 _AXES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3.0)
 
@@ -65,8 +68,8 @@ class CenterParams:
         field and for the three inclined orientations.
     linewidth_pp:
         Peak-to-peak width of the derivative line, tesla.
-    nuclear_spin:
-        Nuclear spin quantum number of the coupled nucleus (1 for 14N).
+
+    The coupled nucleus is always 14N; see ``NUCLEAR_PROJECTIONS``.
     """
 
     label: str
@@ -77,7 +80,6 @@ class CenterParams:
     hyperfine_111: float
     hyperfine_other: float
     linewidth_pp: float
-    nuclear_spin: float = 1.0
 
     def __post_init__(self) -> None:
         one_of("center label", ("N", "NV"), self.label)
@@ -86,8 +88,6 @@ class CenterParams:
             check(name, getattr(self, name))
         for name in ("zero_field_d", "hyperfine_111", "hyperfine_other"):
             check(name, getattr(self, name), strict=False)
-        if self.nuclear_spin < 0 or (2 * self.nuclear_spin) % 1:
-            raise ValueError(f"bad nuclear spin {self.nuclear_spin}")
 
     def replace(self, **overrides) -> "CenterParams":
         """Copy with selected fields overridden."""
@@ -155,9 +155,7 @@ class TransitionSpec:
         s = self.center.spin
         if abs(self.m_s_low) > s or abs(self.m_s_high) > s:
             raise ValueError(f"m_s projections exceed spin {s}")
-        i = self.center.nuclear_spin
-        if abs(self.m_i) > i or (self.m_i - i) % 1:
-            raise ValueError(f"bad nuclear projection {self.m_i} for I = {i}")
+        one_of("nuclear projection m_i", NUCLEAR_PROJECTIONS, self.m_i)
 
     @property
     def hyperfine(self) -> float:

@@ -23,7 +23,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_01_polarization_at_2k():
     start = time.time()
     t_ze = spin_core.zeeman_temperature(240e9)
-    p = bath_model.polarization(2.0, t_ze).polarization
+    p = bath_model.polarization(2.0, t_ze)
     elapsed = time.time() - start
     ok = abs(p - 0.994) <= 0.001 and elapsed < 1.0
     _report(1, ok, f"polarization(240 GHz, 2 K) = {p:.6f}, target 0.994 +- 0.001")
@@ -237,7 +237,7 @@ def test_criterion_10_identity_suite():
     worst_identity = 0.0
     for t_ze in (1.0, 11.518, 14.7, 120.0):
         for t in np.geomspace(0.1, 1e4, 61):
-            p = bath_model.polarization(float(t), t_ze).polarization
+            p = bath_model.polarization(float(t), t_ze)
             ff = bath_model.flip_flop_factor(float(t), t_ze)
             worst_identity = max(worst_identity, abs(ff - (1.0 - p * p) / 4.0))
     params = bath_model.DEFAULT_T2_PARAMS

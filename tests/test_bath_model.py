@@ -20,31 +20,24 @@ T_ZE_240 = 11.51818337607893
 
 class TestPolarization:
     def test_two_kelvin_point(self):
-        point = bm.polarization(2.0, T_ZE_240)
-        assert point.polarization == pytest.approx(0.9937118823841826, rel=1e-12)
+        assert bm.polarization(2.0, T_ZE_240) == pytest.approx(
+            0.9937118823841826, rel=1e-12
+        )
 
     def test_matches_tanh_form(self):
         for t in (0.5, 2.0, 11.518, 77.0, 300.0):
-            p = bm.polarization(t, 11.518).polarization
+            p = bm.polarization(t, 11.518)
             assert p == pytest.approx(math.tanh(11.518 / (2.0 * t)), rel=1e-14)
 
     def test_equal_temperatures(self):
-        assert bm.polarization(11.518, 11.518).polarization == pytest.approx(
+        assert bm.polarization(11.518, 11.518) == pytest.approx(
             0.46211715726000974, rel=1e-14
         )
 
     def test_high_temperature_limit(self):
         # linear in 1/T: ~5.8e-9 at 1e9 K, essentially unpolarized
-        assert bm.polarization(1e9, T_ZE_240).polarization < 1e-8
-        assert bm.polarization(1e9, T_ZE_240).polarization > 0.0
-
-    def test_level_populations(self):
-        point = bm.polarization(3.7, 11.518)
-        assert point.p_lower + point.p_upper == pytest.approx(1.0, abs=1e-15)
-        assert point.p_lower - point.p_upper == pytest.approx(
-            point.polarization, abs=1e-15
-        )
-        assert 0.0 < point.p_upper < point.p_lower < 1.0
+        assert bm.polarization(1e9, T_ZE_240) < 1e-8
+        assert bm.polarization(1e9, T_ZE_240) > 0.0
 
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
@@ -82,7 +75,7 @@ class TestFlipFlopFactor:
         # (1 - p^2)/4 identity, checked absolutely on a broad log grid
         for t_ze in (1.0, 11.518, 14.7, 120.0):
             for t in np.geomspace(0.1, 1e4, 61):
-                p = bm.polarization(float(t), t_ze).polarization
+                p = bm.polarization(float(t), t_ze)
                 ff = bm.flip_flop_factor(float(t), t_ze)
                 assert abs(ff - (1.0 - p * p) / 4.0) <= 1e-14
 
@@ -97,9 +90,8 @@ class TestFlipFlopFactor:
         # T_Ze / T overflows to inf: exactly the frozen bath, with no warning.
         with np.errstate(over="raise"):
             assert bm.flip_flop_factor(5e-324, T_ZE_240) == 0.0
-            point = bm.polarization(np.array([5e-324, 1e-300]), 1e300)
-        assert point.polarization.tolist() == [1.0, 1.0]
-        assert point.p_upper.tolist() == [0.0, 0.0]
+            p = bm.polarization(np.array([5e-324, 1e-300]), 1e300)
+        assert p.tolist() == [1.0, 1.0]
 
 
 class TestT2Model:
@@ -158,6 +150,16 @@ class TestT1Model:
         phonon = bm.DEFAULT_T1_PARAMS.b_per_s_k5 * t**5
         assert linear == pytest.approx(phonon, rel=1e-10)
 
+    @pytest.mark.parametrize("params", [bm.T1ModelParams(8.0e-3, 0.0),
+                                        bm.T1ModelParams(0.0, 3.5e-10)])
+    def test_crossover_undefined_for_a_zero_coefficient(self, params):
+        with pytest.raises(ValueError, match="crossover undefined"):
+            params.crossover_temperature_k
+
+    def test_zero_total_rate_has_no_t1(self):
+        with pytest.raises(ValueError, match="T1 undefined for zero total rate"):
+            bm.t1_time(300.0, bm.T1ModelParams(0.0, 0.0))
+
     def test_strictly_increasing(self):
         rates = [bm.t1_rate(float(t)) for t in np.geomspace(1.0, 500.0, 120)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
@@ -207,7 +209,7 @@ def test_matches_scalar_math_reference_within_4_ulp():
         flip_flop = [v / ((1.0 + v) * (1.0 + v)) for v in e]
         tanh = [math.tanh(0.5 * t_ze / t) for t in temps]
         t2_rate = [0.58136 * f + 0.004 for f in flip_flop]
-        assert ulps(bm.polarization(temps, t_ze).polarization, tanh).max() <= 4
+        assert ulps(bm.polarization(temps, t_ze), tanh).max() <= 4
         assert ulps(bm.flip_flop_factor(temps, t_ze), flip_flop).max() <= 4
         assert ulps(bm.t2_rate(temps, t2), t2_rate).max() <= 4
     t1 = bm.DEFAULT_T1_PARAMS
@@ -231,11 +233,8 @@ not_positive_or_finite = st.one_of(
 def _evaluate_all(t, t_ze):
     """Every array-valued output of the six public formulas."""
     t2 = bm.T2ModelParams(0.58136, t_ze, 0.004)
-    point = bm.polarization(t, t_ze)
     return {
-        "polarization": point.polarization,
-        "p_lower": point.p_lower,
-        "p_upper": point.p_upper,
+        "polarization": bm.polarization(t, t_ze),
         "flip_flop_factor": bm.flip_flop_factor(t, t_ze),
         "t1_rate": bm.t1_rate(t),
         "t1_time": bm.t1_time(t),

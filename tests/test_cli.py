@@ -90,6 +90,17 @@ class TestPolarization:
         assert cli.main(zeeman + ["14.7", "--frequency-hz", "nan"]) == 2
         assert not (tmp_path / "polarization.csv").exists()
 
+    def test_lin_range_is_evenly_spaced(self, tmp_path):
+        rc = cli.main(
+            ["--outdir", str(tmp_path), "polarization", "--temps", "2:300:lin:50"]
+        )
+        assert rc == 0
+        _, rows = _rows(
+            tmp_path / "polarization.csv",
+            "temperature_K,polarization,flip_flop_factor",
+        )
+        assert [row[0] for row in rows] == np.linspace(2.0, 300.0, 50).tolist()
+
     @pytest.mark.parametrize(
         "temps, cause",
         [("warm:300:log:5", "non-numeric bound"), ("1:300:log:1e3", "non-integer point count")],
@@ -98,6 +109,21 @@ class TestPolarization:
         rc = cli.main(["--outdir", str(tmp_path), "polarization", "--temps", temps])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {cause} in temperature range {temps!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["polarization", "--temps", ","], "no temperature in ','"),
+        (["fit", "--model", "t1_model", "--data", "no-such-data.csv", "--fix", "A=abc"],
+         "non-numeric value in --fix 'A=abc'"),
+    ],
+    ids=["empty-temperature-list", "non-numeric-fix"],
+)
+def test_unparsable_argument_names_its_cause(tmp_path, capsys, argv, message):
+    assert cli.main(["--outdir", str(tmp_path), *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSpectrum:

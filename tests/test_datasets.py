@@ -44,7 +44,7 @@ class TestBundled:
         assert "estimate" in cold.source
 
     def test_unknown_pair(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'T3'"):
             ds.bundled("NV", "T3")
         with pytest.raises(ValueError):
             ds.RelaxationDataset("P1", "T2", ds.bundled("NV", "T2").rows)
@@ -61,6 +61,10 @@ class TestRowValidation:
         for bad in (-1e-7, math.nan, math.inf):
             with pytest.raises(ValueError, match="error"):
                 ds.RelaxationRow(300.0, 1e-6, bad)
+
+    def test_dataset_needs_rows(self):
+        with pytest.raises(ValueError, match="dataset has no rows"):
+            ds.RelaxationDataset("NV", "T2", ())
 
     def test_error_defaults_to_zero(self):
         assert ds.RelaxationRow(300.0, 1e-6).error_s == 0.0

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 import nvbath
 from nvbath import cli, datasets, fitkit, pulse_sim, spectra
 from nvbath._domain import check, one_of
-from nvbath.spin_core import N_DEFAULT, Orientation
+from nvbath.spin_core import N_DEFAULT, Orientation, TransitionSpec
 
 
 # --- the refusal expressions `check` replaced, as they were written ---------
@@ -237,6 +237,15 @@ MEMBERSHIP_REFUSALS = {
                   "echo_decay parameter must be one of amplitude, T2, got 'T1'"),
     "fit init": (lambda: fitkit.fit(ECHO, *DATA, init={"T2": 1e-6, "tau": 1.0}),
                  "echo_decay parameter must be one of amplitude, T2, got 'tau'"),
+    "model": (lambda: fitkit.get_model("nope"),
+              "model must be one of echo_decay, inversion_recovery, t1_model, t2_model, "
+              "got 'nope'"),
+    "bundled dataset": (lambda: datasets.bundled("NV", "T3"),
+                        "bundled dataset must be one of ('NV', 'T2'), ('NV', 'T1'), "
+                        "('N', 'T2'), ('N', 'T1'), got ('NV', 'T3')"),
+    "nuclear projection": (lambda: TransitionSpec(N_DEFAULT, Orientation("o111", 1.0),
+                                                  -0.5, 0.5, 0.5),
+                           "nuclear projection m_i must be one of -1.0, 0.0, 1.0, got 0.5"),
 }
 
 # The same through `nvbath`'s command line: argv and the one stderr line, with

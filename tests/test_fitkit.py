@@ -68,7 +68,7 @@ class TestRegistry:
             reg["t2_model"].default_fixed["Gamma_res"] = 0.0
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="t2_model"):
+        with pytest.raises(ValueError, match="t2_model"):
             fitkit.get_model("bogus")
 
     def test_t2_default_fixes_residual_rate(self):
@@ -361,3 +361,25 @@ class TestEngineContracts:
         model, y = _synthetic("echo_decay", [1.0, 7e-6], tau)
         with pytest.raises(ValueError):
             fitkit.fit(model, tau, y, sigma=np.zeros_like(tau))
+
+    @pytest.mark.parametrize(
+        "y_size, sigma_size, message",
+        [(10, None, "x and y must be one-dimensional and equally long"),
+         (11, 10, "sigma length mismatch")],
+        ids=["y", "sigma"],
+    )
+    def test_length_mismatch_raises(self, y_size, sigma_size, message):
+        tau = np.linspace(0.0, 25e-6, 11)
+        model, y = _synthetic("echo_decay", [1.0, 7e-6], tau)
+        sigma = None if sigma_size is None else np.full(sigma_size, 0.01)
+        with pytest.raises(ValueError, match=message):
+            fitkit.fit(model, tau, y[:y_size], sigma=sigma)
+
+    def test_recovery_guess_falls_back_on_flat_data(self):
+        # No point lies 5 % of the amplitude below the top: the start is the
+        # flat level, a tiny amplitude and half the delay span.
+        delays = np.linspace(1e-3, 9e-3, 9)
+        guess = fitkit.get_model("inversion_recovery").initial_guess(
+            delays, np.full(9, 0.7)
+        )
+        assert guess.tolist() == [0.7, 1e-12, 0.5 * (9e-3 - 1e-3)]

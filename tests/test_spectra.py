@@ -229,6 +229,11 @@ class TestConvolve:
         with pytest.raises(ValueError):
             spectra.Spectrum(field, np.zeros(3), 240e9, 300.0, ())
 
+    def test_field_and_amplitude_lengths_must_match(self):
+        field = np.array([8.54, 8.55, 8.56])
+        with pytest.raises(ValueError, match="differ in length"):
+            spectra.Spectrum(field, np.zeros(2), 240e9, 300.0, ())
+
     @settings(max_examples=300, deadline=None)
     @given(
         strategies.integers(2, 30),

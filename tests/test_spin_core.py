@@ -243,7 +243,6 @@ def test_center_params_validation():
             hyperfine_111=114e6,
             hyperfine_other=86e6,
             linewidth_pp=1e-4,
-            nuclear_spin=1.0,
         )
     with pytest.raises(ValueError):
         sc.N_DEFAULT.replace(linewidth_pp=0.0)
@@ -284,6 +283,12 @@ def test_transition_spec_validation():
         sc.TransitionSpec(sc.N_DEFAULT, on_axis, -0.5, 0.5, 0.25)
     with pytest.raises(ValueError):
         sc.Orientation("bogus", 1.0)
+
+
+@pytest.mark.parametrize("cos_theta", [1.0000000000000002, -1.5, math.nan])
+def test_orientation_refuses_cos_theta_outside_unit_interval(cos_theta):
+    with pytest.raises(ValueError, match=r"cos_theta outside \[-1, 1\]"):
+        sc.Orientation("o111", cos_theta)
 
 
 def test_default_instances():

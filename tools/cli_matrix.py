@@ -13,19 +13,20 @@ Every command goes through ``nvbath.cli.main`` in this process, so the
 temperatures up to 1e12 K, where the flip-flop factor is at its bound of
 1/4, and 5000 temperatures from 0.02 K at T_Ze = 11.5 K, whose flip-flop
 column runs from 1.9e-250 into fixed notation, through the kernel's per-cell
-fallback), ``spectrum`` (defaults and four INI files), Hahn-echo
-``simulate`` (seed 7 at one and two threads: 12 blocks of 155 realizations
-and a short one of 140; seed 3 at 4 K, seed 1 at 797406919.621389 K, in the
-hot limit, seed 5 on 301 sources and 200 delays, in blocks of 14, 14 and 2,
-the second of which starts its geometry read inside a Philox counter's four
-words (301 x 14 is 2 modulo 4), a static bath at 0.05 K, seed -5, whose
-stream key wraps modulo 2**64, 1111 realizations at one and two threads: 7
-blocks of 155 and a short one of 26; one realization, whose standard errors
-are all 0; 156, whose last block holds one realization; and 4500 delays,
-whose 3-column trace goes through the numpy kernel, ``nvbath._dtoa``),
-inversion recovery, the bundled NV T1/T2 and N T2 tables, a ``fit`` of each
-registry model, and ``model-eval`` of both rate laws. Each command's exit
-code and stdout (with the output directory written as ``OUT``) go to
+fallback, and a 50-point linear grid from 2 to 300 K), ``spectrum``
+(defaults and four INI files), Hahn-echo ``simulate`` (seed 7 at one and two
+threads: 12 blocks of 155 realizations and a short one of 140; seed 3 at
+4 K, seed 1 at 797406919.621389 K, in the hot limit, seed 5 on 301 sources and
+200 delays, in blocks of 14, 14 and 2, the second of which starts its
+geometry read inside a Philox counter's four words (301 x 14 is 2 modulo 4),
+a static bath at 0.05 K, seed -5, whose stream key wraps modulo 2**64, 1111
+realizations at one and two threads: 7 blocks of 155 and a short one of 26;
+one realization, whose standard errors are all 0; 156, whose last block
+holds one realization; and 4500 delays, whose 3-column trace goes through
+the numpy kernel, ``nvbath._dtoa``), inversion recovery, the bundled NV
+T1/T2 and N T2 tables, a ``fit`` of each registry model, and ``model-eval``
+of both rate laws (T2 also on the linear grid). Each command's exit code and
+stdout (with the output directory written as ``OUT``) go to
 ``commands.txt``, which is hashed with the data files. No subcommand runs
 the quench scan, so ``quench_scan.txt`` and ``quench_scan_1000.txt`` hold
 ``pulse_sim.effective_t2_scan`` of one fixed scan at 200 and at 1000
@@ -80,6 +81,7 @@ def commands(out: Path) -> list[list[str]]:
          "--output", "pol_hot.csv"],
         ["polarization", "--t-zeeman-k", "11.5", "--temps", "0.02:1e6:log:5000",
          "--output", "pol_5000.csv"],
+        ["polarization", "--temps", "2:300:lin:50", "--output", "pol_lin.csv"],
         ["spectrum"],
     ]
     for name in SPECTRUM_CONFIGS:
@@ -121,6 +123,8 @@ def commands(out: Path) -> list[list[str]]:
     runs += [
         ["model-eval", "--model", "t1_model"],
         ["model-eval", "--model", "t2_model", "--output", "model_eval_t2.csv"],
+        ["model-eval", "--model", "t2_model", "--temps", "2:300:lin:50",
+         "--output", "model_eval_lin.csv"],
     ]
     return [["--outdir", str(out), *args] for args in runs]
 
