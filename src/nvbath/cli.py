@@ -310,14 +310,14 @@ def _load_spectrum_config(path):
             with open(path) as fh:
                 parser.read_file(fh)
         except configparser.Error as exc:  # its messages span several lines
-            raise ValueError(f"{path}: {' '.join(str(exc).split())}")
+            raise ValueError(" ".join(str(exc).split()))
         for section in parser.sections():
-            one_of(f"{path}: section", config, section)
+            one_of("section", config, section)
             for key, raw in parser.items(section):
-                one_of(f"{path}: [{section}] key", config[section], key)
-                value = config[section][key] = _config_float(path, section, key, raw)
+                one_of(f"[{section}] key", config[section], key)
+                value = config[section][key] = _config_float(section, key, raw)
                 if section == "populations":
-                    check(f"{path}: [populations] {key}", value, strict=False)
+                    check(f"[populations] {key}", value, strict=False)
     center_params = {
         label: params.replace(**config[f"center.{label}"])
         for label, params in _CENTER_DEFAULTS.items()
@@ -325,15 +325,24 @@ def _load_spectrum_config(path):
     return config["spectrum"], config["populations"], center_params
 
 
-def _config_float(path, section, key, raw) -> float:
+def _config_float(section, key, raw) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"{path}: [{section}] {key} = {raw!r} is not a number") from None
-    return check(f"{path}: [{section}] {key}", value, -math.inf)
+        raise ValueError(f"[{section}] {key} = {raw!r} is not a number") from None
+    return check(f"[{section}] {key}", value, -math.inf)
 
 
 def _cmd_spectrum(args):
+    try:
+        return _spectrum(args)
+    except ValueError as exc:  # with a file, every refused value came from it
+        if args.config is None:
+            raise
+        raise ValueError(f"{args.config}: {exc}") from None
+
+
+def _spectrum(args):
     settings, populations, center_params = _load_spectrum_config(args.config)
     centers = [
         (center_params[label], pop) for label, pop in populations.items() if pop > 0

@@ -10,8 +10,9 @@ writes ``_BLOCK_ROWS`` rows at a time. A table of fewer rows, or a block
 with a text cell, is formatted by one ``%`` per block, so the per-cell loop
 runs in C. The blocks of a longer all-numeric table go through
 :func:`nvbath._dtoa.format_block`, which spells ``%.17g`` in numpy with the
-same bytes: exactly, by Dekker's two-product, for 1e-4 <= |v| < 1e16 and
-zeros, and by ``%`` per cell for the rest.
+same bytes. Only the cells in 1e-4 <= |v| < 1e16 enter its digit pipeline
+(exact, by Dekker's two-product); zeros are written as ``0`` and ``-0``
+without it, and the rest by ``%`` per cell.
 """
 
 from __future__ import annotations

@@ -179,6 +179,9 @@ class TestSpectrum:
                 "[populations]\nn = 1.315863936605693e302\n",  # pp amplitude inf
                 "[spectrum]\ntemperature_k = 2.2250738585e-313\n",  # k_B T is 0
                 "[populations]\nn = -1\nnv = 1\n",  # not the same as an absent center
+                "[spectrum]\ntilt_deg = 95\n",
+                "[spectrum]\ntemperature_k = -1\n",
+                "[spectrum]\nfield_step_t = 0\n",
             ]
         ):
             configs.append(tmp_path / f"domain_{i}.ini")
@@ -190,6 +193,7 @@ class TestSpectrum:
             assert rc == 2, config.name
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(config) in err, err
         assert not (tmp_path / "spectrum.csv").exists()
 
     def test_long_grid_runs_in_bounded_memory(self, tmp_path):

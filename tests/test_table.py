@@ -129,6 +129,38 @@ def test_kernel_matches_percent_on_crafted_values(values):
     _assert_kernel_matches(np.concatenate([values, -values]).reshape(-1, 2))
 
 
+def _spectrum_shaped(n_rows):
+    """A field grid and an amplitude column about 97 % exact zeros, with
+    +-0, tiny, huge, nan and +-inf cells sprinkled in."""
+    rng = np.random.default_rng(n_rows)
+    amplitude = np.zeros(n_rows)
+    lines = rng.random(n_rows) < 0.03
+    amplitude[lines] = rng.standard_normal(lines.sum())
+    specials = [-0.0, 3e-7, -2.5e-300, 4e17, -1e308, np.nan, np.inf, -np.inf]
+    amplitude[rng.choice(n_rows, len(specials), replace=False)] = specials
+    return np.column_stack([8.4 + 2e-6 * np.arange(n_rows), amplitude])
+
+
+_FULL = table._BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        _spectrum_shaped(_FULL),
+        # No fast cell: nothing enters the digit pipeline.
+        np.resize([0.0, -0.0, 5e-324, -1e-5, 1e16, -1e300, np.nan, np.inf], (_FULL, 2)),
+        # Every cell fast: the digits are laid straight into the slots.
+        np.column_stack([8.4 + 2e-6 * np.arange(_FULL), 0.5 + _RNG.random(_FULL)]),
+        # One fast cell among zeros.
+        np.where(np.arange(2 * _FULL).reshape(-1, 2) == 4321, -0.125, 0.0),
+    ],
+    ids=["spectrum_shaped", "no_fast_cell", "all_fast", "one_fast_cell"],
+)
+def test_kernel_matches_percent_on_full_blocks(block):
+    _assert_kernel_matches(block)
+
+
 @pytest.mark.parametrize("direction", [-np.inf, np.inf])
 def test_kernel_corrects_a_log10_one_ulp_off(monkeypatch, direction):
     # At and next to a power of ten, floor(log10) then misses the exponent
@@ -157,14 +189,15 @@ def test_rejects_bad_shape(tmp_path, columns, match):
 
 def test_write_holds_one_block_in_memory(tmp_path):
     n_rows = 175_001
-    columns = (np.linspace(8.5, 8.7, n_rows), np.sin(np.arange(n_rows) * 1e-3))
-    tracemalloc.start()
-    try:
-        table.write(tmp_path / "t.csv", [], HEADER, columns)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
+    dense = (np.linspace(8.5, 8.7, n_rows), np.sin(np.arange(n_rows) * 1e-3))
+    for columns in (dense, tuple(_spectrum_shaped(n_rows).T)):
+        tracemalloc.start()
+        try:
+            table.write(tmp_path / "t.csv", [], HEADER, columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 @pytest.mark.parametrize(
