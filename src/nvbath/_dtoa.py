@@ -10,10 +10,9 @@ D = p + rint(err) rounds half to even exactly, and the same pair tests |v|
 against 10**X without rounding, which corrects X where ``floor(log10)``
 missed. No double in the range lies within 5e-18 relative below a power of
 ten, so D never rounds up to 10**17. Only the cells in that range enter this
-digit pipeline, and unless every cell of the block does, they are gathered
-first and their slots scattered back after. Zeros are ``0`` and ``-0``;
-every other cell (|v| < 1e-4 or >= 1e16, nan, +-inf) is formatted by
-``"%.17g" %``. Neither goes through the pipeline.
+digit pipeline: they are gathered first and their slots scattered back
+after. Zeros are ``0`` and ``-0``; every other cell (|v| < 1e-4 or >= 1e16,
+nan, +-inf) is formatted by ``"%.17g" %``. Neither goes through the pipeline.
 
 :mod:`nvbath.table` imports this module when it first writes a long table,
 so its lookup tables cost import time only to a run that needs them.
@@ -95,10 +94,8 @@ def format_block(block: np.ndarray) -> str:
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e16)
     # Only the fast cells enter the digit pipeline, gathered into a compact
-    # array unless the whole block is fast.
-    cells = None if fast.all() else np.flatnonzero(fast)
-    if cells is not None:
-        a = a[cells]
+    # array by the mask that scatters their slots back after it.
+    a = a[fast]
     x = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int8)
     p, err = _scaled(a, x)
     above = (p > 1e17) | ((p == 1e17) & (err >= 0))
@@ -107,19 +104,14 @@ def format_block(block: np.ndarray) -> str:
         x += above
         x -= below
         p, err = _scaled(a, x)
-    # The dels, and a gathered block's slots made only for the scatter, hold
-    # a block's peak memory under 90 bytes per cell (traced: 86 on a 4096 x 2
-    # block of fast cells, 66 on one shaped like a spectrum).
+    # The dels, and the block's slots made only for the scatter, hold its
+    # peak memory under 90 bytes per cell (traced: 86 on a 4096 x 2 block of
+    # fast cells, 66 on one shaped like a spectrum).
     del a
     d = p.astype(np.int64)
     d += np.rint(err).astype(np.int64)
     del p, err
-    # The slots live in a bytearray, so the NULs are deleted without a copy.
-    if cells is None:
-        slots = bytearray(32 * v.size)
-        text = np.frombuffer(slots, np.uint32).reshape(v.size, 8)
-    else:
-        text = np.empty((cells.size, 8), np.uint32)
+    text = np.empty((d.size, 8), np.uint32)
     text[:, 0] = _DIGITS4[0]
     # D's four-digit groups, last first, then its leading digit. A group's
     # trailing zeros count while every group after it is 0.
@@ -151,10 +143,10 @@ def format_block(block: np.ndarray) -> str:
         lane |= frac
         lane |= _POINT[i].take(cut)
     del frac, row, cut, lanes, lane
-    if cells is not None:
-        slots = bytearray(32 * v.size)
-        np.frombuffer(slots, "V32")[cells] = text.view("V32").ravel()
-    del text, cells
+    # The slots live in a bytearray, so the NULs are deleted without a copy.
+    slots = bytearray(32 * v.size)
+    np.frombuffer(slots, "V32")[fast] = text.view("V32").ravel()
+    del text
     chars = np.frombuffer(slots, np.uint8).reshape(v.size, 32)
     chars[:, 2] = np.signbit(v) * ord("-")
     chars[v == 0, 3] = ord("0")

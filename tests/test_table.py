@@ -112,23 +112,6 @@ _POWERS_AND_NEIGHBOURS = np.concatenate(
 _EDGES = np.array([1e-4, 1e16])
 
 
-@pytest.mark.parametrize(
-    "values",
-    [
-        # Odd M / 4 in [2**50, 2**51): ten times it ends in .5, a tie that
-        # must round half to even.
-        (_RNG.integers(2**52, 2**53, 20_000) | 1) / 4.0,
-        _POWERS_AND_NEIGHBOURS,
-        np.concatenate([_EDGES, np.nextafter(_EDGES, 0), np.nextafter(_EDGES, np.inf)]),
-        np.array([0.0, -0.0]),
-        _RNG.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),
-    ],
-    ids=["ties", "powers_of_ten", "range_edges", "zeros", "random_bits"],
-)
-def test_kernel_matches_percent_on_crafted_values(values):
-    _assert_kernel_matches(np.concatenate([values, -values]).reshape(-1, 2))
-
-
 def _spectrum_shaped(n_rows):
     """A field grid and an amplitude column about 97 % exact zeros, with
     +-0, tiny, huge, nan and +-inf cells sprinkled in."""
@@ -141,24 +124,38 @@ def _spectrum_shaped(n_rows):
     return np.column_stack([8.4 + 2e-6 * np.arange(n_rows), amplitude])
 
 
-_FULL = table._BLOCK_ROWS
+_BLOCK_CELLS = 2 * table._BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
-    "block",
+    "values",
     [
-        _spectrum_shaped(_FULL),
-        # No fast cell: nothing enters the digit pipeline.
-        np.resize([0.0, -0.0, 5e-324, -1e-5, 1e16, -1e300, np.nan, np.inf], (_FULL, 2)),
-        # Every cell fast: the digits are laid straight into the slots.
-        np.column_stack([8.4 + 2e-6 * np.arange(_FULL), 0.5 + _RNG.random(_FULL)]),
-        # One fast cell among zeros.
-        np.where(np.arange(2 * _FULL).reshape(-1, 2) == 4321, -0.125, 0.0),
+        # Odd M / 4 in [2**50, 2**51): ten times it ends in .5, a tie that
+        # must round half to even.
+        (_RNG.integers(2**52, 2**53, 20_000) | 1) / 4.0,
+        _POWERS_AND_NEIGHBOURS,
+        np.concatenate([_EDGES, np.nextafter(_EDGES, 0), np.nextafter(_EDGES, np.inf)]),
+        np.array([0.0, -0.0]),
+        _RNG.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),
+        _spectrum_shaped(table._BLOCK_ROWS).ravel(),
+        # Nothing enters the digit pipeline.
+        np.resize([0.0, 5e-324, -1e-5, 1e16, -1e300, np.nan, np.inf], _BLOCK_CELLS),
+        # One fast cell among zeros, and its negation among theirs.
+        np.where(np.arange(_BLOCK_CELLS) == 4321, -0.125, 0.0),
     ],
-    ids=["spectrum_shaped", "no_fast_cell", "all_fast", "one_fast_cell"],
+    ids=[
+        "ties",
+        "powers_of_ten",
+        "range_edges",
+        "zeros",
+        "random_bits",
+        "spectrum_shaped",
+        "no_fast_cell",
+        "one_fast_cell",
+    ],
 )
-def test_kernel_matches_percent_on_full_blocks(block):
-    _assert_kernel_matches(block)
+def test_kernel_matches_percent_on_crafted_values(values):
+    _assert_kernel_matches(np.concatenate([values, -values]).reshape(-1, 2))
 
 
 @pytest.mark.parametrize("direction", [-np.inf, np.inf])

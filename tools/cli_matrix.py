@@ -13,9 +13,8 @@ Every command goes through ``nvbath.cli.main`` in this process, so the
 temperatures up to 1e12 K, where the flip-flop factor is at its bound of
 1/4, and 5000 temperatures from 0.02 K at T_Ze = 11.5 K, whose flip-flop
 column runs from 1.9e-250 into fixed notation, through the kernel's per-cell
-fallback, and linear grids of 50 and 5000 points from 2 to 300 K; no block
-of the 5000-point table holds a zero or tiny cell, so the kernel lays its
-digits straight into their slots), ``spectrum``
+fallback, and linear grids of 50 and 5000 points from 2 to 300 K; every
+cell of the 5000-point table enters the kernel's digit pipeline), ``spectrum``
 (defaults and four INI files), Hahn-echo ``simulate`` (seed 7 at one and two
 threads: 12 blocks of 155 realizations and a short one of 140; seed 3 at
 4 K, seed 1 at 797406919.621389 K, in the hot limit, seed 5 on 301 sources and
