@@ -8,7 +8,8 @@ pulse sequences), ``fit`` (nonlinear model fits), and ``model-eval``
 Exit codes: 0 success, 2 usage error, 3 fit non-convergence, 4 I/O error.
 Every out-of-domain flag, INI value or data cell raises ``ValueError`` in
 the code that checks it, and only :func:`main` turns that into exit code 2
-with one ``error:`` line.
+with one ``error:`` line. A command that succeeds (exit 0 or 3) prints each
+``UserWarning`` it raised as one ``warning:`` line; a refused one, none.
 Each command computes and returns its physics configuration and its
 outputs; :func:`main` then writes every output, in order, and prints one
 line. Outputs that resolve to one file are refused (exit 2) before any is
@@ -27,6 +28,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -46,18 +48,28 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code or 0)
+    caught, show = [], warnings.showwarning
+
+    def record(message, category, *where):  # any other warning is shown as before
+        if not issubclass(category, UserWarning):
+            return show(message, category, *where)
+        caught.append(f"warning: {message}\n")
+
     try:
-        config, outputs, summary, code = args.handler(args)
-        config["command"] = args.command
-        comments = [_provenance(config)]
-        outdir = args.outdir or os.environ.get("NVBATH_OUTPUT_DIR") or "."
-        paths = [os.path.join(outdir, name) for name, _ in outputs]
-        if len({os.path.realpath(path) for path in paths}) < len(paths):
-            raise ValueError(f"outputs {' and '.join(paths)} name one file")
-        if not all(os.path.isabs(name) for name, _ in outputs):  # some land in outdir
-            os.makedirs(outdir, exist_ok=True)
-        for path, (_, write) in zip(paths, outputs):
-            write(path, comments)
+        with warnings.catch_warnings():
+            warnings.showwarning = record
+            config, outputs, summary, code = args.handler(args)
+            config["command"] = args.command
+            comments = [_provenance(config)]
+            outdir = args.outdir or os.environ.get("NVBATH_OUTPUT_DIR") or "."
+            paths = [os.path.join(outdir, name) for name, _ in outputs]
+            if len({os.path.realpath(path) for path in paths}) < len(paths):
+                raise ValueError(f"outputs {' and '.join(paths)} name one file")
+            if not all(os.path.isabs(name) for name, _ in outputs):  # some land in outdir
+                os.makedirs(outdir, exist_ok=True)
+            for path, (_, write) in zip(paths, outputs):
+                write(path, comments)
+        sys.stderr.writelines(caught)
         print(summary(" and ".join(paths)))
         return code
     except ValueError as exc:

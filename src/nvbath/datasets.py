@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from . import table
 from ._domain import check, one_of
 
-CENTERS = ("NV", "N")
-QUANTITIES = ("T1", "T2")
-
 _COLUMNS = ("temperature_K", "value_s", "error_s")
 
 DatasetFormatError = table.TableFormatError
@@ -38,14 +35,10 @@ class RelaxationRow:
 
 @dataclass(frozen=True)
 class RelaxationDataset:
-    center: str
-    quantity: str
     rows: tuple[RelaxationRow, ...]
     comments: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        one_of("center", CENTERS, self.center)
-        one_of("quantity", QUANTITIES, self.quantity)
         if not self.rows:
             raise ValueError("dataset has no rows")
 
@@ -88,10 +81,7 @@ def bundled(center: str, quantity: str) -> RelaxationDataset:
     other pair raises ``ValueError`` listing the bundled ones."""
     one_of("bundled dataset", _BUNDLED, (center, quantity))
     return RelaxationDataset(
-        center=center,
-        quantity=quantity,
-        rows=_BUNDLED[(center, quantity)],
-        comments=(f"bundled {center} {quantity} reference points",),
+        _BUNDLED[(center, quantity)], (f"bundled {center} {quantity} reference points",)
     )
 
 
@@ -105,14 +95,14 @@ def save_csv(dataset: RelaxationDataset, path) -> None:
     )
 
 
-def load_csv(path, center: str = "NV", quantity: str = "T2") -> RelaxationDataset:
+def load_csv(path) -> RelaxationDataset:
     """Read a ``temperature_K,value_s,error_s`` file.
 
     The error column may be omitted (treated as 0). Comment lines are kept.
     Malformed content raises :class:`DatasetFormatError` naming the line.
     """
     comments, _, rows = table.read(path, (_COLUMNS, _COLUMNS[:2]), RelaxationRow)
-    return RelaxationDataset(center, quantity, tuple(rows), tuple(comments))
+    return RelaxationDataset(tuple(rows), tuple(comments))
 
 
 def as_rate_data(

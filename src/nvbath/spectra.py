@@ -15,6 +15,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,10 +42,6 @@ DEFAULT_FIELD_STEP = 2e-6
 # Longest grid convolve allocates; the default window has 175 000 points
 # (8.40 to 8.749998 T).
 MAX_GRID_POINTS = 10_000_000
-
-# Grid points per block of the uniformity check: its temporaries take
-# about 0.8 MB, whatever the grid's length.
-_CHECK_BLOCK = 1 << 15
 
 # analyze_peaks ignores extrema below this fraction of the largest amplitude.
 MIN_RELATIVE_PEAK_AMPLITUDE = 1e-3
@@ -89,30 +86,28 @@ class StickSpectrum:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Convolved derivative spectrum on a uniform field grid."""
+    """Convolved derivative spectrum on the uniform field grid
+    ``field_start + k * field_step``, k = 0 .. ``amplitude.size`` - 1."""
 
-    field_t: np.ndarray
+    field_start: float
+    field_step: float
     amplitude: np.ndarray
     frequency_hz: float
     temperature_k: float
     populations: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        if self.field_t.shape != self.amplitude.shape:
-            raise ValueError("field and amplitude grids differ in length")
-        if self.field_t.size < 2:
+        if self.amplitude.size < 2:
             raise ValueError("spectrum needs at least two grid points")
-        field = self.field_t
-        step = field[1] - field[0]
-        # Uniform up to floating rounding of the grid construction. Max
-        # |field| without an |field| column: NaN makes max and min NaN, and
-        # max(1.0, nan) is 1.0.
-        tol = 1e-13 * max(1.0, float(field.max()), float(-field.min()))
-        # Blocks share their end points, so every step is checked once.
-        for start in range(0, field.size - 1, _CHECK_BLOCK):
-            steps = np.diff(field[start : start + _CHECK_BLOCK + 1])
-            if np.any(np.abs(steps - step) > tol):
-                raise ValueError("field grid must be uniform")
+
+    @cached_property
+    def field_t(self) -> np.ndarray:
+        """The grid, built once: in place, the same products and sums as
+        ``field_start + field_step * np.arange(n)``, in one column."""
+        grid = np.arange(self.amplitude.size, dtype=float)
+        grid *= self.field_step
+        grid += self.field_start
+        return grid
 
 
 @dataclass(frozen=True)
@@ -226,14 +221,17 @@ def convolve(
     Each stick contributes the exact derivative of an area-normalized
     Gaussian with sigma = linewidth_pp / 2, so its extrema sit at
     ``field +- linewidth_pp/2`` and its peak-to-peak amplitude is
-    proportional to ``weight / linewidth_pp**2``. Emits a warning and a
-    truncated spectrum if the grid does not cover every stick by at least
-    five linewidths. Refuses a grid of more than ``MAX_GRID_POINTS`` points.
+    proportional to ``weight / linewidth_pp**2``. Emits one warning, naming
+    how many sticks the grid misses and their field range, and a truncated
+    spectrum if the grid does not cover every stick by at least five
+    linewidths. Refuses a grid of fewer than two or more than
+    ``MAX_GRID_POINTS`` points before it reads any stick.
 
     The grid is ``field_start + k * field_step`` for k = 0, 1, ...: it stops
     at the last whole step not past ``field_stop``, so rounding of
     ``(field_stop - field_start) / field_step`` can drop ``field_stop``
-    itself (the default window ends at 8.749998 T).
+    itself (the default window ends at 8.749998 T). The sticks are
+    convolved on the returned :class:`Spectrum`'s own ``field_t``.
     """
     check("field_start", field_start, -math.inf)
     check("field_stop", field_stop, -math.inf)
@@ -247,26 +245,26 @@ def convolve(
             f"field grid of {span + 1:.3g} points is over the limit of "
             f"{MAX_GRID_POINTS:.0e}; raise the step or narrow the window"
         )
+    if span < 1:
+        raise ValueError("field grid of one point; lower the step or widen the window")
     n = int(math.floor(span)) + 1
-    # Built in place: the same products and sums as
-    # field_start + field_step * np.arange(n), in one column.
-    grid = np.arange(n, dtype=float)
-    grid *= field_step
-    grid += field_start
-    amplitude = np.zeros(n)
+    spectrum = Spectrum(field_start, field_step, np.zeros(n), sticks.frequency_hz,
+                        sticks.temperature_k, sticks.populations)
+    grid, amplitude = spectrum.field_t, spectrum.amplitude
+    fields = sticks.fields
+    with np.errstate(over="ignore"):  # an absurd linewidth reaches past any grid
+        reach = 5 * np.array([s.label.center.linewidth_pp for s in sticks.sticks])
+        uncovered = fields[(fields - reach < grid[0]) | (fields + reach > grid[-1])]
+    if uncovered.size:
+        warnings.warn(
+            f"grid [{field_start:g}, {field_stop:g}] T does not cover {uncovered.size} "
+            f"of {fields.size} sticks, {uncovered[0]:.6f} to {uncovered[-1]:.6f} T, "
+            "by 5 linewidths; spectrum is truncated",
+            stacklevel=2,
+        )
     for stick in sticks.sticks:
         width = stick.label.center.linewidth_pp
         sigma = np.float64(0.5 * width)  # so sigma**2 overflows to inf, not raises
-        if (
-            stick.field_t - 5 * width < grid[0]
-            or stick.field_t + 5 * width > grid[-1]
-        ):
-            warnings.warn(
-                f"grid [{field_start:g}, {field_stop:g}] T does not cover the "
-                f"stick at {stick.field_t:.6f} T by 5 linewidths; spectrum "
-                "is truncated",
-                stacklevel=2,
-            )
         # 8 sigma window: the discarded tail is < 1e-14 of the line area.
         # An absurd linewidth overflows 8 sigma and sigma**2 to inf, which
         # spans the grid with a flat line; absurd populations overflow the
@@ -279,13 +277,7 @@ def convolve(
             x = grid[lo:hi] - stick.field_t
             gauss = np.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
             amplitude[lo:hi] += stick.weight * (-x / sigma**2) * gauss
-    return Spectrum(
-        field_t=grid,
-        amplitude=amplitude,
-        frequency_hz=sticks.frequency_hz,
-        temperature_k=sticks.temperature_k,
-        populations=sticks.populations,
-    )
+    return spectrum
 
 
 def analyze_peaks(spectrum: Spectrum) -> PeakReport:

@@ -37,8 +37,10 @@ def cell(value) -> str:
 
 # Rows formatted per block. A ``%`` block's cells, tuple and text take about
 # 0.5 MB, a kernel block of two columns under 1 MB. A table of fewer rows
-# stays on ``%``, which is faster there: a block of 3 rows and 3 columns
-# takes 4-10 us by ``%`` and 100-200 us by the kernel.
+# stays on ``%``. On 3 columns (2 cores, numpy 2.4.6), ``%`` is faster up to
+# about 90 rows (3 rows: 4 us, against 100 us), the two are even to about
+# 150, and from 500 rows on ``%`` takes 2.5-3.8 times as long. No workload
+# writes 150-4095 rows, so the threshold stays.
 _BLOCK_ROWS = 4096
 
 

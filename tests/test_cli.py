@@ -150,6 +150,26 @@ class TestSpectrum:
         )
         assert len(rows) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # The window holds none of the five N sticks.
+            "[spectrum]\nfield_start_t = 20\nfield_stop_t = 30\nfield_step_t = 1e-3\n",
+            # Five linewidths of 1e308 T overflow to inf, past any grid.
+            "[center.n]\nlinewidth_pp = 1e308\n",
+        ],
+        ids=["far_window", "huge_linewidth"],
+    )
+    def test_uncovered_grid_warns_in_one_line(self, tmp_path, capsys, text):
+        config = tmp_path / "far.ini"
+        config.write_text(text)
+        rc = cli.main(["--outdir", str(tmp_path), "spectrum", "--config", str(config)])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("(0 peaks)\n")
+        assert err.startswith("warning: ") and err.count("\n") == 1, err
+        assert "5 of 5 sticks, 8.559384 to 8.567520 T" in err
+
     def test_bad_configs_exit_2(self, tmp_path, capsys):
         empty_pop = tmp_path / "a.ini"
         empty_pop.write_text("[populations]\nn = 0\nnv = 0\n")
@@ -182,6 +202,9 @@ class TestSpectrum:
                 "[spectrum]\ntilt_deg = 95\n",
                 "[spectrum]\ntemperature_k = -1\n",
                 "[spectrum]\nfield_step_t = 0\n",
+                "[spectrum]\nfield_step_t = 1\n",  # a one-point grid
+                # Warns of two uncovered sticks, then refused: the error only.
+                "[spectrum]\nfield_start_t = 8.56\n[populations]\nn = 1.315863936605693e302\n",
             ]
         ):
             configs.append(tmp_path / f"domain_{i}.ini")
@@ -199,8 +222,8 @@ class TestSpectrum:
     def test_long_grid_runs_in_bounded_memory(self, tmp_path):
         # 10^6 points: the run holds its field and amplitude columns, the
         # four boolean masks of analyze_peaks (1/8 column each) and a block
-        # of the grid check or of the CSV write, under 1 MiB. The whole run
-        # is traced, the write of its 2e6 cells included.
+        # of the CSV write, under 1 MiB. The whole run is traced, the write
+        # of its 2e6 cells included.
         config = tmp_path / "long.ini"
         config.write_text("[spectrum]\nfield_start_t = 8.0\nfield_stop_t = 10.0\n")
         argv = ["--outdir", str(tmp_path), "spectrum", "--config", str(config)]

@@ -33,10 +33,9 @@ class TestBundled:
         assert d.errors() == [0.01e-3, 4.7]
 
     def test_sources_annotated(self):
-        for center in ds.CENTERS:
-            for quantity in ds.QUANTITIES:
-                for row in ds.bundled(center, quantity).rows:
-                    assert row.source
+        for pair in (("NV", "T2"), ("NV", "T1"), ("N", "T2"), ("N", "T1")):
+            for row in ds.bundled(*pair).rows:
+                assert row.source
 
     def test_saturation_point_flagged(self):
         cold = ds.bundled("NV", "T2").rows[-1]
@@ -46,8 +45,6 @@ class TestBundled:
     def test_unknown_pair(self):
         with pytest.raises(ValueError, match="'T3'"):
             ds.bundled("NV", "T3")
-        with pytest.raises(ValueError):
-            ds.RelaxationDataset("P1", "T2", ds.bundled("NV", "T2").rows)
 
 
 class TestRowValidation:
@@ -64,7 +61,7 @@ class TestRowValidation:
 
     def test_dataset_needs_rows(self):
         with pytest.raises(ValueError, match="dataset has no rows"):
-            ds.RelaxationDataset("NV", "T2", ())
+            ds.RelaxationDataset(())
 
     def test_error_defaults_to_zero(self):
         assert ds.RelaxationRow(300.0, 1e-6).error_s == 0.0
@@ -75,7 +72,7 @@ class TestCsv:
         original = ds.bundled("N", "T2")
         path = tmp_path / "n_t2.csv"
         ds.save_csv(original, path)
-        back = ds.load_csv(path, center="N", quantity="T2")
+        back = ds.load_csv(path)
         assert back.temperatures() == original.temperatures()
         assert back.values() == original.values()
         assert back.errors() == original.errors()

@@ -214,7 +214,6 @@ def test_pinned_couplings_refuse_a_non_finite_value():
 # --- one_of: a name outside its set ------------------------------------------
 
 ECHO = fitkit.get_model("echo_decay")
-ROWS = (datasets.RelaxationRow(4.0, 1e-3),)
 SECTIONS = "spectrum, populations, center.n, center.nv"
 CENTER_KEYS = "g_parallel, g_perp, zero_field_d, hyperfine_111, hyperfine_other, linewidth_pp"
 
@@ -229,10 +228,6 @@ MEMBERSHIP_REFUSALS = {
     "sequence": (lambda: pulse_sim.DecayTrace("ramsey", np.array([0.0, 1e-6]),
                                               np.ones(2), np.zeros(2), 1, 0),
                  "sequence must be one of hahn_echo, inversion_recovery, got 'ramsey'"),
-    "dataset center": (lambda: datasets.RelaxationDataset("P1", "T1", ROWS),
-                       "center must be one of NV, N, got 'P1'"),
-    "dataset quantity": (lambda: datasets.RelaxationDataset("NV", "T3", ROWS),
-                         "quantity must be one of T1, T2, got 'T3'"),
     "fit fixed": (lambda: fitkit.fit(ECHO, *DATA, fixed={"T1": 1.0}),
                   "echo_decay parameter must be one of amplitude, T2, got 'T1'"),
     "fit init": (lambda: fitkit.fit(ECHO, *DATA, init={"T2": 1e-6, "tau": 1.0}),
