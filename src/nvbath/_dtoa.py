@@ -10,9 +10,10 @@ D = p + rint(err) rounds half to even exactly, and the same pair tests |v|
 against 10**X without rounding, which corrects X where ``floor(log10)``
 missed. No double in the range lies within 5e-18 relative below a power of
 ten, so D never rounds up to 10**17. Only the cells in that range enter this
-digit pipeline: they are gathered first and their slots scattered back
-after. Zeros are ``0`` and ``-0``; every other cell (|v| < 1e-4 or >= 1e16,
-nan, +-inf) is formatted by ``"%.17g" %``. Neither goes through the pipeline.
+digit pipeline. Zeros are ``0`` and ``-0``; every other cell (|v| < 1e-4 or
+>= 1e16, nan, +-inf) is formatted by ``"%.17g" %``. Each cell's text goes
+into a 32-byte slot of NULs, its separator first; the slots' all-NUL 8-byte
+words are dropped, and ``bytes.translate`` deletes the NULs left.
 
 :mod:`nvbath.table` imports this module when it first writes a long table,
 so its lookup tables cost import time only to a run that needs them.
@@ -24,37 +25,36 @@ import sys
 
 import numpy as np
 
-# The kernel lays each cell into a 32-byte slot of NUL bytes and deletes the
-# NULs when the block is written. Bytes 3-23 hold "0000" and the 17 digits
-# of D, the leading digit at byte 7. The integer digits stay in place; the
-# fraction digits move up one byte to make room for the '.'. A '-' goes to
-# byte 2 and the separator to byte 31. The masks act on a slot as four
-# native uint64 lanes. Row X + 4 of _KEEP_INT serves exponent X. Row
-# 32 * (X + 4) + c of _POINT and _KEEP_FRAC serves the same and also drops
-# every byte from c on, which cuts the fraction's trailing zeros.
-_SLOT = np.arange(32)
+# A slot's byte 0 holds what comes before its cell: ',' or the LF ending the
+# row before; one slot after the last cell holds the block's final LF. Byte 1
+# holds a '-', byte 6 a zero's '0', bytes 1-24 a '%' cell (24 characters at
+# most). A fast cell fills bytes 0-23, three native uint64 lanes written as
+# the head of its slot (_SLOTS): "0000" and the 17 digits of D at bytes 3-23,
+# the leading digit at byte 7. The fraction stays; the integer part moves down
+# one byte, to bytes 6 + min(X, 0) to 6 + X, for the '.' at 7 + X. Row X + 4
+# of _KEEP_INT serves exponent X. Row 25 * (X + 4) + c of _POINT and
+# _KEEP_FRAC serves the same and also drops every byte from c on: the
+# fraction's trailing zeros.
+_SLOT = np.arange(24)
 _X = np.arange(-4, 16)[:, None]
-_BEFORE = _SLOT < _SLOT[:, None]  # row c: the bytes before c
+_BEFORE = _SLOT < np.arange(25)[:, None]  # row c: the bytes before c
 
 
 def _lanes(mask, byte=255):
-    """(rows, 32) byte masks as one contiguous uint64 array per lane."""
-    return (mask * np.uint8(byte)).view(np.uint64).T.copy()
+    """Byte masks, in rows of 24, as one contiguous uint64 array per lane."""
+    return (mask * np.uint8(byte)).reshape(-1, 24).view(np.uint64).T.copy()
 
 
-def _cut(mask):
-    return (mask[:, None] & _BEFORE).reshape(-1, 32)
-
-
-_KEEP_INT = _lanes((_SLOT >= 7 + np.minimum(_X, 0)) & (_SLOT <= 7 + _X))
-_POINT = _lanes(_cut(_SLOT == 8 + _X), ord("."))
-_KEEP_FRAC = _lanes(_cut(_SLOT >= 9 + _X))
-# Moving a lane's bytes one address up is a shift toward the high end of the
-# number on a little-endian machine and toward the low end on a big-endian one.
-_UP, _DOWN = (
-    (np.left_shift, np.right_shift)
+_KEEP_INT = _lanes((_SLOT >= 6 + np.minimum(_X, 0)) & (_SLOT <= 6 + _X))
+_POINT = _lanes((_SLOT == 7 + _X)[:, None] & _BEFORE, ord("."))
+_KEEP_FRAC = _lanes((_SLOT >= 8 + _X)[:, None] & _BEFORE)
+_SLOTS = np.dtype({"names": ["text"], "formats": ["V24"], "itemsize": 32})
+# Moving a lane's bytes one address down is a shift toward the low end of the
+# number on a little-endian machine and toward the high end on a big-endian one.
+_DOWN, _UP = (
+    (np.right_shift, np.left_shift)
     if sys.byteorder == "little"
-    else (np.right_shift, np.left_shift)
+    else (np.left_shift, np.right_shift)
 )
 # Four ASCII digits of 0-9999 as one native uint32, first digit first, and
 # the number of trailing zeros among them.
@@ -89,7 +89,7 @@ def _scaled(a, x):
 
 def format_block(block: np.ndarray) -> str:
     """A float64 block as CSV rows of ``%.17g`` cells, each row ending in LF."""
-    rows, width = block.shape
+    width = block.shape[1]
     v = block.ravel()
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e16)
@@ -105,13 +105,13 @@ def format_block(block: np.ndarray) -> str:
         x -= below
         p, err = _scaled(a, x)
     # The dels, and the block's slots made only for the scatter, hold its
-    # peak memory under 90 bytes per cell (traced: 86 on a 4096 x 2 block of
-    # fast cells, 66 on one shaped like a spectrum).
+    # peak memory under 90 bytes per cell (traced: 87 on a 4096 x 2 block of
+    # fast cells, 70 on one shaped like a spectrum).
     del a
     d = p.astype(np.int64)
     d += np.rint(err).astype(np.int64)
     del p, err
-    text = np.empty((d.size, 8), np.uint32)
+    text = np.empty((d.size, 6), np.uint32)
     text[:, 0] = _DIGITS4[0]
     # D's four-digit groups, last first, then its leading digit. A group's
     # trailing zeros count while every group after it is 0.
@@ -128,32 +128,37 @@ def format_block(block: np.ndarray) -> str:
     del d, quotient, group, zero_after
     # The fraction loses its trailing zeros, and its '.' if none is left.
     places = 16 - x
-    end = 25 - np.minimum(trailing, places) - (trailing >= places)
+    end = 24 - np.minimum(trailing, places) - (trailing >= places)
     row = (x + 4).astype(np.intp)
-    cut = row * 32 + end
+    cut = row * 25 + end
     del trailing, places, x, end
+    # Lane i takes a byte from lane i + 1, so the lanes go in increasing order.
     lanes = text.view(np.uint64)
-    for i in range(3, -1, -1):
+    for i in range(3):
         lane = lanes[:, i]
-        frac = _UP(lane, 8)
-        if i:
-            frac |= _DOWN(lanes[:, i - 1], 56)
-        frac &= _KEEP_FRAC[i].take(cut)
-        lane &= _KEEP_INT[i].take(row)
-        lane |= frac
+        whole = _DOWN(lane, 8)
+        if i < 2:
+            whole |= _UP(lanes[:, i + 1], 56)
+        whole &= _KEEP_INT[i].take(row)
+        lane &= _KEEP_FRAC[i].take(cut)
+        lane |= whole
         lane |= _POINT[i].take(cut)
-    del frac, row, cut, lanes, lane
-    # The slots live in a bytearray, so the NULs are deleted without a copy.
-    slots = bytearray(32 * v.size)
-    np.frombuffer(slots, "V32")[fast] = text.view("V32").ravel()
-    del text
-    chars = np.frombuffer(slots, np.uint8).reshape(v.size, 32)
-    chars[:, 2] = np.signbit(v) * ord("-")
-    chars[v == 0, 3] = ord("0")
+    del whole, row, cut, lane
+    words = np.zeros((v.size + 1, 4), np.uint64)
+    chars = words.view(np.uint8)[:-1]
+    # The scatter and the '%' text overwrite byte 6 of every slot not a zero.
+    chars[:, 6] = (v == 0) * np.uint8(ord("0"))
+    chars.view(_SLOTS)["text"][fast] = text.view("V24")
+    del lanes, text
+    chars[:, 1] = np.signbit(v) * np.uint8(ord("-"))
     other = np.flatnonzero(~fast & (v != 0))
-    spelled = np.array(["%.17g" % value for value in v[other].tolist()], "S31")
-    chars[other, :31] = spelled.view(np.uint8).reshape(-1, 31)
-    separators = chars.reshape(rows, width, 32)[:, :, 31]
+    spelled = np.array(["%.17g" % value for value in v[other].tolist()], "S24")
+    chars[other, 1:25] = spelled.view(np.uint8).reshape(-1, 24)
+    separators = words.view(np.uint8)[:, 0]
     separators[:] = ord(",")
-    separators[:, -1] = ord("\n")
-    return slots.translate(None, b"\0").decode()
+    separators[width::width] = ord("\n")
+    separators[0] = 0
+    words = words.ravel()
+    kept = np.compress(words != 0, words).tobytes()
+    del words, chars, separators
+    return kept.translate(None, b"\0").decode()

@@ -89,7 +89,9 @@ def test_blocks_match_row_by_row_formatting(tmp_path, n_rows, text):
 
 
 def _percent(block) -> str:
-    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in block.tolist())
+    rows, width = block.shape
+    line = ",".join(["%.17g"] * width) + "\n"
+    return (line * rows) % tuple(block.ravel().tolist())
 
 
 def _assert_kernel_matches(block):
@@ -142,6 +144,10 @@ _BLOCK_CELLS = 2 * table._BLOCK_ROWS
         np.resize([0.0, 5e-324, -1e-5, 1e16, -1e300, np.nan, np.inf], _BLOCK_CELLS),
         # One fast cell among zeros, and its negation among theirs.
         np.where(np.arange(_BLOCK_CELLS) == 4321, -0.125, 0.0),
+        # The widest fast cell at every exponent, up to 23 characters.
+        -(1.2345678901234567 * 10.0 ** np.arange(-4, 16)),
+        # 24-character '%' cells, the longest ``%.17g`` writes, among zeros.
+        np.array([-2.2250738585072014e-308, 0.0, -1.2345678901234567e-100, -0.0]),
     ],
     ids=[
         "ties",
@@ -152,10 +158,18 @@ _BLOCK_CELLS = 2 * table._BLOCK_ROWS
         "spectrum_shaped",
         "no_fast_cell",
         "one_fast_cell",
+        "widest_fast",
+        "longest_percent",
     ],
 )
 def test_kernel_matches_percent_on_crafted_values(values):
-    _assert_kernel_matches(np.concatenate([values, -values]).reshape(-1, 2))
+    cells = np.concatenate([values, -values])
+    # One column, whose every separator is LF, then two and three; the block
+    # starts with the set's first cell, and a short last row is refilled
+    # from the start.
+    for width in (1, 2, 3):
+        block = np.resize(cells, -(-cells.size // width) * width)
+        _assert_kernel_matches(block.reshape(-1, width))
 
 
 @pytest.mark.parametrize("direction", [-np.inf, np.inf])

@@ -27,12 +27,14 @@ one realization, whose standard errors are all 0; 156, whose last block
 holds one realization; and 4500 delays, whose 3-column trace goes through
 the numpy kernel, ``nvbath._dtoa``), inversion recovery, the bundled NV
 T1/T2 and N T2 tables, a ``fit`` of each registry model, and ``model-eval``
-of both rate laws (T2 also on the linear grid). Each command's exit code and
-stdout (with the output directory written as ``OUT``) go to
-``commands.txt``, which is hashed with the data files. No subcommand runs
-the quench scan, so ``quench_scan.txt`` and ``quench_scan_1000.txt`` hold
-``pulse_sim.effective_t2_scan`` of one fixed scan at 200 and at 1000
-realizations (2 blocks, and 7), written here with ``repr``-exact floats.
+of both rate laws (T2 also on the linear grid). Each command's exit code,
+stdout and stderr (with the output directory written as ``OUT``) go to
+``commands.txt``, which is hashed with the data files, so a changed
+``warning:`` or ``error:`` line, or a raw Python warning, changes the
+listing. No subcommand runs the quench scan, so ``quench_scan.txt`` and
+``quench_scan_1000.txt`` hold ``pulse_sim.effective_t2_scan`` of one fixed
+scan at 200 and at 1000 realizations (2 blocks, and 7), written here with
+``repr``-exact floats.
 Uses the standard library and nvbath only.
 """
 
@@ -155,11 +157,14 @@ def run(out: Path) -> dict[str, str]:
         datasets.save_csv(datasets.bundled(center, quantity), out / name)
     log = []
     for argv in commands(out):
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             rc = cli.main(argv)
-        shown = " ".join(argv[2:]).replace(str(out), "OUT")
-        log.append(f"{rc} {shown}\n  {stdout.getvalue().replace(str(out), 'OUT')}")
+        entry = (
+            f"{rc} {' '.join(argv[2:])}\n  stdout: {stdout.getvalue()!r}\n"
+            f"  stderr: {stderr.getvalue()!r}\n"
+        )
+        log.append(entry.replace(str(out), "OUT"))
     (out / "commands.txt").write_text("".join(log))
     write_quench_scan(out / "quench_scan.txt", 200)
     write_quench_scan(out / "quench_scan_1000.txt", 1000)
