@@ -231,12 +231,12 @@ def _parse_temps(text: str) -> np.ndarray:
         if n > spectra.MAX_GRID_POINTS:  # refused before allocating the grid
             limit = spectra.MAX_GRID_POINTS
             raise ValueError(f"temperature range {text!r} has more than {limit} points")
-        if mode == "log":
-            # 10**log10(hi) may round past the float range; the ends are
-            # set to lo and hi, and an inner inf is refused as a temperature.
-            with np.errstate(over="ignore"):
-                return np.geomspace(lo, hi, n)
-        return np.linspace(lo, hi, n)
+        # 10**log10(hi), or (n - 1) lin steps plus lo, may round past the
+        # float range; the ends are set to lo and hi, and an inner inf is
+        # refused as a temperature.
+        space = np.geomspace if mode == "log" else np.linspace
+        with np.errstate(over="ignore"):
+            return space(lo, hi, n)
     try:
         values = np.array([float(v) for v in text.split(",") if v.strip()])
     except ValueError:

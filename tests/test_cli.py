@@ -945,6 +945,9 @@ class TestExitCodeContract:
     @example(model="t2_model", params={}, temp="1:inf:log:5")
     @example(model="t1_model", params={"B": "1e300"}, temp=None)
     @example(model="t1_model", params={}, temp="1.4118779511821709e-307")
+    # A lin range up to the largest float: its steps overflow before the ends are set.
+    @example(model="t1_model", params={}, temp="1.0:1.7976931348623157e+308:lin:4")
+    @example(model="t1_model", params={}, temp="1e+300:1.7976931348623157e+308:lin:32")
     def test_model_eval(self, model, params, temp):
         names = fitkit.get_model(model).param_names
         assignments = [f"{k}={v}" for k, v in params.items() if k in names]
