@@ -311,8 +311,7 @@ _CENTER_FIELDS = (
 
 def _load_spectrum_config(path):
     """The INI file at ``path`` (defaults if None) read into one table,
-    ``{section: {key: value}}``; returns its settings, its populations and
-    each center's ``CenterParams``."""
+    ``{section: {key: value}}``."""
     config = {"spectrum": dict(_SPECTRUM_DEFAULTS), "populations": {"n": 1.0, "nv": 0.0}}
     for label, params in _CENTER_DEFAULTS.items():
         config[f"center.{label}"] = {key: getattr(params, key) for key in _CENTER_FIELDS}
@@ -330,11 +329,7 @@ def _load_spectrum_config(path):
                 value = config[section][key] = _config_float(section, key, raw)
                 if section == "populations":
                     check(f"[populations] {key}", value, strict=False)
-    center_params = {
-        label: params.replace(**config[f"center.{label}"])
-        for label, params in _CENTER_DEFAULTS.items()
-    }
-    return config["spectrum"], config["populations"], center_params
+    return config
 
 
 def _config_float(section, key, raw) -> float:
@@ -347,34 +342,34 @@ def _config_float(section, key, raw) -> float:
 
 def _cmd_spectrum(args):
     try:
-        return _spectrum(args)
+        table = _load_spectrum_config(args.config)
+        settings, populations = table["spectrum"], table["populations"]
+        # Every center's overrides are checked; those with a population apply.
+        params = {
+            label: default.replace(**table[f"center.{label}"])
+            for label, default in _CENTER_DEFAULTS.items()
+        }
+        live = [label for label, pop in populations.items() if pop > 0]
+        if not live:
+            raise ValueError("no center has a positive population")
+        sticks = spectra.build_sticks(
+            [(params[label], populations[label]) for label in live],
+            frequency=settings["frequency_hz"],
+            temperature=settings["temperature_k"],
+            tilt_deg=settings["tilt_deg"],
+            tilt_azimuth_deg=settings["tilt_azimuth_deg"],
+        )
+        spectrum = spectra.convolve(
+            sticks,
+            field_start=settings["field_start_t"],
+            field_stop=settings["field_stop_t"],
+            field_step=settings["field_step_t"],
+        )
+        report = spectra.analyze_peaks(spectrum)
     except ValueError as exc:  # with a file, every refused value came from it
         if args.config is None:
             raise
         raise ValueError(f"{args.config}: {exc}") from None
-
-
-def _spectrum(args):
-    settings, populations, center_params = _load_spectrum_config(args.config)
-    centers = [
-        (center_params[label], pop) for label, pop in populations.items() if pop > 0
-    ]
-    if not centers:
-        raise ValueError("no center has a positive population")
-    sticks = spectra.build_sticks(
-        centers,
-        frequency=settings["frequency_hz"],
-        temperature=settings["temperature_k"],
-        tilt_deg=settings["tilt_deg"],
-        tilt_azimuth_deg=settings["tilt_azimuth_deg"],
-    )
-    spectrum = spectra.convolve(
-        sticks,
-        field_start=settings["field_start_t"],
-        field_stop=settings["field_stop_t"],
-        field_step=settings["field_step_t"],
-    )
-    report = spectra.analyze_peaks(spectrum)
     config = {**settings, "populations": sorted(populations.items())}
     outputs = [
         (args.output, lambda path, lines: spectra.write_spectrum_csv(spectrum, path, lines)),

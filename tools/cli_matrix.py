@@ -15,8 +15,9 @@ temperatures up to 1e12 K, where the flip-flop factor is at its bound of
 column runs from 1.9e-250 into fixed notation, through the kernel's per-cell
 fallback, and linear grids of 50 and 5000 points from 2 to 300 K; every
 cell of the 5000-point table enters the kernel's digit pipeline), ``spectrum``
-(defaults and six INI files, one of them on a window that misses every stick
-and one refused for a one-point grid), Hahn-echo ``simulate`` (seed 7 at one and two
+(defaults and seven INI files, one of them with ``[center.n]`` and
+``[center.nv]`` overrides, one on a window that misses every stick and one
+refused for a one-point grid), Hahn-echo ``simulate`` (seed 7 at one and two
 threads: 12 blocks of 155 realizations and a short one of 140; seed 3 at
 4 K, seed 1 at 797406919.621389 K, in the hot limit, seed 5 on 301 sources and
 200 delays, in blocks of 14, 14 and 2, the second of which starts its
@@ -66,6 +67,12 @@ SPECTRUM_CONFIGS = {
         "[populations]\nn = 1\nnv = 0.3\n"
     ),
     "nv_only": "[spectrum]\ntemperature_k = 0.5\n[populations]\nn = 0\nnv = 1\n",
+    # Spin parameters overridden on both centers: the measured anisotropic
+    # g of the nitrogen center and a wider N-V line.
+    "centers": (
+        "[center.n]\ng_perp = 2.0026\n[center.nv]\nlinewidth_pp = 3e-4\n"
+        "[populations]\nn = 1\nnv = 0.3\n"
+    ),
     # A window that holds no stick: one coverage warning on stderr, exit 0,
     # an all-zero spectrum and no peak.
     "uncovered": "[spectrum]\nfield_start_t = 20\nfield_stop_t = 30\nfield_step_t = 1e-3\n",
