@@ -370,7 +370,10 @@ def _cmd_spectrum(args):
         if args.config is None:
             raise
         raise ValueError(f"{args.config}: {exc}") from None
+    # Hashed as applied, defaults merged: a center with no population, or an
+    # override equal to its default, leaves the hash as it is.
     config = {**settings, "populations": sorted(populations.items())}
+    config.update((f"center.{label}", table[f"center.{label}"]) for label in live)
     outputs = [
         (args.output, lambda path, lines: spectra.write_spectrum_csv(spectrum, path, lines)),
         (args.peaks_output, lambda path, lines: spectra.write_peaks_csv(report, path, lines)),

@@ -150,6 +150,30 @@ class TestSpectrum:
         )
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("key", cli._CENTER_FIELDS)
+    @pytest.mark.parametrize("center", ["n", "nv"])
+    def test_provenance_hashes_applied_center_params(self, tmp_path, center, key):
+        default = getattr(cli._CENTER_DEFAULTS[center], key)
+        changed = default * 1.01 if default else 1e6
+
+        def provenance(text):
+            config = tmp_path / "c.ini"
+            config.write_text("[spectrum]\nfield_step_t = 5e-5\n" + text)
+            rc = cli.main(["--outdir", str(tmp_path), "spectrum", "--config", str(config)])
+            assert rc == 0
+            with open(tmp_path / "peaks.csv") as fh:
+                return fh.readline()
+
+        def override(value):
+            return f"[center.{center}]\n{key} = {value!r}\n"
+
+        both = "[populations]\nn = 1\nnv = 0.3\n"
+        assert provenance(both + override(changed)) != provenance(both)
+        assert provenance(both + override(default)) == provenance(both)
+        other = {"n": "nv", "nv": "n"}[center]
+        alone = f"[populations]\n{center} = 0\n{other} = 1\n"
+        assert provenance(alone + override(changed)) == provenance(alone)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -805,7 +829,7 @@ class TestOutputRouting:
 PINNED = [
     ([["polarization"]], {"polarization.csv": "74c74c76e974"},
      re.escape("wrote OUT/polarization.csv")),
-    ([["spectrum"]], {"spectrum.csv": "4145ab4862ab", "peaks.csv": "4145ab4862ab"},
+    ([["spectrum"]], {"spectrum.csv": "8a2bb10cc498", "peaks.csv": "8a2bb10cc498"},
      re.escape("wrote OUT/spectrum.csv and OUT/peaks.csv (5 peaks)")),
     ([["simulate", "--sequence", "inversion", "--noise", "0.01", "--tau-max-s", "8e-3"]],
      {"trace.csv": "a1b7f7831bc0 seed=1"}, re.escape("wrote OUT/trace.csv")),
