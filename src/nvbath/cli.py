@@ -342,11 +342,11 @@ def _config_float(section, key, raw) -> float:
 
 def _cmd_spectrum(args):
     try:
-        table = _load_spectrum_config(args.config)
-        settings, populations = table["spectrum"], table["populations"]
+        ini = _load_spectrum_config(args.config)
+        settings, populations = ini["spectrum"], ini["populations"]
         # Every center's overrides are checked; those with a population apply.
         params = {
-            label: default.replace(**table[f"center.{label}"])
+            label: default.replace(**ini[f"center.{label}"])
             for label, default in _CENTER_DEFAULTS.items()
         }
         live = [label for label, pop in populations.items() if pop > 0]
@@ -373,7 +373,7 @@ def _cmd_spectrum(args):
     # Hashed as applied, defaults merged: a center with no population, or an
     # override equal to its default, leaves the hash as it is.
     config = {**settings, "populations": sorted(populations.items())}
-    config.update((f"center.{label}", table[f"center.{label}"]) for label in live)
+    config.update((f"center.{label}", ini[f"center.{label}"]) for label in live)
     outputs = [
         (args.output, lambda path, lines: spectra.write_spectrum_csv(spectrum, path, lines)),
         (args.peaks_output, lambda path, lines: spectra.write_peaks_csv(report, path, lines)),
