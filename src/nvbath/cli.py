@@ -14,8 +14,12 @@ Each command computes and returns its physics configuration and its
 outputs; :func:`main` then writes every output, in order, and prints one
 line. Outputs that resolve to one file are refused (exit 2) before any is
 written. Every output file starts with a provenance comment carrying the
-tool version, a hash of the physics-relevant configuration, and the seed
-where one applies. Execution knobs (worker count, output paths) are excluded
+tool version, a hash of what the command applied, and the seed where one
+applies. ``polarization`` and ``model-eval`` hash their temperature array,
+``spectrum`` its settings with each populated center's spin parameters,
+``simulate`` its delays with its ``BathNoiseConfig`` (or T1 and noise), and
+``fit`` the ``(x, y, sigma)`` it fitted; an array counts by its float64
+bytes, and -0 as 0. Execution knobs (worker count, output paths) are excluded
 from the hash, so reruns of the same physics are byte-identical.
 """
 
@@ -199,12 +203,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _provenance(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, default=str)
+    blob = json.dumps(_canonical(config), sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:12]
     line = f"nvbath {__version__} config_sha256={digest}"
     if "seed" in config:
         line += f" seed={config['seed']}"
     return line
+
+
+def _canonical(value):
+    """``value`` as hashed: an array as the sha256 of its float64 bytes, -0.0 as 0.0."""
+    if isinstance(value, dict):
+        return {key: _canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return hashlib.sha256((np.asarray(value, float) + 0.0).tobytes()).hexdigest()
+    return value + 0.0 if isinstance(value, float) else value
 
 
 def _parse_temps(text: str) -> np.ndarray:
@@ -253,7 +268,7 @@ def _parse_assignments(pairs, what: str) -> dict[str, float]:
         if not sep or not name:
             raise ValueError(f"bad {what} {pair!r} (want NAME=VALUE)")
         try:
-            out[name.strip()] = float(value)
+            out[name.strip()] = float(value) + 0.0  # -0 applies as 0
         except ValueError:
             raise ValueError(f"non-numeric value in {what} {pair!r}")
     return out
@@ -279,7 +294,7 @@ def _cmd_polarization(args):
     if t_zeeman is None:
         t_zeeman = spin_core.zeeman_temperature(args.frequency_hz)
     temps = _parse_temps(args.temps)
-    config = {"frequency_hz": args.frequency_hz, "t_zeeman_k": t_zeeman, "temps": args.temps}
+    config = {"t_zeeman_k": t_zeeman, "temps": temps}
     polarization = bath_model.polarization(temps, t_zeeman)
     flip_flop = bath_model.flip_flop_factor(temps, t_zeeman)
     header = ("temperature_K", "polarization", "flip_flop_factor")
@@ -366,9 +381,7 @@ def _cmd_spectrum(args):
             field_step=settings["field_step_t"],
         )
         report = spectra.analyze_peaks(spectrum)
-    except ValueError as exc:  # with a file, every refused value came from it
-        if args.config is None:
-            raise
+    except ValueError as exc:  # the defaults pass, so a refused value is the file's
         raise ValueError(f"{args.config}: {exc}") from None
     # Hashed as applied, defaults merged: a center with no population, or an
     # override equal to its default, leaves the hash as it is.
@@ -394,12 +407,7 @@ def _cmd_simulate(args):
         raise ValueError(f"need 2 to {spectra.MAX_GRID_POINTS} delay points")
     check("delay maximum", tau_max)
     delays = np.linspace(0.0, tau_max, args.tau_points)
-    config = {
-        "sequence": args.sequence,
-        "tau_max_s": tau_max,
-        "tau_points": args.tau_points,
-        "seed": args.seed,
-    }
+    config = {"sequence": args.sequence, "delays": delays, "seed": args.seed}
     if inversion:
         trace = pulse_sim.simulate_inversion_recovery(
             args.t1_s, delays, noise_amplitude=args.noise, seed=args.seed
@@ -417,14 +425,7 @@ def _cmd_simulate(args):
         trace = pulse_sim.simulate_hahn_echo(
             cfg, delays, args.realizations, threads=args.threads
         )
-        config.update(
-            temperature_k=cfg.temperature,
-            t_zeeman_k=cfg.t_zeeman,
-            realizations=args.realizations,
-            n_sources=cfg.n_sources,
-            coupling_scale=cfg.coupling_scale,
-            base_rate=cfg.base_rate,
-        )
+        config.update(vars(cfg), realizations=args.realizations)
     outputs = [(args.output, lambda path, lines: pulse_sim.write_trace_csv(trace, path, lines))]
     return config, outputs, _WROTE, 0
 
@@ -444,12 +445,8 @@ def _cmd_fit(args):
         x, y, err = trace.delays, trace.amplitude, trace.std_error
     else:
         dataset = datasets.load_csv(args.data)
-        x, y, err = (
-            np.array(v) for v in datasets.as_rate_data(dataset, model.time_unit_s)
-        )
-    sigma = None
-    if not args.unweighted and np.all(np.asarray(err) > 0):
-        sigma = err
+        x, y, err = map(np.array, datasets.as_rate_data(dataset, model.time_unit_s))
+    sigma = None if args.unweighted or not np.all(err > 0) else err
 
     result = fitkit.fit(model, x, y, sigma, init, fixed, args.max_iterations)
     # A fit that did not converge is exit 3 and still writes its report.
@@ -461,7 +458,7 @@ def _cmd_fit(args):
         "model": model.name,
         "fixed": sorted(fixed.items()),
         "init": sorted(init.items()),
-        "unweighted": bool(sigma is None),
+        "data": (x, y, sigma),
         "max_iterations": args.max_iterations,
     }
     header = ("parameter", "value", "stderr", "fixed")
@@ -515,7 +512,7 @@ def _cmd_model_eval(args):
     # Rates are >= 0, so this also refuses a zero rate (an infinite time).
     if not np.all(np.isfinite(rates) & np.isfinite(times)):
         raise ValueError(f"{args.model} rate or time is 0 or overflows on this grid")
-    config = {"model": args.model, "params": sorted(merged.items()), "temps": args.temps}
+    config = {"model": args.model, "params": sorted(merged.items()), "temps": temps}
     write = _table(("temperature_K", "rate", "value_time"), (temps, rates, times))
     return config, [(args.output, write)], _WROTE, 0
 

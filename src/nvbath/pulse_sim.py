@@ -450,7 +450,7 @@ def simulate_inversion_recovery(
         amplitude = 1.0 - 2.0 * np.exp(-t / t1)
         if noise_amplitude > 0:
             amplitude += noise_amplitude * _stream(seed, 0).standard_normal(t.size)
-    std_error = np.full_like(amplitude, noise_amplitude)
+    std_error = np.full_like(amplitude, noise_amplitude + 0.0)  # -0 as 0
     return DecayTrace(
         sequence=SEQUENCE_INVERSION,
         delays=t,

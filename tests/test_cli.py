@@ -86,7 +86,7 @@ class TestPolarization:
         zeeman = ["--outdir", str(tmp_path), "polarization", "--t-zeeman-k"]
         assert cli.main(zeeman + ["nan"]) == 2
         assert cli.main(zeeman + ["-1"]) == 2
-        # Recorded in the provenance hash even when T_Ze is given.
+        # Checked even when T_Ze is given and the frequency goes unused.
         assert cli.main(zeeman + ["14.7", "--frequency-hz", "nan"]) == 2
         assert not (tmp_path / "polarization.csv").exists()
 
@@ -170,6 +170,8 @@ class TestSpectrum:
         both = "[populations]\nn = 1\nnv = 0.3\n"
         assert provenance(both + override(changed)) != provenance(both)
         assert provenance(both + override(default)) == provenance(both)
+        if not default:  # -0 applies, and hashes, as 0
+            assert provenance(both + override(-0.0)) == provenance(both)
         other = {"n": "nv", "nv": "n"}[center]
         alone = f"[populations]\n{center} = 0\n{other} = 1\n"
         assert provenance(alone + override(changed)) == provenance(alone)
@@ -511,28 +513,31 @@ class TestFit:
         assert float(weighted["T_Ze"][1]) != float(unweighted["T_Ze"][1])
 
     def test_echo_trace_fit(self, tmp_path):
-        rc = cli.main(
-            ["--outdir", str(tmp_path)]
-            + TestSimulate.ARGS
-            + ["--realizations", "120", "--output", "echo.csv"]
-        )
-        assert rc == 0
-        rc = cli.main(
-            [
-                "--outdir",
-                str(tmp_path),
-                "fit",
-                "--model",
-                "echo_decay",
-                "--data",
-                str(tmp_path / "echo.csv"),
-                "--output-prefix",
-                "echofit",
-            ]
-        )
-        assert rc == 0
-        assert (tmp_path / "echofit.csv").exists()
-        assert (tmp_path / "echofit.txt").exists()
+        firsts = set()
+        for seed in ("5", "6"):  # two traces: their fits hash their data apart
+            rc = cli.main(
+                ["--outdir", str(tmp_path)]
+                + TestSimulate.ARGS
+                + ["--realizations", "120", "--seed", seed, "--output", "echo.csv"]
+            )
+            assert rc == 0
+            rc = cli.main(
+                [
+                    "--outdir",
+                    str(tmp_path),
+                    "fit",
+                    "--model",
+                    "echo_decay",
+                    "--data",
+                    str(tmp_path / "echo.csv"),
+                    "--output-prefix",
+                    "echofit",
+                ]
+            )
+            assert rc == 0
+            assert (tmp_path / "echofit.txt").exists()
+            firsts.add((tmp_path / "echofit.csv").read_text().splitlines()[0])
+        assert len(firsts) == 2
 
     def test_non_convergence_exits_3(self, tmp_path):
         data = tmp_path / "nv_t2.csv"
@@ -648,8 +653,11 @@ class TestFit:
         data = tmp_path / "data.csv"
         datasets.save_csv(datasets.bundled("NV", model[:2].upper()), data)
         argv = ["--outdir", str(tmp_path), "fit", "--model", model, "--data", str(data)]
-        assert cli.main(argv + ["--fix", pin]) == 0
-        assert (tmp_path / "fit.csv").exists()
+        files = []
+        for value in (pin, pin.replace("=", "=-")):  # -0 applies, and hashes, as 0
+            assert cli.main(argv + ["--fix", value]) == 0
+            files.append([(tmp_path / n).read_bytes() for n in ("fit.csv", "fit.txt")])
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize(
         "model, text",
@@ -827,19 +835,19 @@ class TestOutputRouting:
 # and simulate's one config dict, so these pin both. A case's earlier runs
 # make its inputs.
 PINNED = [
-    ([["polarization"]], {"polarization.csv": "74c74c76e974"},
+    ([["polarization"]], {"polarization.csv": "a68cbf8a3710"},
      re.escape("wrote OUT/polarization.csv")),
     ([["spectrum"]], {"spectrum.csv": "8a2bb10cc498", "peaks.csv": "8a2bb10cc498"},
      re.escape("wrote OUT/spectrum.csv and OUT/peaks.csv (5 peaks)")),
     ([["simulate", "--sequence", "inversion", "--noise", "0.01", "--tau-max-s", "8e-3"]],
-     {"trace.csv": "a1b7f7831bc0 seed=1"}, re.escape("wrote OUT/trace.csv")),
-    ([["simulate", "--seed", "7"]], {"trace.csv": "1605bba53784 seed=7"},
+     {"trace.csv": "a6ef88fa50e6 seed=1"}, re.escape("wrote OUT/trace.csv")),
+    ([["simulate", "--seed", "7"]], {"trace.csv": "a3a8802da3a7 seed=7"},
      re.escape("wrote OUT/trace.csv")),
-    ([["model-eval", "--model", "t1_model"]], {"model_eval.csv": "eec58946c119"},
+    ([["model-eval", "--model", "t1_model"]], {"model_eval.csv": "f2c8a0c469b3"},
      re.escape("wrote OUT/model_eval.csv")),
     ([["simulate", "--seed", "7", "--output", "echo.csv"],
       ["fit", "--model", "echo_decay", "--data", "OUT/echo.csv"]],
-     {"fit.csv": "b428f60ee9ba", "fit.txt": "b428f60ee9ba"},
+     {"fit.csv": "d9ffffbe2161", "fit.txt": "d9ffffbe2161"},
      r"echo_decay: converged after \d+ iterations, cost \S+; "
      r"wrote OUT/fit\.csv and OUT/fit\.txt"),
 ]
@@ -861,6 +869,38 @@ def test_provenance_and_stdout_are_pinned(tmp_path, capsys, runs, provenance, st
         with open(tmp_path / name) as fh:
             first = fh.readline()
         assert first == f"# nvbath {__version__} config_sha256={tail}\n"
+
+
+# Runs that apply the same objects write the same files, provenance lines
+# included: one temperature grid in two spellings, and -0 for 0 (OUT/zero.ini
+# sets a -0 tilt and N zero-field splitting).
+SAME_FILES = [
+    (["polarization"], ["polarization", "--temps", "1.30:300.0:log:121"]),
+    (["model-eval", "--model", "t1_model"],
+     ["model-eval", "--model", "t1_model", "--temps", "1.30:300.0:log:121"]),
+    (["model-eval", "--model", "t1_model", "--params", "A=0"],
+     ["model-eval", "--model", "t1_model", "--params", "A=-0"]),
+    (["spectrum"], ["spectrum", "--config", "OUT/zero.ini"]),
+    (["simulate", "--sequence", "inversion", "--noise", "0"],
+     ["simulate", "--sequence", "inversion", "--noise", "-0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    SAME_FILES,
+    ids=["polarization-grid", "model-eval-grid", "model-eval-params", "spectrum", "noise"],
+)
+def test_same_applied_objects_write_the_same_files(tmp_path, first, second):
+    zero = "[spectrum]\ntilt_deg = -0\n[center.n]\nzero_field_d = -0\n"
+    (tmp_path / "zero.ini").write_text(zero)
+    files = []
+    for name, argv in (("a", first), ("b", second)):
+        out = tmp_path / name
+        argv = [arg.replace("OUT", str(tmp_path)) for arg in argv]
+        assert cli.main(["--outdir", str(out), *argv]) == 0
+        files.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert files[0] == files[1]
 
 
 class TestEntryPoint:

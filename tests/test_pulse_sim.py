@@ -751,6 +751,9 @@ class TestInversionRecovery:
         assert trace.amplitude[1] == pytest.approx(0.0, abs=1e-12)
         assert trace.amplitude[2] == pytest.approx(1.0, abs=1e-8)
         assert np.all(trace.std_error == 0.0)
+        # Noise -0 is no noise: its column reads 0, not -0.
+        quiet = ps.simulate_inversion_recovery(t1, delays, noise_amplitude=-0.0)
+        assert not np.any(np.signbit(quiet.std_error))
 
     def test_noise_is_seeded(self):
         delays = np.linspace(0.0, 8e-3, 9)

@@ -14,10 +14,12 @@ temperatures up to 1e12 K, where the flip-flop factor is at its bound of
 1/4, and 5000 temperatures from 0.02 K at T_Ze = 11.5 K, whose flip-flop
 column runs from 1.9e-250 into fixed notation, through the kernel's per-cell
 fallback, and linear grids of 50 and 5000 points from 2 to 300 K; every
-cell of the 5000-point table enters the kernel's digit pipeline), ``spectrum``
-(defaults and seven INI files, one of them with ``[center.n]`` and
-``[center.nv]`` overrides, one on a window that misses every stick and one
-refused for a one-point grid), Hahn-echo ``simulate`` (seed 7 at one and two
+cell of the 5000-point table enters the kernel's digit pipeline; and the
+default grid spelled ``1.30:300.0:log:121``, whose files equal the default
+ones), ``spectrum`` (defaults and eight INI files, one of them with
+``[center.n]`` and ``[center.nv]`` overrides, one setting the tilt and the N
+zero-field splitting to -0, whose files equal the default ones, one on a
+window that misses every stick and one refused for a one-point grid), Hahn-echo ``simulate`` (seed 7 at one and two
 threads: 12 blocks of 155 realizations and a short one of 140; seed 3 at
 4 K, seed 1 at 797406919.621389 K, in the hot limit, seed 5 on 301 sources and
 200 delays, in blocks of 14, 14 and 2, the second of which starts its
@@ -26,9 +28,11 @@ a static bath at 0.05 K, seed -5, whose stream key wraps modulo 2**64, 1111
 realizations at one and two threads: 7 blocks of 155 and a short one of 26;
 one realization, whose standard errors are all 0; 156, whose last block
 holds one realization; and 4500 delays, whose 3-column trace goes through
-the numpy kernel, ``nvbath._dtoa``), inversion recovery, the bundled NV
-T1/T2 and N T2 tables, a ``fit`` of each registry model, and ``model-eval``
-of both rate laws (T2 also on the linear grid). Each command's exit code,
+the numpy kernel, ``nvbath._dtoa``), inversion recovery (also with
+``--noise -0``, which writes the ``--noise 0`` trace), the bundled NV T1/T2
+and N T2 tables, a ``fit`` of each registry model, an echo fit of seed 2's
+1111-realization trace, whose hash differs from seed 7's, and ``model-eval`` of
+both rate laws (T2 also on the linear grid). Each command's exit code,
 stdout and stderr (with the output directory written as ``OUT``) go to
 ``commands.txt``, which is hashed with the data files, so a changed
 ``warning:`` or ``error:`` line, or a raw Python warning, changes the
@@ -78,6 +82,8 @@ SPECTRUM_CONFIGS = {
     "uncovered": "[spectrum]\nfield_start_t = 20\nfield_stop_t = 30\nfield_step_t = 1e-3\n",
     # A step longer than the window: refused, exit 2, nothing written.
     "one_point": "[spectrum]\nfield_step_t = 1\n",
+    # -0 applies, and hashes, as 0: the default spectrum and peaks files.
+    "minus_zero": "[spectrum]\ntilt_deg = -0\n[center.n]\nzero_field_d = -0\n",
 }
 
 BUNDLED_TABLES = {
@@ -99,6 +105,8 @@ def commands(out: Path) -> list[list[str]]:
          "--output", "pol_5000.csv"],
         ["polarization", "--temps", "2:300:lin:50", "--output", "pol_lin.csv"],
         ["polarization", "--temps", "2:300:lin:5000", "--output", "pol_lin_5000.csv"],
+        ["polarization", "--temps", "1.30:300.0:log:121",
+         "--output", "pol_respelled.csv"],
         ["spectrum"],
     ]
     for name in SPECTRUM_CONFIGS:
@@ -126,9 +134,12 @@ def commands(out: Path) -> list[list[str]]:
          "--output", "hahn_4500.csv"],
         ["simulate", "--sequence", "inversion", "--noise", "0.01",
          "--tau-max-s", "8e-3", "--output", "inv.csv"],
+        ["simulate", "--sequence", "inversion", "--noise", "-0",
+         "--output", "inv_minus_zero.csv"],
     ]
     fits = [
         ("echo_decay", "hahn_t1.csv", "fit_echo", []),
+        ("echo_decay", "hahn_1111_t1.csv", "fit_echo_seed2", []),
         ("inversion_recovery", "inv.csv", "fit_inv", []),
         ("t1_model", "nv_t1.csv", "fit_t1", []),
         ("t2_model", "nv_t2.csv", "fit_t2", []),
