@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -314,13 +315,9 @@ _SPECTRUM_DEFAULTS = {
 
 _CENTER_DEFAULTS = {"n": spin_core.N_DEFAULT, "nv": spin_core.NV_DEFAULT}
 
-_CENTER_FIELDS = (
-    "g_parallel",
-    "g_perp",
-    "zero_field_d",
-    "hyperfine_111",
-    "hyperfine_other",
-    "linewidth_pp",
+# The spin parameters an INI [center.*] section may set, in field order.
+_CENTER_FIELDS = tuple(
+    f.name for f in dataclasses.fields(spin_core.CenterParams) if f.name not in ("label", "spin")
 )
 
 
@@ -361,7 +358,7 @@ def _cmd_spectrum(args):
         settings, populations = ini["spectrum"], ini["populations"]
         # Every center's overrides are checked; those with a population apply.
         params = {
-            label: default.replace(**ini[f"center.{label}"])
+            label: dataclasses.replace(default, **ini[f"center.{label}"])
             for label, default in _CENTER_DEFAULTS.items()
         }
         live = [label for label, pop in populations.items() if pop > 0]

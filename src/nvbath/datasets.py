@@ -15,8 +15,6 @@ from ._domain import check, one_of
 
 _COLUMNS = ("temperature_K", "value_s", "error_s")
 
-DatasetFormatError = table.TableFormatError
-
 
 @dataclass(frozen=True)
 class RelaxationRow:
@@ -99,7 +97,7 @@ def load_csv(path) -> RelaxationDataset:
     """Read a ``temperature_K,value_s,error_s`` file.
 
     The error column may be omitted (treated as 0). Comment lines are kept.
-    Malformed content raises :class:`DatasetFormatError` naming the line.
+    Malformed content raises :class:`nvbath.table.TableFormatError` naming the line.
     """
     comments, _, rows = table.read(path, (_COLUMNS, _COLUMNS[:2]), RelaxationRow)
     return RelaxationDataset(tuple(rows), tuple(comments))

@@ -53,10 +53,6 @@ class ModelSpec:
     time_unit_s: Optional[float] = None
     reference: Optional[tuple[float, ...]] = None
 
-    @property
-    def n_params(self) -> int:
-        return len(self.param_names)
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -171,8 +167,8 @@ def fit(
     cost = float(resid @ resid)
     dof = x_arr.size - n_free
     reduced = cost / dof if dof > 0 else float("nan")
-    cov_full = np.zeros((model.n_params, model.n_params))
-    stderr = np.zeros(model.n_params)
+    cov_full = np.zeros((len(model.param_names),) * 2)
+    stderr = np.zeros(len(model.param_names))
     j_theta = model.jacobian(theta, x_arr)[:, free] / sig_arr[:, None]
     jtj = j_theta.T @ j_theta
     try:
@@ -335,9 +331,17 @@ def _echo_jacobian(p, x):
 
 
 def _echo_guess(x, y):
+    """Largest point as amplitude; T2 from the log-linear slope of the
+    decaying portion, with a generous fallback if it is flat."""
     a0 = max(float(np.max(y)), 1e-12)
-    t0 = _decay_time_guess(x, y / a0, factor=2.0)
-    return np.array([a0, t0])
+    y_norm = y / a0
+    mask = (y_norm > 1e-3) & (y_norm < 1.0)
+    span = float(np.max(x) - np.min(x)) or 1.0
+    if mask.sum() >= 2:
+        slope, _ = np.polyfit(x[mask], np.log(y_norm[mask]), 1)
+        if slope < 0:
+            return np.array([a0, 2.0 / -slope])
+    return np.array([a0, 100.0 * span])
 
 
 def _recovery_evaluate(p, x):
@@ -399,17 +403,6 @@ def _t2_guess(x, y):
     i_hi = int(np.argmax(x))
     c0 = max(4.0 * (y[i_hi] - gamma0), 1e-6)
     return np.array([c0, zeeman_temperature(DEFAULT_FREQUENCY_HZ), gamma0])
-
-
-def _decay_time_guess(x, y_norm, factor):
-    """Log-linear slope of the decaying portion; generous fallback if flat."""
-    mask = (y_norm > 1e-3) & (y_norm < 1.0)
-    span = float(np.max(x) - np.min(x)) or 1.0
-    if mask.sum() >= 2:
-        slope, _ = np.polyfit(x[mask], np.log(y_norm[mask]), 1)
-        if slope < 0:
-            return factor / -slope
-    return 100.0 * span
 
 
 # Built once at import and shared read-only.

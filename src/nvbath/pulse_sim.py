@@ -164,10 +164,10 @@ def _delay_grid(delays: Sequence[float]) -> np.ndarray:
     return t
 
 
-def _refuse_over(cells: float, limit: float, what: str, *args) -> None:
-    """Refuse cells over limit, naming them by ``what.format(*args)``."""
-    if cells > limit:
-        raise ValueError(f"{what.format(*args)}, over the limit of {limit:.3g}")
+def _refuse_over(cells: float, what: str, *args) -> None:
+    """Refuse cells over ``_MAX_CELLS``, naming them by ``what.format(*args)``."""
+    if cells > _MAX_CELLS:
+        raise ValueError(f"{what.format(*args)}, over the limit of {_MAX_CELLS:.3g}")
 
 
 def _stream(seed: int, key: int, counter: int = 0) -> np.random.Generator:
@@ -256,9 +256,9 @@ def _hahn_echoes(
     t_end = 2.0 * float(tau[-1])
     drawn = cfg.n_sources * (cfg.base_rate * t_end + 1.0)
     in_window = cfg.n_sources * (max(rates, default=0.0) * t_end + 1.0)
-    _refuse_over(drawn, _MAX_CELLS, "a realization would draw {:.3g} events", drawn)
+    _refuse_over(drawn, "a realization would draw {:.3g} events", drawn)
     cells = in_window * (tau.size + _SIGN_GROUPS) + _ECHO_ROWS * tau.size
-    _refuse_over(cells, _MAX_CELLS, "a realization would filter {:.3g} events x {} delays"
+    _refuse_over(cells, "a realization would filter {:.3g} events x {} delays"
                  " ({:.3g} cells with its echo rows)", in_window, tau.size, cells)
     # Static noise refocuses exactly.
     columns = {rate: (np.ones(tau.size), np.zeros(tau.size)) for rate in rates}
@@ -347,15 +347,14 @@ def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
     counts = rng.poisson(hot * t_end, (m, n))
     drawn = counts.sum(axis=1)
     i = int(np.argmax(drawn > _MAX_CELLS))
-    _refuse_over(drawn[i], _MAX_CELLS, "realization {} drew {} events", lo + i, drawn[i])
+    _refuse_over(drawn[i], "realization {} drew {} events", lo + i, drawn[i])
     u = rng.random(int(drawn.sum()))
     inside = u < fastest / hot
     slot = np.repeat(np.arange(m * n), counts.ravel())[inside]
     events = np.bincount(slot // n, minlength=m)  # left inside the window
     cells = events * (tau.size + _SIGN_GROUPS) + _ECHO_ROWS * tau.size
     i = int(np.argmax(cells > _MAX_CELLS))
-    _refuse_over(cells[i], _MAX_CELLS,
-                 "realization {} has {} events in its window", lo + i, events[i])
+    _refuse_over(cells[i], "realization {} has {} events in its window", lo + i, events[i])
     couplings, s0 = _bath(cfg, lo, hi)
     signed = (couplings * s0).ravel()
     # Sort each slot's events by u, and so by time at every rate (slot is
@@ -367,7 +366,7 @@ def _echo_block(cfg: BathNoiseConfig, rates: Sequence[float], tau: np.ndarray,
     u = key.imag
     # The block size counts one rate's echo rows; the block keeps each rate's
     # echoes and the fold's temporary.
-    _refuse_over(2 * len(rates) * m * tau.size, _MAX_CELLS, "block {} would keep {} rates x {}"
+    _refuse_over(2 * len(rates) * m * tau.size, "block {} would keep {} rates x {}"
                  " realizations x {} delays", block, len(rates), m, tau.size)
     echoes = np.empty((len(rates), m, tau.size))
     for rate, out in zip(rates, echoes):

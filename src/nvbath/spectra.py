@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .spin_core import (
-    CONSTANTS,
+    BOLTZMANN_K,
     NUCLEAR_PROJECTIONS,
     CenterParams,
     TransitionSpec,
@@ -193,7 +193,7 @@ def _population_difference(
     resonance field. For spin 1/2 this reduces to the bath polarization.
     """
     energies = level_energies(spec, field)
-    k_t = CONSTANTS.boltzmann_k * temperature
+    k_t = BOLTZMANN_K * temperature
     beta = 1.0 / k_t if k_t else math.inf
     e_min = min(energies.values())
     boltzmann = {m: math.exp(-beta * (e - e_min)) for m, e in energies.items()}

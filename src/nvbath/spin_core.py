@@ -12,23 +12,17 @@ tesla, frequencies in hertz, temperatures in kelvin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._domain import check, one_of
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Exact SI-2019 values; immutable by construction."""
-
-    planck_h: float = 6.62607015e-34  # J s
-    bohr_magneton: float = 9.2740100783e-24  # J / T
-    boltzmann_k: float = 1.380649e-23  # J / K
-
-
-CONSTANTS = PhysicalConstants()
+# Exact SI-2019 values.
+PLANCK_H = 6.62607015e-34  # J s
+BOHR_MAGNETON = 9.2740100783e-24  # J / T
+BOLTZMANN_K = 1.380649e-23  # J / K
 
 # Spectrometer frequency of the reference measurements (11.5 K Zeeman
 # temperature).
@@ -88,10 +82,6 @@ class CenterParams:
             check(name, getattr(self, name))
         for name in ("zero_field_d", "hyperfine_111", "hyperfine_other"):
             check(name, getattr(self, name), strict=False)
-
-    def replace(self, **overrides) -> "CenterParams":
-        """Copy with selected fields overridden."""
-        return replace(self, **overrides)
 
 
 # The perpendicular g of the nitrogen center is measured slightly above the
@@ -171,19 +161,19 @@ def zeeman_temperature(frequency: float) -> float:
     ``h * frequency / k_B``; 240 GHz maps to 11.52 K, which is why the
     nitrogen bath polarizes at liquid-helium temperatures.
     """
-    return CONSTANTS.planck_h * check("frequency", frequency) / CONSTANTS.boltzmann_k
+    return PLANCK_H * check("frequency", frequency) / BOLTZMANN_K
 
 
 def field_to_frequency(field: float, g: float) -> float:
     """Zeeman resonance frequency (Hz) of a free spin with g-factor g."""
     check("field", field, strict=False)
-    return check("g", g) * CONSTANTS.bohr_magneton * field / CONSTANTS.planck_h
+    return check("g", g) * BOHR_MAGNETON * field / PLANCK_H
 
 
 def frequency_to_field(frequency: float, g: float) -> float:
     """Inverse of :func:`field_to_frequency`."""
     check("frequency", frequency, strict=False)
-    return CONSTANTS.planck_h * frequency / (check("g", g) * CONSTANTS.bohr_magneton)
+    return PLANCK_H * frequency / (check("g", g) * BOHR_MAGNETON)
 
 
 def effective_g(g_parallel: float, g_perp: float, cos_theta: float) -> float:
@@ -263,9 +253,9 @@ def level_energies(transition: TransitionSpec, field: float) -> dict[float, floa
     cos_theta = transition.orientation.cos_theta
     s = center.spin
     g = effective_g(center.g_parallel, center.g_perp, cos_theta)
-    zeeman = g * CONSTANTS.bohr_magneton * field
-    zfs = CONSTANTS.planck_h * center.zero_field_d * _angular(cos_theta)
-    hyperfine = CONSTANTS.planck_h * transition.hyperfine
+    zeeman = g * BOHR_MAGNETON * field
+    zfs = PLANCK_H * center.zero_field_d * _angular(cos_theta)
+    hyperfine = PLANCK_H * transition.hyperfine
     return {
         m: zeeman * m + zfs * (m * m - s * (s + 1) / 3.0) + hyperfine * m * transition.m_i
         for m in (-s + k for k in range(int(round(2 * s)) + 1))

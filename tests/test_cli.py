@@ -229,6 +229,7 @@ class TestSpectrum:
                 "[spectrum]\ntemperature_k = -1\n",
                 "[spectrum]\nfield_step_t = 0\n",
                 "[spectrum]\nfield_step_t = 1\n",  # a one-point grid
+                "[spectrum]\nfield_stop_t = 8.3\n",  # below the default field_start
                 # Warns of two uncovered sticks, then refused: the error only.
                 "[spectrum]\nfield_start_t = 8.56\n[populations]\nn = 1.315863936605693e302\n",
             ]
@@ -921,6 +922,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "polarization.csv").exists()
+
+    def test_other_warnings_go_to_the_previous_handler(self, tmp_path, capsys, monkeypatch):
+        # Only a UserWarning becomes a ``warning:`` line; any other category
+        # is shown by the handler that was in place, here pytest's recorder.
+        polarization = cli._cmd_polarization
+
+        def deprecated(args):
+            warnings.warn("an old spelling", DeprecationWarning)
+            return polarization(args)
+
+        monkeypatch.setattr(cli, "_cmd_polarization", deprecated)
+        with pytest.warns(DeprecationWarning, match="an old spelling"):
+            rc = cli.main(["--outdir", str(tmp_path), "polarization", "--temps", "2,300"])
+        assert rc == 0
+        assert "warning:" not in capsys.readouterr().err
 
 
 # --- exit-code contract under fuzzed input ----------------------------------

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from nvbath import datasets as ds
+from nvbath import table
 
 
 class TestBundled:
@@ -88,28 +89,28 @@ class TestCsv:
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("temp,value\n300,1\n")
-        with pytest.raises(ds.DatasetFormatError, match="line 1"):
+        with pytest.raises(table.TableFormatError, match="line 1"):
             ds.load_csv(path)
 
     def test_rejects_nonpositive_rows_with_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("temperature_K,value_s,error_s\n300,6.7e-6,0\n-5,1e-6,0\n")
-        with pytest.raises(ds.DatasetFormatError, match="line 3"):
+        with pytest.raises(table.TableFormatError, match="line 3"):
             ds.load_csv(path)
 
     def test_rejects_non_numeric(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("temperature_K,value_s,error_s\nwarm,6.7e-6,0\n")
-        with pytest.raises(ds.DatasetFormatError, match="line 2"):
+        with pytest.raises(table.TableFormatError, match="line 2"):
             ds.load_csv(path)
 
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(ds.DatasetFormatError, match="header"):
+        with pytest.raises(table.TableFormatError, match="header"):
             ds.load_csv(path)
         path.write_text("temperature_K,value_s,error_s\n")
-        with pytest.raises(ds.DatasetFormatError, match="no data"):
+        with pytest.raises(table.TableFormatError, match="no data"):
             ds.load_csv(path)
 
 

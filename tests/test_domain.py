@@ -219,9 +219,9 @@ CENTER_KEYS = "g_parallel, g_perp, zero_field_d, hyperfine_111, hyperfine_other,
 
 # Every refusal of a name outside its set, as the code that makes it is called.
 MEMBERSHIP_REFUSALS = {
-    "center label": (lambda: N_DEFAULT.replace(label="P1"),
+    "center label": (lambda: replace(N_DEFAULT, label="P1"),
                      "center label must be one of N, NV, got 'P1'"),
-    "electron spin": (lambda: N_DEFAULT.replace(spin=1.5),
+    "electron spin": (lambda: replace(N_DEFAULT, spin=1.5),
                       "electron spin must be one of 0.5, 1.0, got 1.5"),
     "axis label": (lambda: Orientation("o222", 1.0),
                    "axis label must be one of o111, oA, oB, oC, got 'o222'"),

@@ -818,6 +818,16 @@ class TestTemperatureScan:
         )
         assert scan[0][1] < scan[1][1]
 
+    def test_a_fit_that_does_not_converge_raises(self, monkeypatch):
+        fit = ps.fitkit.fit
+        monkeypatch.setattr(ps.fitkit, "fit", lambda *args: fit(*args, max_iterations=0))
+        with pytest.raises(RuntimeError) as err:
+            ps.effective_t2_scan(ps.BathNoiseConfig(), (20.0, 4.0), self.N)
+        # The first temperature's fit stops, and the scan names it.
+        assert str(err.value) == (
+            "echo decay fit did not converge at T = 20.0 K: maximum iterations reached"
+        )
+
     @staticmethod
     def _traced_scan(monkeypatch, cfg, temperatures, n, threads=1):
         """The scan's T2s and the trace it fitted at each temperature."""

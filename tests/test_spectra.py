@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies
 
 from nvbath import spectra
 from nvbath.spin_core import (
-    CONSTANTS,
+    BOLTZMANN_K,
     N_DEFAULT,
     NV_DEFAULT,
+    PLANCK_H,
     Orientation,
     TransitionSpec,
 )
@@ -94,7 +96,7 @@ class TestBuildSticks:
         for temp, pop in ((300.0, 1.0), (2.0, 7.5)):
             st = spectra.build_sticks([(N_DEFAULT, pop)], nu, temp)
             delta_p = math.tanh(
-                CONSTANTS.planck_h * nu / (2.0 * CONSTANTS.boltzmann_k * temp)
+                PLANCK_H * nu / (2.0 * BOLTZMANN_K * temp)
             )
             assert st.weights.sum() == pytest.approx(pop * delta_p, rel=1e-12)
 
@@ -142,7 +144,7 @@ class TestBuildSticks:
                 spectra.build_sticks([(N_DEFAULT, 1.0)], 240e9, temperature)
         # A 1e300 Hz hyperfine puts an m_i = -1 line at 3.6e289 T, where its
         # two levels cancel: the message names the field in %g, and the field.
-        absurd = N_DEFAULT.replace(hyperfine_111=1e300)
+        absurd = replace(N_DEFAULT, hyperfine_111=1e300)
         with pytest.raises(ValueError) as info:
             spectra.build_sticks([(absurd, 1.0)], 240e9, 300.0)
         message = str(info.value)
@@ -219,6 +221,9 @@ class TestConvolve:
         ):
             with pytest.raises(ValueError, match="finite"):
                 spectra.convolve(st, **bounds)
+        # An inverted window is named as such, not as a one-point grid.
+        with pytest.raises(ValueError, match="field_stop must exceed field_start"):
+            spectra.convolve(st, field_stop=8.3)
         # 3.5e11 points (2.8 TB per array) on the default window.
         with pytest.raises(ValueError, match="limit"):
             spectra.convolve(st, field_step=1e-12)

@@ -1,14 +1,20 @@
 """Run a fixed matrix of nvbath commands and print the sha256 of every output.
 
-The byte-identity check for a refactor: run this once against each tree and
-diff the two listings.
+The byte-identity check for a refactor, in one command:
+
+    python3 tools/cli_matrix.py --against HEAD
+
+exports the revision's ``src/`` with ``git archive`` into a temporary
+directory, runs this file's matrix once on that ``src/`` and once on this
+tree's, each in a child process with ``PYTHONDONTWRITEBYTECODE=1`` (so no
+``__pycache__`` is left behind), prints a unified diff of the two listings
+and exits 0 when they match, 1 when they differ. ``OUTDIR`` runs the matrix
+once, in this process, and prints its listing:
 
     PYTHONPATH=src python3 tools/cli_matrix.py /tmp/after > after.txt
-    PYTHONPATH=/path/to/old/src python3 tools/cli_matrix.py /tmp/before > before.txt
-    diff before.txt after.txt
 
-Every command goes through ``nvbath.cli.main`` in this process, so the
-``nvbath`` on the import path is the one measured. The matrix covers
+Every command goes through ``nvbath.cli.main`` in the running process, so
+the ``nvbath`` on the import path is the one measured. The matrix covers
 ``polarization`` (default, a 301-point grid at T_Ze = 14.7 K, four
 temperatures up to 1e12 K, where the flip-flop factor is at its bound of
 1/4, and 5000 temperatures from 0.02 K at T_Ze = 11.5 K, whose flip-flop
@@ -46,12 +52,15 @@ Uses the standard library and nvbath only.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
+import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
-
-from nvbath import cli, datasets, pulse_sim
 
 # name -> INI text for `spectrum --config`; outputs <name>_spectrum.csv and
 # <name>_peaks.csv.
@@ -160,6 +169,8 @@ def commands(out: Path) -> list[list[str]]:
 def write_quench_scan(path: Path, realizations: int) -> None:
     """``effective_t2_scan`` at the bench's quench_scan temperatures (seed 11),
     one ``repr(T) repr(T2)`` line per temperature."""
+    from nvbath import pulse_sim
+
     cfg = pulse_sim.BathNoiseConfig(seed=11)
     temperatures = (1e9, 20.0, 8.0, 4.0, 2.0, 0.01 * cfg.t_zeeman)
     scan = pulse_sim.effective_t2_scan(cfg, temperatures, realizations)
@@ -168,6 +179,9 @@ def write_quench_scan(path: Path, realizations: int) -> None:
 
 def run(out: Path) -> dict[str, str]:
     """Run the matrix into ``out`` and return {file name: sha256}."""
+    # Imported on use: ``--against`` runs with no nvbath on its path.
+    from nvbath import cli, datasets
+
     out.mkdir(parents=True, exist_ok=True)
     for name, text in SPECTRUM_CONFIGS.items():
         (out / f"{name}.ini").write_text(text)
@@ -193,10 +207,44 @@ def run(out: Path) -> dict[str, str]:
     }
 
 
+def listing(src: Path, out: Path) -> list[str]:
+    """This file's listing of the ``nvbath`` in ``src``, run into ``out`` by a
+    child process that writes no bytecode."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run([sys.executable, __file__, str(out)], env=env,
+                           stdout=subprocess.PIPE, text=True)
+    if child.returncode:
+        print(f"the matrix on {src} exited {child.returncode}", file=sys.stderr)
+        raise SystemExit(2)
+    return child.stdout.splitlines(keepends=True)
+
+
+def against(rev: str) -> int:
+    """Print a unified diff of ``rev``'s listing against this tree's; 0 when
+    they match, 1 when they differ, 2 when git cannot export ``rev`` or a
+    matrix run fails."""
+    root = Path(__file__).resolve().parent.parent
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        old = listing(Path(tmp, "src"), Path(tmp, "out_rev"))
+        new = listing(root / "src", Path(tmp, "out_tree"))
+    diff = list(difflib.unified_diff(old, new, rev, "this tree"))
+    sys.stdout.writelines(diff or [f"{len(new)} lines, equal to {rev}'s\n"])
+    return 1 if diff else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2 and args[0] == "--against":
+        return against(args[1])
     if len(args) != 1:
-        print("usage: cli_matrix.py OUTDIR", file=sys.stderr)
+        print("usage: cli_matrix.py OUTDIR | --against REV", file=sys.stderr)
         return 2
     for name, digest in run(Path(args[0])).items():
         print(f"{digest}  {name}")
